@@ -17,7 +17,8 @@ Outputs are written atomically (temp file + rename) and every CSV gets a
 tool version.  The ``GLMSUB_OUT_DIR`` environment variable redirects
 default output locations.
 
-Exit codes: 0 success, 1 validation error, 2 runtime failure.
+Exit codes: 0 success, 1 validation error, 2 runtime failure (estimation,
+numeric overflow or I/O).
 """
 
 from __future__ import annotations
@@ -38,7 +39,13 @@ import yaml
 from . import __version__
 from .config import RealDataConfig, parse_config
 from .datasets import load_csv
-from .errors import FitError, GlmsubError, StageOneError, ValidationError
+from .errors import (
+    FitError,
+    GlmsubError,
+    NumericOverflowError,
+    StageOneError,
+    ValidationError,
+)
 from .realdata import run_ssmse_study, run_subsample
 from .simulate import MetricsRecord, ScenarioConfig, model_information, run_study
 from .twostage import pilot_probabilities
@@ -150,18 +157,29 @@ def _csv_text(header: "list[str]", rows) -> str:
     return buf.getvalue()
 
 
-def _load_real_dataset(config: RealDataConfig):
-    return load_csv(config.dataset, family=config.family)
+def _write_probabilities(path: "str | Path", probs: np.ndarray) -> None:
+    atomic_write(
+        path,
+        _csv_text(["row", "probability"], ([i, repr(float(p))] for i, p in enumerate(probs))),
+    )
 
 
-def _cmd_simulate(args) -> int:
+def _load_config(args, mode: str) -> "ScenarioConfig | RealDataConfig":
+    """Parse the config file, check that it is for ``mode`` and apply
+    ``--seed``."""
     config = parse_config(args.config)
-    if not isinstance(config, ScenarioConfig):
+    got = config.mode if isinstance(config, RealDataConfig) else "simulate"
+    if got != mode:
         raise ValidationError(
-            f"'simulate' needs a config with mode: simulate, got mode: {config.mode}"
+            f"'{mode}' needs a config with mode: {mode}, got mode: {got}"
         )
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
+    return config
+
+
+def _cmd_simulate(args) -> int:
+    config = _load_config(args, "simulate")
     records = run_study(config, threads=args.threads)
     out = _default_out(Path(args.config), "metrics", args.out)
     write_metrics_csv(records, out)
@@ -171,12 +189,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_subsample(args) -> int:
-    config = parse_config(args.config)
-    if not isinstance(config, RealDataConfig) or config.mode != "subsample":
-        raise ValidationError("'subsample' needs a config with mode: subsample")
-    if args.seed is not None:
-        config = replace(config, master_seed=args.seed)
-    raw, y = _load_real_dataset(config)
+    config = _load_config(args, "subsample")
+    raw, y = load_csv(config.dataset, family=config.family)
     rng = np.random.default_rng(np.random.SeedSequence([config.master_seed]))
     result = run_subsample(config, raw, y, rng)
 
@@ -190,23 +204,14 @@ def _cmd_subsample(args) -> int:
     atomic_write(out, _csv_text(["model", "term", "estimate", "std_error", "model_info"], rows))
     _write_meta(out, Path(args.config), config.master_seed, "subsample")
     if args.write_probs is not None:
-        probs = result.stage2_probs.probs
-        text = _csv_text(
-            ["row", "probability"],
-            ([i, repr(float(p))] for i, p in enumerate(probs)),
-        )
-        atomic_write(args.write_probs, text)
+        _write_probabilities(args.write_probs, result.stage2_probs.probs)
     print(f"wrote estimates for {len(config.model_set)} models to {out}")
     return 0
 
 
 def _cmd_probabilities(args) -> int:
-    config = parse_config(args.config)
-    if not isinstance(config, RealDataConfig) or config.mode != "probabilities":
-        raise ValidationError("'probabilities' needs a config with mode: probabilities")
-    if args.seed is not None:
-        config = replace(config, master_seed=args.seed)
-    raw, y = _load_real_dataset(config)
+    config = _load_config(args, "probabilities")
+    raw, y = load_csv(config.dataset, family=config.family)
     rng = np.random.default_rng(np.random.SeedSequence([config.master_seed]))
     pv = pilot_probabilities(
         config.family,
@@ -220,11 +225,7 @@ def _cmd_probabilities(args) -> int:
         eps=config.eps,
     )
     out = _default_out(Path(args.config), "probabilities", args.out)
-    text = _csv_text(
-        ["row", "probability"],
-        ([i, repr(float(p))] for i, p in enumerate(pv.probs)),
-    )
-    atomic_write(out, text)
+    _write_probabilities(out, pv.probs)
     _write_meta(
         out, Path(args.config), config.master_seed, "probabilities",
         extra={"criterion": pv.criterion.value},
@@ -234,12 +235,8 @@ def _cmd_probabilities(args) -> int:
 
 
 def _cmd_ssmse(args) -> int:
-    config = parse_config(args.config)
-    if not isinstance(config, RealDataConfig) or config.mode != "ssmse":
-        raise ValidationError("'ssmse' needs a config with mode: ssmse")
-    if args.seed is not None:
-        config = replace(config, master_seed=args.seed)
-    raw, y = _load_real_dataset(config)
+    config = _load_config(args, "ssmse")
+    raw, y = load_csv(config.dataset, family=config.family)
     records = run_ssmse_study(config, raw, y, threads=args.threads)
     out = _default_out(Path(args.config), "ssmse", args.out)
     rows = [
@@ -306,8 +303,8 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ValidationError, GlmsubError) as exc:
-        runtime = isinstance(exc, (FitError, StageOneError))
+    except (GlmsubError, OSError) as exc:
+        runtime = isinstance(exc, (FitError, StageOneError, NumericOverflowError, OSError))
         print(f"glmsub: error: {exc}", file=sys.stderr)
         return 2 if runtime else 1
 

@@ -142,38 +142,25 @@ class _Block:
         if unknown:
             raise ConfigError(self._key(sorted(unknown)[0]), "unknown key")
 
-    def int_list(self, name: str, required: bool = False, default=None):
+    def _list(self, name: str, required: bool, default, kinds, noun: str, convert):
         value = self.get(name, list, required=required, default=default)
         if value is default and not required:
             return default
         out = []
         for i, item in enumerate(value):
-            if isinstance(item, bool) or not isinstance(item, int):
-                raise ConfigError(f"{self._key(name)}[{i}]", f"expected an integer, got {item!r}")
-            out.append(item)
+            if isinstance(item, bool) or not isinstance(item, kinds):
+                raise ConfigError(f"{self._key(name)}[{i}]", f"expected {noun}, got {item!r}")
+            out.append(convert(item))
         return out
+
+    def int_list(self, name: str, required: bool = False, default=None):
+        return self._list(name, required, default, int, "an integer", int)
 
     def float_list(self, name: str, required: bool = False, default=None):
-        value = self.get(name, list, required=required, default=default)
-        if value is default and not required:
-            return default
-        out = []
-        for i, item in enumerate(value):
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise ConfigError(f"{self._key(name)}[{i}]", f"expected a number, got {item!r}")
-            out.append(float(item))
-        return out
+        return self._list(name, required, default, (int, float), "a number", float)
 
     def str_list(self, name: str, required: bool = False, default=None):
-        value = self.get(name, list, required=required, default=default)
-        if value is default and not required:
-            return default
-        out = []
-        for i, item in enumerate(value):
-            if not isinstance(item, str):
-                raise ConfigError(f"{self._key(name)}[{i}]", f"expected a string, got {item!r}")
-            out.append(item)
-        return out
+        return self._list(name, required, default, str, "a string", str)
 
 
 def _parse_criterion(root: _Block) -> Criterion:

@@ -9,23 +9,16 @@ runs on the fixed dataset.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import RealDataConfig
-from .errors import (
-    DegenerateResponseError,
-    FitError,
-    NumericOverflowError,
-    StageOneError,
-)
 from .families import Family
 from .fitting import WeightedSample, fit_weighted_mle
 from .models import ModelSet, build_design
-from .simulate import smse
-from .twostage import TwoStageResult, random_sampling_baseline, two_stage
+from .simulate import run_strategies, smse
+from .twostage import TwoStageResult, two_stage
 
 __all__ = ["SsmseRecord", "full_data_mles", "run_subsample", "run_ssmse_study"]
 
@@ -68,58 +61,8 @@ def run_subsample(
     )
 
 
-def _scenario_labels(models: ModelSet) -> tuple[str, ...]:
-    q = len(models)
-    return ("random",) + tuple(f"optimal-{k + 1}" for k in range(q)) + ("model-robust",)
-
-
-# Worker state for process pools: the dataset is installed once per worker
-# instead of being pickled into every task.
-_WORKER: dict = {}
-
-
-def _init_worker(config: RealDataConfig, raw: np.ndarray, y: np.ndarray):
-    _WORKER["config"] = config
-    _WORKER["raw"] = raw
-    _WORKER["y"] = y
-
-
-def _ssmse_replicate(args) -> dict:
-    config, raw, y, m = (
-        _WORKER.get("config"),
-        _WORKER.get("raw"),
-        _WORKER.get("y"),
-        args,
-    )
-    labels = _scenario_labels(config.model_set)
-    out: dict = {}
-    for j, r in enumerate(config.r_grid):
-        for s, label in enumerate(labels):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([config.master_seed, m, 1 + s, j])
-            )
-            try:
-                if label == "random":
-                    result = random_sampling_baseline(
-                        config.family, config.model_set, raw, y, config.r0, r, rng
-                    )
-                else:
-                    result = two_stage(
-                        config.family,
-                        config.model_set,
-                        raw,
-                        y,
-                        config.r0,
-                        r,
-                        rng,
-                        criterion=config.criterion,
-                        sampling_model=None if label == "model-robust" else s - 1,
-                        eps=config.eps,
-                    )
-                out[(label, r)] = [fit.theta for fit in result.fits]
-            except (FitError, StageOneError, NumericOverflowError, DegenerateResponseError):
-                out[(label, r)] = None
-    return out
+def _model_estimates(config: RealDataConfig, result: TwoStageResult) -> list:
+    return [fit.theta for fit in result.fits]
 
 
 def run_ssmse_study(
@@ -134,34 +77,19 @@ def run_ssmse_study(
     independent of ``threads``.
     """
     mles = full_data_mles(config.family, config.model_set, raw, y)
-    ms = list(range(config.n_replicates))
-    if threads > 1:
-        with ProcessPoolExecutor(
-            max_workers=threads, initializer=_init_worker, initargs=(config, raw, y)
-        ) as pool:
-            replicates = list(pool.map(_ssmse_replicate, ms))
-    else:
-        _init_worker(config, raw, y)
-        try:
-            replicates = [_ssmse_replicate(m) for m in ms]
-        finally:
-            _WORKER.clear()
-
     records = []
     q = len(config.model_set)
-    for label in _scenario_labels(config.model_set):
-        for r in config.r_grid:
-            cells = [rep[(label, r)] for rep in replicates]
-            good = [c for c in cells if c is not None]
-            n_failed = len(cells) - len(good)
-            if good:
-                total = sum(
-                    smse(np.array([thetas[k] for thetas in good]), mles[k])
-                    for k in range(q)
-                )
-            else:
-                total = float("nan")
-            records.append(
-                SsmseRecord(scenario=label, r=r, ssmse=float(total), n_failed=n_failed)
+    for label, r, good, n_failed in run_strategies(
+        config, (raw, y), _model_estimates, threads
+    ):
+        if good:
+            total = sum(
+                smse(np.array([thetas[k] for thetas in good]), mles[k])
+                for k in range(q)
             )
+        else:
+            total = float("nan")
+        records.append(
+            SsmseRecord(scenario=label, r=r, ssmse=float(total), n_failed=n_failed)
+        )
     return records

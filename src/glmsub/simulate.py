@@ -24,6 +24,7 @@ count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Union
@@ -253,8 +254,7 @@ class ScenarioConfig:
 
     @property
     def scenario_labels(self) -> tuple[str, ...]:
-        q = len(self.model_set)
-        return ("random",) + tuple(f"optimal-{k + 1}" for k in range(q)) + ("model-robust",)
+        return scenario_labels(self.model_set)
 
 
 @dataclass(frozen=True)
@@ -273,22 +273,40 @@ def _replicate_rng(master_seed: int, m: int, role: int, sub: int = 0):
     return np.random.default_rng(np.random.SeedSequence([master_seed, m, role, sub]))
 
 
-def _run_replicate(config: ScenarioConfig, m: int) -> dict:
-    """All strategies at all subsample sizes for one regenerated dataset.
+def scenario_labels(models: ModelSet) -> tuple[str, ...]:
+    """Strategy labels in run order: random, optimal-1..Q, model-robust."""
+    q = len(models)
+    return ("random",) + tuple(f"optimal-{k + 1}" for k in range(q)) + ("model-robust",)
 
-    Returns ``{(scenario, r): (estimate, mean_info) | None}`` where None
-    marks a failed run (non-convergent pilot after retries, etc.).
+
+# Worker state for process pools: the study, its fixed dataset (if any) and
+# the per-run summary are installed once per worker instead of being pickled
+# into every task.
+_WORKER: dict = {}
+
+
+def _init_worker(config, data, summarize) -> None:
+    _WORKER.update(config=config, data=data, summarize=summarize)
+
+
+def _run_replicate(m: int) -> dict:
+    """All strategies at all subsample sizes for replicate ``m``.
+
+    Returns ``{(scenario, r): summary | None}`` where None marks a failed
+    run (non-convergent pilot after retries, etc.).
     """
-    data_rng = _replicate_rng(config.master_seed, m, 0)
-    raw = gen_covariates(config.covariates, config.n_population, data_rng)
-    design_true = build_design(config.data_generating_model, raw)
-    y = gen_response(config.family, config.true_theta, design_true, data_rng)
+    config, data, summarize = _WORKER["config"], _WORKER["data"], _WORKER["summarize"]
+    if data is None:
+        data_rng = _replicate_rng(config.master_seed, m, 0)
+        raw = gen_covariates(config.covariates, config.n_population, data_rng)
+        design_true = build_design(config.data_generating_model, raw)
+        y = gen_response(config.family, config.true_theta, design_true, data_rng)
+    else:
+        raw, y = data
 
-    q = len(config.model_set)
-    dg = config.dg_index
     out: dict = {}
     for j, r in enumerate(config.r_grid):
-        for s, label in enumerate(config.scenario_labels):
+        for s, label in enumerate(scenario_labels(config.model_set)):
             rng = _replicate_rng(config.master_seed, m, 1 + s, j)
             try:
                 if label == "random":
@@ -308,51 +326,76 @@ def _run_replicate(config: ScenarioConfig, m: int) -> dict:
                         sampling_model=None if label == "model-robust" else s - 1,
                         eps=config.eps,
                     )
-                estimate = result.fits[dg].theta
-                info = float(
-                    np.mean([model_information(f) for f in result.fits])
-                )
-                out[(label, r)] = (estimate, info)
+                out[(label, r)] = summarize(config, result)
             except (FitError, StageOneError, NumericOverflowError, DegenerateResponseError):
                 out[(label, r)] = None
     return out
 
 
-def run_study(config: ScenarioConfig, threads: int = 1) -> "list[MetricsRecord]":
-    """Run the full study and aggregate per (scenario, subsample size).
+def run_strategies(config, data, summarize, threads: int = 1):
+    """Run every strategy at every subsample size over all replicates.
+
+    ``config`` is a :class:`ScenarioConfig` or a real-data ssmse config.
+    ``data`` is None to regenerate the dataset of replicate m from the
+    substream ``[seed, m, 0, 0]``, or a fixed ``(raw, y)`` pair.
+    ``summarize(config, result)`` is a module-level function reducing one
+    two-stage result to what the metric needs; it runs inside the failure
+    guard.  Yields ``(scenario, r, good summaries, n_failed)`` per cell.
 
     ``threads`` bounds worker parallelism over replicates; the output is
     identical for any value because each replicate consumes only its own
     seed substreams.
     """
     ms = range(config.n_replicates)
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            replicates = list(pool.map(_run_replicate, [config] * len(ms), ms))
-    else:
-        replicates = [_run_replicate(config, m) for m in ms]
+    workers = min(threads, config.n_replicates, os.cpu_count() or 1)
+    try:
+        if workers > 1:
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=_init_worker,
+                initargs=(config, data, summarize),
+            ) as pool:
+                replicates = list(pool.map(_run_replicate, ms))
+        else:
+            _init_worker(config, data, summarize)
+            replicates = [_run_replicate(m) for m in ms]
+    finally:
+        _WORKER.clear()
 
-    records = []
-    for label in config.scenario_labels:
+    for label in scenario_labels(config.model_set):
         for r in config.r_grid:
             cells = [rep[(label, r)] for rep in replicates]
             good = [c for c in cells if c is not None]
-            n_failed = len(cells) - len(good)
-            if good:
-                estimates = np.array([c[0] for c in good])
-                value = smse(estimates, config.true_theta)
-                mean_info = float(np.mean([c[1] for c in good]))
-            else:
-                value = float("nan")
-                mean_info = float("nan")
-            records.append(
-                MetricsRecord(
-                    scenario=label,
-                    estimating_model=config.dg_index + 1,
-                    r=r,
-                    smse=value,
-                    mean_model_info=mean_info,
-                    n_failed=n_failed,
-                )
+            yield label, r, good, len(cells) - len(good)
+
+
+def _estimate_and_info(config: ScenarioConfig, result) -> tuple:
+    """The data-generating model's estimate and the mean model information
+    over all fitted candidates."""
+    info = float(np.mean([model_information(f) for f in result.fits]))
+    return result.fits[config.dg_index].theta, info
+
+
+def run_study(config: ScenarioConfig, threads: int = 1) -> "list[MetricsRecord]":
+    """Run the full study and aggregate per (scenario, subsample size)."""
+    records = []
+    for label, r, good, n_failed in run_strategies(
+        config, None, _estimate_and_info, threads
+    ):
+        if good:
+            value = smse(np.array([c[0] for c in good]), config.true_theta)
+            mean_info = float(np.mean([c[1] for c in good]))
+        else:
+            value = float("nan")
+            mean_info = float("nan")
+        records.append(
+            MetricsRecord(
+                scenario=label,
+                estimating_model=config.dg_index + 1,
+                r=r,
+                smse=value,
+                mean_model_info=mean_info,
+                n_failed=n_failed,
             )
+        )
     return records

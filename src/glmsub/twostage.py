@@ -64,7 +64,21 @@ class TwoStageResult:
     stage2_indices: np.ndarray
 
 
-def _validate_sizes(models: ModelSet, n: int, r0: int, r: int) -> None:
+def _checked_inputs(
+    models: ModelSet,
+    raw: np.ndarray,
+    y: np.ndarray,
+    r0: int,
+    r: int,
+    sampling_model: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coerce the data and check the row counts, the subsample sizes and
+    the sampling model index shared by every driver."""
+    raw = np.atleast_2d(np.asarray(raw, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    n = raw.shape[0]
+    if y.shape[0] != n:
+        raise ValidationError(f"raw has {n} rows but response has {y.shape[0]}")
     d_max = models.max_params
     if not (r >= r0 >= d_max + 1):
         raise ValidationError(
@@ -73,64 +87,48 @@ def _validate_sizes(models: ModelSet, n: int, r0: int, r: int) -> None:
         )
     if n < d_max + 1:
         raise ValidationError(f"dataset has only {n} rows")
-
-
-def _fit_all_models(
-    family: Family,
-    models: ModelSet,
-    raw_rows: np.ndarray,
-    y_rows: np.ndarray,
-    probs: np.ndarray,
-    population_size: int,
-    tol: float,
-    max_iter: int,
-) -> tuple[FitResult, ...]:
-    fits = []
-    for spec in models.specs:
-        sample = WeightedSample(build_design(spec, raw_rows), y_rows, probs)
-        fits.append(
-            fit_weighted_mle(
-                family,
-                sample,
-                tol=tol,
-                max_iter=max_iter,
-                population_size=population_size,
-            )
+    if sampling_model is not None and not (0 <= sampling_model < len(models)):
+        raise ValidationError(
+            f"sampling_model must index one of the {len(models)} models"
         )
-    return tuple(fits)
+    return raw, y
 
 
-def _stage1_pilots(
+def _combine_and_fit(
     family: Family,
     models: ModelSet,
     raw: np.ndarray,
     y: np.ndarray,
-    init_probs: ProbabilityVector,
-    r0: int,
-    rng: np.random.Generator,
-    fit_models: "list[int]",
-    max_attempts: int,
+    stage1: ProbabilityVector,
+    idx1: np.ndarray,
+    stage2: ProbabilityVector,
+    idx2: np.ndarray,
     tol: float,
     max_iter: int,
-) -> tuple[np.ndarray, dict]:
-    """Draw stage-1 rows and fit pilot estimates for the requested models,
-    redrawing on estimation failure (up to ``max_attempts`` fresh draws)."""
-    last_error: Exception | None = None
-    for _ in range(max_attempts):
-        idx = draw_with_replacement(init_probs, r0, rng)
-        probs = init_probs.probs[idx]
-        try:
-            pilots = {}
-            for q in fit_models:
-                design = build_design(models.specs[q], raw[idx])
-                sample = WeightedSample(design, y[idx], probs)
-                pilots[q] = fit_weighted_mle(
-                    family, sample, tol=tol, max_iter=max_iter
-                ).theta
-            return idx, pilots
-        except (FitError, NumericOverflowError) as exc:
-            last_error = exc
-    raise StageOneError(max_attempts, last_error)
+) -> TwoStageResult:
+    """Combine both stages' rows, each keeping the probability of the stage
+    that drew it, and fit every candidate model on the combined sample."""
+    combined_idx = np.concatenate([idx1, idx2])
+    combined_probs = np.concatenate([stage1.probs[idx1], stage2.probs[idx2]])
+    raw_rows = raw[combined_idx]
+    y_rows = y[combined_idx]
+    fits = tuple(
+        fit_weighted_mle(
+            family,
+            WeightedSample(build_design(spec, raw_rows), y_rows, combined_probs),
+            tol=tol,
+            max_iter=max_iter,
+            population_size=raw.shape[0],
+        )
+        for spec in models.specs
+    )
+    return TwoStageResult(
+        fits=fits,
+        combined_sample=WeightedSample(raw_rows, y_rows, combined_probs),
+        stage2_probs=stage2,
+        stage1_indices=idx1,
+        stage2_indices=idx2,
+    )
 
 
 def _stage1_and_probabilities(
@@ -149,25 +147,30 @@ def _stage1_and_probabilities(
 ) -> tuple[ProbabilityVector, np.ndarray, ProbabilityVector]:
     """Stage 1 plus the stage-2 probability computation.
 
-    Returns (initial probabilities, stage-1 row indices, stage-2
-    probabilities)."""
+    Draws stage-1 rows and fits pilot estimates for the models that shape
+    the stage-2 probabilities, redrawing on estimation failure (up to
+    ``max_stage1_attempts`` fresh draws).  Returns (initial probabilities,
+    stage-1 row indices, stage-2 probabilities)."""
     init_probs = initial_probabilities(family, y)
-    fit_models = (
-        list(range(len(models))) if sampling_model is None else [sampling_model]
-    )
-    idx1, pilots = _stage1_pilots(
-        family,
-        models,
-        raw,
-        y,
-        init_probs,
-        r0,
-        rng,
-        fit_models,
-        max_stage1_attempts,
-        tol,
-        max_iter,
-    )
+    fit_models = range(len(models)) if sampling_model is None else [sampling_model]
+    last_error: Exception | None = None
+    for _ in range(max_stage1_attempts):
+        idx1 = draw_with_replacement(init_probs, r0, rng)
+        probs = init_probs.probs[idx1]
+        try:
+            pilots = {}
+            for q in fit_models:
+                design = build_design(models.specs[q], raw[idx1])
+                sample = WeightedSample(design, y[idx1], probs)
+                pilots[q] = fit_weighted_mle(
+                    family, sample, tol=tol, max_iter=max_iter
+                ).theta
+            break
+        except (FitError, NumericOverflowError) as exc:
+            last_error = exc
+    else:
+        raise StageOneError(max_stage1_attempts, last_error)
+
     if sampling_model is None:
         stage2 = phi_model_robust(
             criterion,
@@ -202,15 +205,8 @@ def pilot_probabilities(
 ) -> ProbabilityVector:
     """Stage-2 probabilities only: draw a pilot subsample, fit the pilot
     estimate(s) and evaluate the optimality rule over the full data."""
-    raw = np.atleast_2d(np.asarray(raw, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    if y.shape[0] != raw.shape[0]:
-        raise ValidationError(f"raw has {raw.shape[0]} rows but response has {y.shape[0]}")
+    raw, y = _checked_inputs(models, raw, y, r0, r0, sampling_model)
     criterion = Criterion.optimality(criterion)
-    if sampling_model is not None and not (0 <= sampling_model < len(models)):
-        raise ValidationError(
-            f"sampling_model must index one of the {len(models)} models"
-        )
     _, _, stage2 = _stage1_and_probabilities(
         family,
         models,
@@ -272,18 +268,8 @@ def two_stage(
     -------
     TwoStageResult
     """
-    raw = np.atleast_2d(np.asarray(raw, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    n = raw.shape[0]
-    if y.shape[0] != n:
-        raise ValidationError(f"raw has {n} rows but response has {y.shape[0]}")
-    _validate_sizes(models, n, r0, r)
+    raw, y = _checked_inputs(models, raw, y, r0, r, sampling_model)
     criterion = Criterion.optimality(criterion)
-    if sampling_model is not None and not (0 <= sampling_model < len(models)):
-        raise ValidationError(
-            f"sampling_model must index one of the {len(models)} models"
-        )
-
     init_probs, idx1, stage2 = _stage1_and_probabilities(
         family,
         models,
@@ -300,21 +286,8 @@ def two_stage(
     )
 
     idx2 = draw_with_replacement(stage2, r, rng)
-    combined_idx = np.concatenate([idx1, idx2])
-    combined_probs = np.concatenate(
-        [init_probs.probs[idx1], stage2.probs[idx2]]
-    )
-    raw_rows = raw[combined_idx]
-    y_rows = y[combined_idx]
-    fits = _fit_all_models(
-        family, models, raw_rows, y_rows, combined_probs, n, tol, max_iter
-    )
-    return TwoStageResult(
-        fits=fits,
-        combined_sample=WeightedSample(raw_rows, y_rows, combined_probs),
-        stage2_probs=stage2,
-        stage1_indices=idx1,
-        stage2_indices=idx2,
+    return _combine_and_fit(
+        family, models, raw, y, init_probs, idx1, stage2, idx2, tol, max_iter
     )
 
 
@@ -332,28 +305,12 @@ def random_sampling_baseline(
     """Two-stage run without the optimality step: simple random sampling
     with replacement (uniform 1/N in both stages), then every candidate
     model is fitted on the combined sample."""
-    raw = np.atleast_2d(np.asarray(raw, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    n = raw.shape[0]
-    if y.shape[0] != n:
-        raise ValidationError(f"raw has {n} rows but response has {y.shape[0]}")
-    _validate_sizes(models, n, r0, r)
+    raw, y = _checked_inputs(models, raw, y, r0, r)
     family.validate_response(y)
-
-    init_probs = ProbabilityVector(np.full(n, 1.0 / n), Criterion.UNIFORM)
-    idx1 = draw_with_replacement(init_probs, r0, rng)
-    idx2 = draw_with_replacement(init_probs, r, rng)
-    combined_idx = np.concatenate([idx1, idx2])
-    combined_probs = init_probs.probs[combined_idx]
-    raw_rows = raw[combined_idx]
-    y_rows = y[combined_idx]
-    fits = _fit_all_models(
-        family, models, raw_rows, y_rows, combined_probs, n, tol, max_iter
-    )
-    return TwoStageResult(
-        fits=fits,
-        combined_sample=WeightedSample(raw_rows, y_rows, combined_probs),
-        stage2_probs=init_probs,
-        stage1_indices=idx1,
-        stage2_indices=idx2,
+    n = raw.shape[0]
+    uniform = ProbabilityVector(np.full(n, 1.0 / n), Criterion.UNIFORM)
+    idx1 = draw_with_replacement(uniform, r0, rng)
+    idx2 = draw_with_replacement(uniform, r, rng)
+    return _combine_and_fit(
+        family, models, raw, y, uniform, idx1, uniform, idx2, tol, max_iter
     )

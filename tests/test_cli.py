@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from glmsub import MetricsRecord, read_metrics_csv
+import glmsub.cli
+from glmsub import MetricsRecord, NumericOverflowError, read_metrics_csv
 from glmsub.cli import METRICS_HEADER, atomic_write, main, write_metrics_csv
 
 SIM_YAML = """
@@ -217,6 +218,23 @@ class TestExitCodes:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", str(tmp_path / "none.yaml")]) == 1
+
+    def test_numeric_overflow_is_runtime(self, tmp_path, monkeypatch, capsys):
+        def overflow(config, threads=1):
+            raise NumericOverflowError("mean overflowed")
+
+        monkeypatch.setattr(glmsub.cli, "run_study", overflow)
+        config = write(tmp_path, SIM_YAML)
+        assert main(["simulate", str(config), "--out", str(tmp_path / "m.csv")]) == 2
+        assert "glmsub: error: mean overflowed" in capsys.readouterr().err
+
+    def test_unwritable_output_is_runtime(self, tmp_path, capsys):
+        config = write(tmp_path, SIM_YAML)
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n", encoding="utf-8")
+        out = blocker / "m.csv"
+        assert main(["simulate", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("glmsub: error: ")
 
     def test_bad_usage(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -1,11 +1,16 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import glmsub.simulate
 from glmsub import (
+    CovariateColumn,
+    Criterion,
+    DatasetDescriptor,
     ExponentialCovariates,
     FitResult,
     Logistic,
@@ -13,6 +18,7 @@ from glmsub import (
     ModelSpec,
     MultivariateNormalCovariates,
     Poisson,
+    RealDataConfig,
     ScenarioConfig,
     UniformCovariates,
     ValidationError,
@@ -20,6 +26,7 @@ from glmsub import (
     gen_covariates,
     gen_response,
     model_information,
+    run_ssmse_study,
     run_study,
     smse,
     ssmse,
@@ -258,6 +265,57 @@ class TestRunStudy:
     def test_threads_do_not_change_results(self):
         config = tiny_config(seed=31, replicates=4)
         assert run_study(config, threads=1) == run_study(config, threads=2)
+
+        # The fixed-dataset path of the same runner.
+        data_rng = np.random.default_rng(8)
+        raw = data_rng.normal(size=(600, 2))
+        design = np.column_stack([np.ones(600), raw])
+        y = gen_response(Logistic(), np.array([-0.4, 0.8, -0.5]), design, data_rng)
+        real = RealDataConfig(
+            mode="ssmse",
+            family=Logistic(),
+            dataset=DatasetDescriptor(
+                path="unused.csv", response="y",
+                covariates=(CovariateColumn("a"), CovariateColumn("b")),
+            ),
+            model_set=enumerate_quadratic_models(2, (0, 1)),
+            criterion=Criterion.MMSE,
+            eps=1e-6,
+            master_seed=31,
+            r0=40,
+            r=None,
+            r_grid=(60,),
+            n_replicates=3,
+            sampling_model=None,
+        )
+        one = run_ssmse_study(real, raw, y, threads=1)
+        assert len(one) == 6
+        assert one == run_ssmse_study(real, raw, y, threads=2)
+
+    def test_threads_clamped_to_replicates(self, monkeypatch):
+        # A fake pool that starts no process: it records the worker count
+        # and runs the initializer and the tasks in this process.
+        seen = {}
+
+        class InlineExecutor:
+            def __init__(self, max_workers, initializer, initargs):
+                seen["max_workers"] = max_workers
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(glmsub.simulate, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        config = tiny_config(seed=5, replicates=3)
+        assert run_study(config, threads=10_000) == run_study(config, threads=1)
+        assert seen["max_workers"] <= 3
 
     def test_failure_accounting(self):
         records = run_study(tiny_config(replicates=3))

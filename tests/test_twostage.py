@@ -98,6 +98,10 @@ class TestTwoStage:
             two_stage(logistic, models, raw, y, 5, 100, rng)
         with pytest.raises(ValidationError):
             two_stage(logistic, models, raw, y, 100, 50, rng)
+        # r0 rows cannot identify d_max parameters: rejected up front
+        # instead of exhausting the stage-1 attempts.
+        with pytest.raises(ValidationError):
+            pilot_probabilities(logistic, models, raw, y, 5, rng)
 
     def test_bad_sampling_model_index(self, logistic, rng):
         raw, y = logistic_population(rng)
