@@ -1,8 +1,10 @@
-"""Weighted sampling with replacement via the alias method.
+"""Weighted sampling with replacement by inverse-CDF search.
 
-Vose's variant of the Walker alias table: O(N) construction, O(1) per
-draw.  See http://www.keithschwarz.com/darts-dice-coins/ for a
-derivation.
+Each sampler here serves one draw of r rows out of N, with r much smaller
+than N.  An alias table (Walker 1977; Vose 1991) gives O(1) per draw, but
+only after an O(N) build, so it pays off when many draws come from one
+table.  For a single draw, one cumulative sum and a binary search per
+index do the same job in vectorised O(N + r log N).
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ __all__ = ["AliasSampler", "draw_with_replacement"]
 
 
 class AliasSampler:
-    """Alias table over a discrete distribution on ``{0, ..., N-1}``.
+    """Sampler over a discrete distribution on ``{0, ..., N-1}``.
 
-    Weights need not be normalized; they must be non-negative with a
-    positive sum.  Zero-weight entries are valid and are never drawn.
+    Weights need not be normalized; they must be finite and non-negative
+    with a positive, finite sum.  Zero-weight entries are valid and are never drawn.
     """
 
     def __init__(self, weights):
@@ -28,42 +30,23 @@ class AliasSampler:
             raise ValidationError("cannot build a sampler over zero outcomes")
         if np.any(weights < 0) or not np.all(np.isfinite(weights)):
             raise ValidationError("weights must be finite and non-negative")
-        total = float(weights.sum())
-        if total <= 0:
+        cdf = np.cumsum(weights)
+        if cdf[-1] <= 0:
             raise ValidationError("weights must have a positive sum")
+        if not np.isfinite(cdf[-1]):
+            raise ValidationError("weights must have a finite sum")
 
-        n = weights.size
-        scaled = weights * (n / total)
-        accept = np.ones(n)
-        alias = np.arange(n)
-        small = [i for i in range(n) if scaled[i] < 1.0]
-        large = [i for i in range(n) if scaled[i] >= 1.0]
-        while small and large:
-            s = small.pop()
-            g = large.pop()
-            accept[s] = scaled[s]
-            alias[s] = g
-            scaled[g] = (scaled[g] + scaled[s]) - 1.0
-            if scaled[g] < 1.0:
-                small.append(g)
-            else:
-                large.append(g)
-        # Leftovers are 1 up to rounding error.
-        for q in (small, large):
-            for g in q:
-                accept[g] = 1.0
-                alias[g] = g
-
-        self._accept = accept
-        self._alias = alias
-        self.n = n
+        # Dividing by the last entry makes it exactly 1.0, so a uniform
+        # u < 1 never lands past the last positive-weight row; a
+        # zero-weight row repeats its predecessor's value and is skipped.
+        cdf /= cdf[-1]
+        self._cdf = cdf
+        self.n = weights.size
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` i.i.d. indices; deterministic given the generator
-        state (one ``integers`` call and one ``random`` call)."""
-        k = rng.integers(0, self.n, size=size)
-        u = rng.random(size)
-        return np.where(u < self._accept[k], k, self._alias[k])
+        state (one ``random`` call)."""
+        return self._cdf.searchsorted(rng.random(size), side="right")
 
 
 def draw_with_replacement(probs, r: int, rng: np.random.Generator) -> np.ndarray:

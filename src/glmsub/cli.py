@@ -158,9 +158,11 @@ def _csv_text(header: "list[str]", rows) -> str:
 
 
 def _write_probabilities(path: "str | Path", probs: np.ndarray) -> None:
+    # The bytes csv.writer gives for [i, repr(p)] rows (no field needs quoting).
     atomic_write(
         path,
-        _csv_text(["row", "probability"], ([i, repr(float(p))] for i, p in enumerate(probs))),
+        "row,probability\r\n"
+        + "".join(f"{i},{p!r}\r\n" for i, p in enumerate(probs.tolist())),
     )
 
 

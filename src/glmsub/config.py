@@ -45,7 +45,8 @@ synthetic blocks with a dataset block::
     replicates: 100           # ssmse
 
 The candidate model set is always the full main-effects model plus every
-combination of squared terms over the ``quadratic_over`` covariates.
+combination of squared terms over the ``quadratic_over`` covariates:
+Q = 2^k models for k covariates, with k at most ``MAX_QUADRATIC_TERMS``.
 Unknown keys anywhere are rejected, with the offending key path reported.
 """
 
@@ -75,6 +76,10 @@ __all__ = ["RealDataConfig", "parse_config", "MODES"]
 MODES = ("simulate", "subsample", "probabilities", "ssmse")
 
 _CRITERIA = {"mmse": Criterion.MMSE, "mvc": Criterion.MVC}
+
+# The candidate set holds Q = 2^k models for k quadratic terms; past this
+# k, enumerating and fitting them all would run for hours.
+MAX_QUADRATIC_TERMS = 10
 
 
 @dataclass(frozen=True)
@@ -213,32 +218,39 @@ def _as_zero_based(values: "list[int]", limit: int, key: str) -> "tuple[int, ...
 
 
 def _parse_model_set(
-    block: "_Block | None", n_main: int, default_continuous: "tuple[int, ...]", names: bool = False,
+    block: "_Block | None",
+    n_main: int,
+    default_continuous: "tuple[int, ...]",
+    default_key: str,
     covariate_names: "list[str] | None" = None,
 ) -> ModelSet:
-    if block is None:
-        return enumerate_quadratic_models(n_main, default_continuous)
-    if names:
-        listed = block.str_list("quadratic_over", default=None)
-        if listed is None:
-            continuous = default_continuous
+    """Parse ``model_set``.  ``quadratic_over`` lists covariate names when
+    ``covariate_names`` is given and 1-based positions otherwise; when it
+    is absent, ``default_continuous`` (set by ``default_key``) is used."""
+    continuous, key, alpha = default_continuous, default_key, None
+    if block is not None:
+        if covariate_names is not None:
+            listed = block.str_list("quadratic_over", default=None)
         else:
-            continuous = []
-            for name in listed:
-                if name not in covariate_names:
-                    raise ConfigError(
-                        f"{block.path}.quadratic_over", f"unknown covariate {name!r}"
-                    )
-                continuous.append(covariate_names.index(name))
-            continuous = tuple(sorted(set(continuous)))
-    else:
-        listed = block.int_list("quadratic_over", default=None)
-        if listed is None:
-            continuous = default_continuous
-        else:
-            continuous = _as_zero_based(listed, n_main, f"{block.path}.quadratic_over")
-    alpha = block.float_list("alpha", default=None)
-    block.reject_unknown()
+            listed = block.int_list("quadratic_over", default=None)
+        if listed is not None:
+            key = f"{block.path}.quadratic_over"
+            if covariate_names is None:
+                continuous = _as_zero_based(listed, n_main, key)
+            else:
+                for name in listed:
+                    if name not in covariate_names:
+                        raise ConfigError(key, f"unknown covariate {name!r}")
+                continuous = tuple(sorted({covariate_names.index(name) for name in listed}))
+        alpha = block.float_list("alpha", default=None)
+        block.reject_unknown()
+    k = len(continuous)
+    if k > MAX_QUADRATIC_TERMS:
+        raise ConfigError(
+            key,
+            f"{k} quadratic terms give Q = 2^{k} = {2**k} candidate models; "
+            f"at most {MAX_QUADRATIC_TERMS} terms (Q = {2**MAX_QUADRATIC_TERMS}) are supported",
+        )
     model_set = enumerate_quadratic_models(n_main, continuous)
     if alpha is not None:
         if len(alpha) != len(model_set):
@@ -263,7 +275,9 @@ def _parse_simulate(root: _Block, family: Family, criterion: Criterion, eps: flo
     n_main = covariates.dimension
 
     model_block = root.block("model_set")
-    model_set = _parse_model_set(model_block, n_main, tuple(range(n_main)))
+    model_set = _parse_model_set(
+        model_block, n_main, tuple(range(n_main)), "covariates.dimension"
+    )
     continuous_in_set = model_set.specs[-1].quadratic_terms
 
     dg_block = root.block("data_generating", required=True)
@@ -349,7 +363,7 @@ def _parse_real_data(
         model_block,
         len(names),
         dataset.continuous_indices,
-        names=True,
+        "dataset.continuous",
         covariate_names=names,
     )
     non_continuous = set(model_set.specs[-1].quadratic_terms) - set(dataset.continuous_indices)

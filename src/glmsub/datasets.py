@@ -9,6 +9,7 @@ mean zero and population variance one, and map the observed range onto
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -100,6 +101,49 @@ def _parse_cell(text: str, row: int, column: str) -> float:
     return value
 
 
+def _parse_table(fh, n_fields: int, positions: "list[int]") -> "np.ndarray | None":
+    """Parse the rest of an open CSV file in one vectorised pass and return
+    the columns at ``positions``.
+
+    Returns ``None`` unless the body is a non-empty table of exactly
+    ``n_fields`` finite numbers per row; the caller then rescans the file
+    row by row for the precise error.  Every column is parsed, so a row
+    with an extra field is refused here, and ``comments=None`` makes a
+    ``#``-prefixed row a parse failure rather than a skipped line.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty body
+            table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[0] == 0 or table.shape[1] != n_fields or not np.isfinite(table).all():
+        return None
+    return table[:, positions]
+
+
+def _parse_rows(path: Path, n_fields: int, positions: "list[int]", columns: "list[str]") -> np.ndarray:
+    """Parse the file row by row with :func:`_parse_cell`; the only source
+    of ingestion error messages.  Returns the columns at ``positions``."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row_number, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != n_fields:
+                raise ValidationError(
+                    f"row {row_number} has {len(row)} fields, header has {n_fields}"
+                )
+            rows.append(
+                [_parse_cell(row[p], row_number, col) for p, col in zip(positions, columns)]
+            )
+    if not rows:
+        raise ValidationError(f"{path} contains a header but no data rows")
+    return np.asarray(rows, dtype=float)
+
+
 def load_csv(
     descriptor: DatasetDescriptor, family: Family | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -112,39 +156,21 @@ def load_csv(
     path = Path(descriptor.path)
     if not path.exists():
         raise ValidationError(f"dataset file not found: {path}")
+    columns = [descriptor.response, *descriptor.covariate_names]
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ValidationError(f"{path} is empty (missing header)") from None
-        positions = {}
-        for col in [descriptor.response, *descriptor.covariate_names]:
+        for col in columns:
             if col not in header:
                 raise ValidationError(f"column {col!r} not found in {path} header")
-            positions[col] = header.index(col)
-
-        y_vals = []
-        x_rows = []
-        for row_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"row {row_number} has {len(row)} fields, header has {len(header)}"
-                )
-            y_vals.append(_parse_cell(row[positions[descriptor.response]], row_number, descriptor.response))
-            x_rows.append(
-                [
-                    _parse_cell(row[positions[c.name]], row_number, c.name)
-                    for c in descriptor.covariates
-                ]
-            )
-    if not x_rows:
-        raise ValidationError(f"{path} contains a header but no data rows")
-
-    raw = np.asarray(x_rows, dtype=float)
-    y = np.asarray(y_vals, dtype=float)
+        positions = [header.index(col) for col in columns]
+        table = _parse_table(fh, len(header), positions)
+    if table is None:
+        table = _parse_rows(path, len(header), positions, columns)
+    y = table[:, 0].copy()
+    raw = np.ascontiguousarray(table[:, 1:])
     for j, col in enumerate(descriptor.covariates):
         raw[:, j] = apply_scaling(raw[:, j], col.scaling, col.name)
     if family is not None:

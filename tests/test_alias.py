@@ -7,6 +7,16 @@ from scipy import stats
 from glmsub import AliasSampler, ValidationError, draw_with_replacement
 
 
+class _FixedUniform:
+    """Generator stub whose ``random`` returns one value for every draw."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size):
+        return np.full(size, self.value)
+
+
 class TestConstruction:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
@@ -19,6 +29,11 @@ class TestConstruction:
     def test_rejects_zero_sum(self):
         with pytest.raises(ValidationError):
             AliasSampler([0.0, 0.0])
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_rejects_overflowing_sum(self):
+        with pytest.raises(ValidationError, match="finite sum"):
+            AliasSampler([1e308, 1e308, 1.0])
 
     def test_accepts_unnormalized(self):
         assert AliasSampler([2.0, 6.0]).n == 2
@@ -51,6 +66,16 @@ class TestDraws:
         probs = np.array([0.5, 0.0, 0.5])
         idx = draw_with_replacement(probs, 20_000, rng)
         assert not np.any(idx == 1)
+
+    def test_trailing_zero_weights_unreachable_at_top_of_unit_interval(self):
+        # The largest double below 1.0 must still land on the last
+        # positive-weight row, never on the zero-weight rows after it.
+        idx = AliasSampler([0.5, 0.5, 0.0, 0.0]).draw(_FixedUniform(np.nextafter(1.0, 0.0)), 8)
+        np.testing.assert_array_equal(idx, np.full(8, 1))
+
+    def test_leading_zero_weights_unreachable_at_zero(self):
+        idx = AliasSampler([0.0, 0.0, 0.5, 0.5]).draw(_FixedUniform(0.0), 8)
+        np.testing.assert_array_equal(idx, np.full(8, 2))
 
     def test_chi_square_small(self):
         rng = np.random.default_rng(99)

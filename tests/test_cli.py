@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -186,6 +188,16 @@ class TestProbabilitiesCommand:
         assert len(lines) - 1 == 400
         meta = json.loads((tmp_path / "p.csv.meta.json").read_text(encoding="utf-8"))
         assert meta["criterion"] == "model-robust-mMSE"
+
+    def test_writer_bytes_match_csv_writer(self, tmp_path):
+        probs = np.array([1e-7, 1 / 3, 0.5, 5e-324])
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["row", "probability"])
+        writer.writerows([i, repr(float(p))] for i, p in enumerate(probs))
+        out = tmp_path / "p.csv"
+        glmsub.cli._write_probabilities(out, probs)
+        assert out.read_bytes() == buf.getvalue().encode("utf-8")
 
 
 class TestSsmseCommand:

@@ -131,6 +131,22 @@ class TestSimulateConfig:
         config = parse_config(write(tmp_path, text))
         np.testing.assert_allclose(config.model_set.alpha, [0.4, 0.2, 0.2, 0.2])
 
+    def test_too_many_quadratic_terms(self, tmp_path):
+        text = (
+            SIMULATE_YAML.replace("dimension: 2", "dimension: 11")
+            .replace("mean: [0.0, 0.0]", f"mean: {[0.0] * 11}")
+            .replace("covariance: [[1.5, 0.0], [0.0, 1.5]]", f"covariance: {np.eye(11).tolist()}")
+            .replace("theta: [-1.0, 0.5, 0.1]", f"theta: {[0.1] * 12}")
+        )
+        listed = text.replace("quadratic_over: [1, 2]", f"quadratic_over: {list(range(1, 12))}")
+        with pytest.raises(ConfigError, match=r"^model_set\.quadratic_over: .*Q = 2\^11 = 2048"):
+            parse_config(write(tmp_path, listed))
+        defaulted = text.replace("model_set:\n  quadratic_over: [1, 2]\n", "")
+        with pytest.raises(ConfigError, match=r"^covariates\.dimension: .*Q = 2\^11 = 2048"):
+            parse_config(write(tmp_path, defaulted))
+        ten = listed.replace(f"{list(range(1, 12))}", f"{list(range(1, 11))}")
+        assert len(parse_config(write(tmp_path, ten)).model_set) == 1024
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config(tmp_path / "none.yaml")
@@ -194,6 +210,18 @@ class TestRealDataConfig:
             parse_config(
                 write(tmp_path, text + "\nmodel_set:\n  quadratic_over: [blue]\n")
             )
+
+    def test_too_many_quadratic_terms(self, tmp_path):
+        names = [f"c{i}" for i in range(11)]
+        text = REAL_YAML.replace("covariates: [red, green, blue]", f"covariates: [{', '.join(names)}]")
+        text = text.replace("  scaling:\n    red: standardize\n    green: standardize\n    blue: standardize\n", "")
+        with pytest.raises(ConfigError, match=r"^dataset\.continuous: .*Q = 2\^11 = 2048"):
+            parse_config(write(tmp_path, text))
+        listed = text + f"\nmodel_set:\n  quadratic_over: [{', '.join(names)}]\n"
+        with pytest.raises(ConfigError, match=r"^model_set\.quadratic_over: .*Q = 2\^11 = 2048"):
+            parse_config(write(tmp_path, listed))
+        fewer = text + f"\nmodel_set:\n  quadratic_over: [{', '.join(names[:3])}]\n"
+        assert len(parse_config(write(tmp_path, fewer)).model_set) == 8
 
     def test_bad_scaling_rule(self, tmp_path):
         bad = REAL_YAML.replace("red: standardize", "red: normalize")

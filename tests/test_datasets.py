@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -159,3 +161,52 @@ class TestLoadCsv:
         raw, y = load_csv(descriptor(path))
         np.testing.assert_array_equal(raw, [[2.5, 3.5]])
         np.testing.assert_array_equal(y, [1.0])
+
+    def test_extra_field_on_every_row(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "y,a,b\n0,4,5,6\n1,2,3,4\n")
+        with pytest.raises(ValidationError, match="row 2 has 4 fields"):
+            load_csv(descriptor(path))
+
+    def test_trailing_comma(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "y,a,b\n0,4,5,\n")
+        with pytest.raises(ValidationError, match="row 2 has 4 fields"):
+            load_csv(descriptor(path))
+
+    def test_whitespace_only_line(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "y,a,b\n1,2,3\n   \n0,4,5\n")
+        with pytest.raises(ValidationError, match="row 3 has 1 fields"):
+            load_csv(descriptor(path))
+
+    def test_hash_prefixed_row_is_data(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "y,a,b\n1,2,3\n#0,4,5\n")
+        with pytest.raises(ValidationError, match="non-numeric value '#0' at row 3, column 'y'"):
+            load_csv(descriptor(path))
+
+    def test_python_float_syntax(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "y,a,b\n1,1_0,3\n0,4,５\n")
+        raw, y = load_csv(descriptor(path))
+        np.testing.assert_array_equal(raw, [[10.0, 3.0], [4.0, 5.0]])
+        np.testing.assert_array_equal(y, [1.0, 0.0])
+
+    def test_unused_non_numeric_column(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "id,y,a,b\nx1,1,2.0,3.0\nx2,0,4.0,5.0\n")
+        raw, y = load_csv(descriptor(path))
+        np.testing.assert_array_equal(raw, [[2.0, 3.0], [4.0, 5.0]])
+        np.testing.assert_array_equal(y, [1.0, 0.0])
+
+    def test_header_and_blank_lines(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "y,a,b\n\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="no data rows"):
+                load_csv(descriptor(path))
+
+    def test_matches_row_by_row_parse(self, tmp_path):
+        rng = np.random.default_rng(5)
+        table = rng.normal(size=(200, 3)) * 10.0 ** rng.integers(-300, 300, size=(200, 3))
+        table[:, 1] = rng.integers(0, 2, size=200)
+        text = "a,y,b\n" + "".join(f"{r[0]!r},{r[1]!r},{r[2]!r}\n" for r in table.tolist())
+        raw, y = load_csv(descriptor(write_csv(tmp_path / "d.csv", text)))
+        assert raw.flags.c_contiguous
+        assert raw.tobytes() == np.ascontiguousarray(table[:, [0, 2]]).tobytes()
+        assert y.tobytes() == table[:, 1].tobytes()
