@@ -80,21 +80,18 @@ def _format_value(value) -> str:
 
 
 def write_metrics_csv(records: "list[MetricsRecord]", path: "str | Path") -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(METRICS_HEADER)
-    for rec in records:
-        writer.writerow(
-            [
-                rec.scenario,
-                rec.estimating_model,
-                rec.r,
-                _format_value(rec.smse),
-                _format_value(rec.mean_model_info),
-                rec.n_failed,
-            ]
-        )
-    atomic_write(path, buf.getvalue())
+    rows = [
+        [
+            rec.scenario,
+            rec.estimating_model,
+            rec.r,
+            _format_value(rec.smse),
+            _format_value(rec.mean_model_info),
+            rec.n_failed,
+        ]
+        for rec in records
+    ]
+    atomic_write(path, _csv_text(METRICS_HEADER, rows))
 
 
 def read_metrics_csv(path: "str | Path") -> "list[MetricsRecord]":

@@ -47,6 +47,8 @@ synthetic blocks with a dataset block::
 The candidate model set is always the full main-effects model plus every
 combination of squared terms over the ``quadratic_over`` covariates:
 Q = 2^k models for k covariates, with k at most ``MAX_QUADRATIC_TERMS``.
+Every stage-2 size (``r`` or each ``r_grid`` entry) must be at least
+``r0``, and ``r0`` at least the largest model's parameter count + 1.
 Unknown keys anywhere are rejected, with the offending key path reported.
 """
 
@@ -262,6 +264,21 @@ def _parse_model_set(
     return model_set
 
 
+def _check_sizes(
+    model_set: ModelSet, r0: int, r: "int | None", r_grid: "list[int] | None"
+) -> None:
+    """Reject subsample sizes that break ``r >= r0 >= d_max + 1`` before
+    any data is generated or loaded; ``two_stage`` checks the same
+    condition for library callers.  ``r_grid`` is already ascending."""
+    need = model_set.max_params + 1
+    if r0 < need:
+        raise ConfigError("r0", f"must be at least {need} (largest model size + 1), got {r0}")
+    if r is not None and r < r0:
+        raise ConfigError("r", f"must be at least r0 = {r0}, got {r}")
+    if r_grid and r_grid[0] < r0:
+        raise ConfigError("r_grid", f"sizes must be at least r0 = {r0}, got {r_grid[0]}")
+
+
 def _parse_simulate(root: _Block, family: Family, criterion: Criterion, eps: float, seed: int) -> ScenarioConfig:
     n_population = root.get("population", int, required=True)
     replicates = root.get("replicates", int, required=True)
@@ -278,6 +295,7 @@ def _parse_simulate(root: _Block, family: Family, criterion: Criterion, eps: flo
     model_set = _parse_model_set(
         model_block, n_main, tuple(range(n_main)), "covariates.dimension"
     )
+    _check_sizes(model_set, r0, None, r_grid)
     continuous_in_set = model_set.specs[-1].quadratic_terms
 
     dg_block = root.block("data_generating", required=True)
@@ -379,6 +397,7 @@ def _parse_real_data(
     replicates = root.get("replicates", int, required=(mode == "ssmse"))
     if r_grid is not None and any(b <= a for a, b in zip(r_grid, r_grid[1:])):
         raise ConfigError("r_grid", f"must be strictly ascending, got {r_grid}")
+    _check_sizes(model_set, r0, r, r_grid)
 
     sampling_model: int | None = None
     if root.has("sampling_model"):

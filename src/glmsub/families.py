@@ -124,7 +124,7 @@ class Poisson(Family):
 
     def validate_response(self, y: np.ndarray) -> None:
         y = np.asarray(y)
-        bad = (y < 0) | (y != np.floor(y))
+        bad = ~np.isfinite(y) | (y < 0) | (y != np.floor(y))
         if np.any(bad):
             idx = int(np.flatnonzero(bad)[0])
             raise ValidationError(
@@ -135,7 +135,11 @@ class Poisson(Family):
     def sample_response(self, mu: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if not np.all(np.isfinite(mu)):
             raise NumericOverflowError("Poisson response mean is non-finite")
-        return rng.poisson(mu)
+        try:
+            return rng.poisson(mu)
+        except ValueError as exc:
+            # NumPy refuses means whose draws could overflow int64.
+            raise NumericOverflowError(f"cannot sample Poisson responses: {exc}") from exc
 
 
 _FAMILIES = {"logistic": Logistic, "poisson": Poisson}

@@ -146,12 +146,12 @@ def score_and_hessian(
 def fit_weighted_mle(
     family: Family,
     sample: WeightedSample,
-    init: np.ndarray | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     population_size: int | None = None,
 ) -> FitResult:
-    """Fit a GLM to a weighted sample by Newton-Raphson.
+    """Fit a GLM to a weighted sample by Newton-Raphson from the zero
+    vector.
 
     Parameters
     ----------
@@ -159,8 +159,6 @@ def fit_weighted_mle(
         Response family (logistic or Poisson).
     sample : WeightedSample
         Rows with their selection probabilities.
-    init : ndarray, optional
-        Starting value; defaults to the zero vector.
     tol : float
         Stop when the Euclidean norm of the Newton step falls below this.
     max_iter : int
@@ -189,10 +187,7 @@ def fit_weighted_mle(
         raise ValidationError(f"need at least {d} rows to fit {d} parameters, got {n}")
     family.validate_response(sample.response)
 
-    theta = np.zeros(d) if init is None else np.asarray(init, dtype=float).copy()
-    if theta.shape[0] != d:
-        raise ValidationError(f"init has length {theta.shape[0]}, expected {d}")
-
+    theta = np.zeros(d)
     converged = False
     iterations = 0
     for t in range(max_iter):

@@ -36,13 +36,10 @@ class ModelSpec:
 
     main_effects: tuple[int, ...]
     quadratic_terms: tuple[int, ...] = ()
-    include_intercept: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "main_effects", tuple(int(i) for i in self.main_effects))
         object.__setattr__(self, "quadratic_terms", tuple(int(i) for i in self.quadratic_terms))
-        if not self.include_intercept:
-            raise ValidationError("intercept-free models are not supported")
         if len(set(self.main_effects)) != len(self.main_effects):
             raise ValidationError(f"duplicate main effect in {self.main_effects}")
         if len(set(self.quadratic_terms)) != len(self.quadratic_terms):

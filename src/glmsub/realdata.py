@@ -17,7 +17,7 @@ from .config import RealDataConfig
 from .families import Family
 from .fitting import WeightedSample, fit_weighted_mle
 from .models import ModelSet, build_design
-from .simulate import run_strategies, smse
+from .simulate import run_strategies, ssmse
 from .twostage import TwoStageResult, two_stage
 
 __all__ = ["SsmseRecord", "full_data_mles", "run_subsample", "run_ssmse_study"]
@@ -78,18 +78,14 @@ def run_ssmse_study(
     """
     mles = full_data_mles(config.family, config.model_set, raw, y)
     records = []
-    q = len(config.model_set)
     for label, r, good, n_failed in run_strategies(
         config, (raw, y), _model_estimates, threads
     ):
         if good:
-            total = sum(
-                smse(np.array([thetas[k] for thetas in good]), mles[k])
-                for k in range(q)
-            )
+            total = ssmse([np.array(block) for block in zip(*good)], mles)
         else:
             total = float("nan")
         records.append(
-            SsmseRecord(scenario=label, r=r, ssmse=float(total), n_failed=n_failed)
+            SsmseRecord(scenario=label, r=r, ssmse=total, n_failed=n_failed)
         )
     return records

@@ -252,10 +252,6 @@ class ScenarioConfig:
     def dg_index(self) -> int:
         return self.model_set.index_of(self.data_generating_model)
 
-    @property
-    def scenario_labels(self) -> tuple[str, ...]:
-        return scenario_labels(self.model_set)
-
 
 @dataclass(frozen=True)
 class MetricsRecord:

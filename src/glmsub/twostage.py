@@ -13,6 +13,10 @@ model (``sampling_model=q``) or under the whole model set
 candidate models are fitted on the final combined sample.
 ``random_sampling_baseline`` skips the optimality step and reuses the
 stage-1 probabilities for stage 2.
+
+The Newton settings are fixed: every fit uses :func:`fit_weighted_mle`'s
+defaults, and a stage-1 draw whose pilot fit fails is redrawn up to
+``DEFAULT_STAGE1_ATTEMPTS`` times before :class:`StageOneError`.
 """
 
 from __future__ import annotations
@@ -103,8 +107,6 @@ def _combine_and_fit(
     idx1: np.ndarray,
     stage2: ProbabilityVector,
     idx2: np.ndarray,
-    tol: float,
-    max_iter: int,
 ) -> TwoStageResult:
     """Combine both stages' rows, each keeping the probability of the stage
     that drew it, and fit every candidate model on the combined sample."""
@@ -116,8 +118,6 @@ def _combine_and_fit(
         fit_weighted_mle(
             family,
             WeightedSample(build_design(spec, raw_rows), y_rows, combined_probs),
-            tol=tol,
-            max_iter=max_iter,
             population_size=raw.shape[0],
         )
         for spec in models.specs
@@ -141,20 +141,17 @@ def _stage1_and_probabilities(
     criterion: Criterion,
     sampling_model: int | None,
     eps: float,
-    tol: float,
-    max_iter: int,
-    max_stage1_attempts: int,
 ) -> tuple[ProbabilityVector, np.ndarray, ProbabilityVector]:
     """Stage 1 plus the stage-2 probability computation.
 
     Draws stage-1 rows and fits pilot estimates for the models that shape
     the stage-2 probabilities, redrawing on estimation failure (up to
-    ``max_stage1_attempts`` fresh draws).  Returns (initial probabilities,
-    stage-1 row indices, stage-2 probabilities)."""
+    ``DEFAULT_STAGE1_ATTEMPTS`` fresh draws).  Returns (initial
+    probabilities, stage-1 row indices, stage-2 probabilities)."""
     init_probs = initial_probabilities(family, y)
     fit_models = range(len(models)) if sampling_model is None else [sampling_model]
     last_error: Exception | None = None
-    for _ in range(max_stage1_attempts):
+    for _ in range(DEFAULT_STAGE1_ATTEMPTS):
         idx1 = draw_with_replacement(init_probs, r0, rng)
         probs = init_probs.probs[idx1]
         try:
@@ -162,14 +159,12 @@ def _stage1_and_probabilities(
             for q in fit_models:
                 design = build_design(models.specs[q], raw[idx1])
                 sample = WeightedSample(design, y[idx1], probs)
-                pilots[q] = fit_weighted_mle(
-                    family, sample, tol=tol, max_iter=max_iter
-                ).theta
+                pilots[q] = fit_weighted_mle(family, sample).theta
             break
         except (FitError, NumericOverflowError) as exc:
             last_error = exc
     else:
-        raise StageOneError(max_stage1_attempts, last_error)
+        raise StageOneError(DEFAULT_STAGE1_ATTEMPTS, last_error)
 
     if sampling_model is None:
         stage2 = phi_model_robust(
@@ -199,27 +194,13 @@ def pilot_probabilities(
     criterion: "str | Criterion" = Criterion.MMSE,
     sampling_model: int | None = None,
     eps: float = DEFAULT_EPS,
-    tol: float = 1e-4,
-    max_iter: int = 100,
-    max_stage1_attempts: int = DEFAULT_STAGE1_ATTEMPTS,
 ) -> ProbabilityVector:
     """Stage-2 probabilities only: draw a pilot subsample, fit the pilot
     estimate(s) and evaluate the optimality rule over the full data."""
     raw, y = _checked_inputs(models, raw, y, r0, r0, sampling_model)
     criterion = Criterion.optimality(criterion)
     _, _, stage2 = _stage1_and_probabilities(
-        family,
-        models,
-        raw,
-        y,
-        r0,
-        rng,
-        criterion,
-        sampling_model,
-        eps,
-        tol,
-        max_iter,
-        max_stage1_attempts,
+        family, models, raw, y, r0, rng, criterion, sampling_model, eps
     )
     return stage2
 
@@ -235,9 +216,6 @@ def two_stage(
     criterion: "str | Criterion" = Criterion.MMSE,
     sampling_model: int | None = None,
     eps: float = DEFAULT_EPS,
-    tol: float = 1e-4,
-    max_iter: int = 100,
-    max_stage1_attempts: int = DEFAULT_STAGE1_ATTEMPTS,
 ) -> TwoStageResult:
     """Run the two-stage optimal subsampling procedure.
 
@@ -260,9 +238,6 @@ def two_stage(
         averages over the whole set (model-robust sampling).
     eps : float
         Residual floor for the probability formulas.
-    max_stage1_attempts : int
-        Fresh stage-1 draws to try when pilot estimation fails before
-        raising :class:`StageOneError`.
 
     Returns
     -------
@@ -271,24 +246,11 @@ def two_stage(
     raw, y = _checked_inputs(models, raw, y, r0, r, sampling_model)
     criterion = Criterion.optimality(criterion)
     init_probs, idx1, stage2 = _stage1_and_probabilities(
-        family,
-        models,
-        raw,
-        y,
-        r0,
-        rng,
-        criterion,
-        sampling_model,
-        eps,
-        tol,
-        max_iter,
-        max_stage1_attempts,
+        family, models, raw, y, r0, rng, criterion, sampling_model, eps
     )
 
     idx2 = draw_with_replacement(stage2, r, rng)
-    return _combine_and_fit(
-        family, models, raw, y, init_probs, idx1, stage2, idx2, tol, max_iter
-    )
+    return _combine_and_fit(family, models, raw, y, init_probs, idx1, stage2, idx2)
 
 
 def random_sampling_baseline(
@@ -299,8 +261,6 @@ def random_sampling_baseline(
     r0: int,
     r: int,
     rng: np.random.Generator,
-    tol: float = 1e-4,
-    max_iter: int = 100,
 ) -> TwoStageResult:
     """Two-stage run without the optimality step: simple random sampling
     with replacement (uniform 1/N in both stages), then every candidate
@@ -311,6 +271,4 @@ def random_sampling_baseline(
     uniform = ProbabilityVector(np.full(n, 1.0 / n), Criterion.UNIFORM)
     idx1 = draw_with_replacement(uniform, r0, rng)
     idx2 = draw_with_replacement(uniform, r, rng)
-    return _combine_and_fit(
-        family, models, raw, y, uniform, idx1, uniform, idx2, tol, max_iter
-    )
+    return _combine_and_fit(family, models, raw, y, uniform, idx1, uniform, idx2)

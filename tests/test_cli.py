@@ -240,6 +240,14 @@ class TestExitCodes:
         assert main(["simulate", str(config), "--out", str(tmp_path / "m.csv")]) == 2
         assert "glmsub: error: mean overflowed" in capsys.readouterr().err
 
+    def test_poisson_mean_beyond_sampler_limit_is_runtime(self, tmp_path, capsys):
+        # exp(44) is finite but above the largest mean NumPy's Poisson
+        # sampler accepts.
+        text = SIM_YAML.replace("family: logistic", "family: poisson")
+        config = write(tmp_path, text.replace("[-1.0, 0.5, 0.1]", "[44.0, 0.0, 0.0]"))
+        assert main(["simulate", str(config), "--out", str(tmp_path / "m.csv")]) == 2
+        assert capsys.readouterr().err.startswith("glmsub: error: ")
+
     def test_unwritable_output_is_runtime(self, tmp_path, capsys):
         config = write(tmp_path, SIM_YAML)
         blocker = tmp_path / "file"

@@ -82,6 +82,18 @@ class TestSimulateConfig:
         with pytest.raises(ConfigError, match="r_grid"):
             parse_config(write(tmp_path, bad))
 
+    def test_sizes_checked_against_largest_model(self, tmp_path):
+        # Four candidates, the largest with 5 parameters: r0 >= 6.
+        for old, new, key in (
+            ("r0: 100", "r0: 5", "r0"),
+            ("[100, 200]", "[99, 200]", "r_grid"),
+        ):
+            with pytest.raises(ConfigError) as excinfo:
+                parse_config(write(tmp_path, SIMULATE_YAML.replace(old, new)))
+            assert excinfo.value.key == key
+        edge = SIMULATE_YAML.replace("r0: 100", "r0: 6").replace("[100, 200]", "[6, 200]")
+        assert parse_config(write(tmp_path, edge)).r0 == 6
+
     def test_unknown_key_rejected_with_path(self, tmp_path):
         with pytest.raises(ConfigError, match="replicatess"):
             parse_config(write(tmp_path, SIMULATE_YAML + "\nreplicatess: 3\n"))
@@ -194,6 +206,26 @@ class TestRealDataConfig:
         assert config.mode == "ssmse"
         assert config.r_grid == (300, 500)
         assert config.n_replicates == 10
+
+    def test_sizes_checked_against_largest_model(self, tmp_path):
+        # Eight candidates, the largest with 7 parameters: r0 >= 8.
+        ssmse = REAL_YAML.replace("mode: subsample", "mode: ssmse").replace(
+            "r: 500\n", "r_grid: [300, 500]\nreplicates: 10\n"
+        )
+        probabilities = REAL_YAML.replace("mode: subsample", "mode: probabilities")
+        for text, old, new, key in (
+            (REAL_YAML, "r0: 200", "r0: 7", "r0"),
+            (probabilities, "r0: 200", "r0: 7", "r0"),
+            (ssmse, "r0: 200", "r0: 7", "r0"),
+            (REAL_YAML, "r: 500", "r: 199", "r"),
+            (probabilities, "r: 500", "r: 199", "r"),
+            (ssmse, "[300, 500]", "[150, 500]", "r_grid"),
+        ):
+            with pytest.raises(ConfigError) as excinfo:
+                parse_config(write(tmp_path, text.replace(old, new)))
+            assert excinfo.value.key == key
+        edge = REAL_YAML.replace("r0: 200", "r0: 8").replace("r: 500", "r: 8")
+        assert parse_config(write(tmp_path, edge)).r == 8
 
     def test_poisson_family(self, tmp_path):
         text = REAL_YAML.replace("family: logistic", "family: poisson")

@@ -72,6 +72,8 @@ class TestPoisson:
             poisson.validate_response(np.array([0, -1]))
         with pytest.raises(ValidationError):
             poisson.validate_response(np.array([0.5]))
+        with pytest.raises(ValidationError, match="non-negative integer; found .*inf.* at index 1"):
+            poisson.validate_response(np.array([1.0, np.inf]))
 
 
 def test_get_family():

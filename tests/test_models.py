@@ -26,10 +26,6 @@ class TestModelSpec:
         with pytest.raises(ValidationError):
             ModelSpec(main_effects=(0, 0))
 
-    def test_intercept_required(self):
-        with pytest.raises(ValidationError):
-            ModelSpec(main_effects=(0,), include_intercept=False)
-
     def test_term_labels(self):
         spec = ModelSpec(main_effects=(0, 1), quadratic_terms=(1,))
         assert spec.term_labels() == ["intercept", "x1", "x2", "x2^2"]

@@ -237,7 +237,7 @@ class TestScenarioConfig:
 
     def test_scenario_labels(self):
         config = tiny_config()
-        assert config.scenario_labels == (
+        assert glmsub.simulate.scenario_labels(config.model_set) == (
             "random",
             "optimal-1",
             "optimal-2",
@@ -252,7 +252,8 @@ class TestRunStudy:
     def test_record_count_six_per_r(self):
         records = run_study(tiny_config(replicates=1))
         assert len(records) == 6
-        assert {rec.scenario for rec in records} == set(tiny_config().scenario_labels)
+        labels = glmsub.simulate.scenario_labels(tiny_config().model_set)
+        assert {rec.scenario for rec in records} == set(labels)
         assert all(isinstance(rec, MetricsRecord) for rec in records)
         assert all(rec.r == 60 for rec in records)
         assert all(rec.estimating_model == 1 for rec in records)

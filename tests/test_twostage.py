@@ -13,6 +13,7 @@ from glmsub import (
     random_sampling_baseline,
     two_stage,
 )
+from glmsub.twostage import DEFAULT_STAGE1_ATTEMPTS
 
 from conftest import make_logistic_data, make_poisson_data
 from oracles import irls_glm
@@ -118,8 +119,8 @@ class TestTwoStage:
         raw = x[:, None]
         models = enumerate_quadratic_models(1, ())
         with pytest.raises(StageOneError) as excinfo:
-            two_stage(logistic, models, raw, y, 20, 40, rng, max_stage1_attempts=4)
-        assert excinfo.value.attempts == 4
+            two_stage(logistic, models, raw, y, 20, 40, rng)
+        assert excinfo.value.attempts == DEFAULT_STAGE1_ATTEMPTS
 
     def test_close_to_full_mle_when_sampling_everything(self, poisson):
         # Both stages the size of the whole dataset with uniform
