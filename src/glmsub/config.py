@@ -40,9 +40,9 @@ synthetic blocks with a dataset block::
     model_set:
       quadratic_over: [red, green, blue]  # names; default: all continuous
     sampling_model: model-robust    # or a 1-based model index
-    r: 500                    # subsample / probabilities
-    r_grid: [200, 400]        # ssmse
-    replicates: 100           # ssmse
+    r: 500                    # subsample only
+    r_grid: [200, 400]        # ssmse only
+    replicates: 100           # ssmse only
 
 The candidate model set is always the full main-effects model plus every
 combination of squared terms over the ``quadratic_over`` covariates:
@@ -114,9 +114,6 @@ class _Block:
 
     def _key(self, name: str) -> str:
         return f"{self.path}.{name}" if self.path else name
-
-    def has(self, name: str) -> bool:
-        return name in self.data
 
     def get(self, name: str, kind, required: bool = False, default=None):
         self.seen.add(name)
@@ -296,7 +293,6 @@ def _parse_simulate(root: _Block, family: Family, criterion: Criterion, eps: flo
         model_block, n_main, tuple(range(n_main)), "covariates.dimension"
     )
     _check_sizes(model_set, r0, None, r_grid)
-    continuous_in_set = model_set.specs[-1].quadratic_terms
 
     dg_block = root.block("data_generating", required=True)
     quad = _as_zero_based(
@@ -304,7 +300,7 @@ def _parse_simulate(root: _Block, family: Family, criterion: Criterion, eps: flo
     )
     theta = dg_block.float_list("theta", required=True)
     dg_block.reject_unknown()
-    bad = set(quad) - set(continuous_in_set)
+    bad = set(quad) - set(model_set.full_spec.quadratic_terms)
     if bad:
         raise ConfigError(
             "data_generating.quadratic_terms",
@@ -384,7 +380,7 @@ def _parse_real_data(
         "dataset.continuous",
         covariate_names=names,
     )
-    non_continuous = set(model_set.specs[-1].quadratic_terms) - set(dataset.continuous_indices)
+    non_continuous = set(model_set.full_spec.quadratic_terms) - set(dataset.continuous_indices)
     if non_continuous:
         raise ConfigError(
             "model_set.quadratic_over",
@@ -392,30 +388,25 @@ def _parse_real_data(
         )
 
     r0 = root.get("r0", int, required=True)
-    r = root.get("r", int, required=(mode == "subsample"))
-    r_grid = root.int_list("r_grid", required=(mode == "ssmse"), default=None)
-    replicates = root.get("replicates", int, required=(mode == "ssmse"))
+    r = root.get("r", int, required=True) if mode == "subsample" else None
+    r_grid = root.int_list("r_grid", required=True) if mode == "ssmse" else None
+    replicates = root.get("replicates", int, required=True) if mode == "ssmse" else None
     if r_grid is not None and any(b <= a for a, b in zip(r_grid, r_grid[1:])):
         raise ConfigError("r_grid", f"must be strictly ascending, got {r_grid}")
     _check_sizes(model_set, r0, r, r_grid)
 
+    root.seen.add("sampling_model")
+    value = root.data.get("sampling_model", "model-robust")
     sampling_model: int | None = None
-    if root.has("sampling_model"):
-        value = root.data["sampling_model"]
-        root.seen.add("sampling_model")
-        if value == "model-robust":
-            sampling_model = None
-        elif isinstance(value, int) and not isinstance(value, bool):
-            if not (1 <= value <= len(model_set)):
-                raise ConfigError(
-                    "sampling_model", f"model index {value} outside 1..{len(model_set)}"
-                )
-            sampling_model = value - 1
-        else:
-            raise ConfigError(
-                "sampling_model",
-                f"expected 'model-robust' or a 1-based model index, got {value!r}",
-            )
+    if isinstance(value, int) and not isinstance(value, bool):
+        if not (1 <= value <= len(model_set)):
+            raise ConfigError("sampling_model", f"model index {value} outside 1..{len(model_set)}")
+        sampling_model = value - 1
+    elif value != "model-robust":
+        raise ConfigError(
+            "sampling_model",
+            f"expected 'model-robust' or a 1-based model index, got {value!r}",
+        )
     root.reject_unknown()
     return RealDataConfig(
         mode=mode,

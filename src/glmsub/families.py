@@ -91,7 +91,7 @@ class Logistic(Family):
         if np.any(bad):
             idx = int(np.flatnonzero(bad)[0])
             raise ValidationError(
-                f"logistic response must be 0/1; found {y.flat[idx]!r} at index {idx}"
+                f"logistic response must be 0/1; found {y.flat[idx].item()!r} at index {idx}"
             )
 
     def sample_response(self, mu: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -129,7 +129,7 @@ class Poisson(Family):
             idx = int(np.flatnonzero(bad)[0])
             raise ValidationError(
                 f"Poisson response must be a non-negative integer; found "
-                f"{y.flat[idx]!r} at index {idx}"
+                f"{y.flat[idx].item()!r} at index {idx}"
             )
 
     def sample_response(self, mu: np.ndarray, rng: np.random.Generator) -> np.ndarray:

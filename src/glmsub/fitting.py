@@ -22,7 +22,7 @@ population of N rows,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,7 +108,6 @@ class FitResult:
     vc: np.ndarray
     variance: np.ndarray
     iterations: int
-    converged: bool = field(default=True)
 
     @property
     def std_errors(self) -> np.ndarray:
@@ -188,8 +187,6 @@ def fit_weighted_mle(
     family.validate_response(sample.response)
 
     theta = np.zeros(d)
-    converged = False
-    iterations = 0
     for t in range(max_iter):
         try:
             g, h = score_and_hessian(family, theta, sample)
@@ -220,15 +217,13 @@ def fit_weighted_mle(
                 iterations=t,
             )
         theta = theta + step
-        iterations = t + 1
         if float(np.linalg.norm(step)) < tol:
-            converged = True
             break
-    if not converged:
+    else:
         raise NonConvergenceError(
             f"Newton-Raphson did not converge in {max_iter} iterations",
             theta=theta,
-            iterations=iterations,
+            iterations=max_iter,
         )
 
     big_n = n if population_size is None else int(population_size)
@@ -251,8 +246,7 @@ def fit_weighted_mle(
         info_JX=info,
         vc=vc,
         variance=variance,
-        iterations=iterations,
-        converged=converged,
+        iterations=t + 1,
     )
 
 

@@ -101,10 +101,15 @@ def validate_alpha(alpha) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelSet:
-    """An ordered set of candidate models with prior weights alpha."""
+    """An ordered set of candidate models with prior weights alpha.
+
+    ``full_spec`` holds the sorted unions of main and quadratic terms, and
+    model q's design is ``build_design(full_spec, raw)[:, columns[q]]``."""
 
     specs: tuple[ModelSpec, ...]
     alpha: np.ndarray = field(default=None)  # type: ignore[assignment]
+    full_spec: ModelSpec = field(init=False, repr=False, compare=False)
+    columns: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "specs", tuple(self.specs))
@@ -119,6 +124,14 @@ class ModelSet:
                 f"{len(self.specs)} models but {alpha.size} alpha weights"
             )
         object.__setattr__(self, "alpha", alpha)
+        full = ModelSpec(
+            main_effects=sorted({i for spec in self.specs for i in spec.main_effects}),
+            quadratic_terms=sorted({i for spec in self.specs for i in spec.quadratic_terms}),
+        )
+        position = {label: j for j, label in enumerate(full.term_labels())}
+        columns = [np.array([position[t] for t in spec.term_labels()]) for spec in self.specs]
+        object.__setattr__(self, "full_spec", full)
+        object.__setattr__(self, "columns", tuple(columns))
 
     def __len__(self) -> int:
         return len(self.specs)

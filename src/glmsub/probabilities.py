@@ -16,7 +16,9 @@ scaled variance drops the inverse information factor:
     phi_i  propto  res_i * || x_i ||.
 
 The model-robust variants average the per-model normalized vectors with
-the prior model weights alpha.  The eps floor keeps every probability
+the prior model weights alpha, scoring each model on its columns of the
+set's union design with the single-model kernel (so Q = 1 gives the
+single-model vector bit for bit).  The eps floor keeps every probability
 strictly positive so that no row is unreachable.
 """
 
@@ -128,21 +130,32 @@ def floored_residuals(
     return np.maximum(np.abs(np.asarray(y, dtype=float).ravel() - mu), eps)
 
 
-def _criterion_norms(
-    criterion: Criterion, family: Family, theta: np.ndarray, design: np.ndarray
+def _scores(
+    criterion: Criterion, family: Family, theta, design: np.ndarray, cols, y, eps: float
 ) -> np.ndarray:
+    """Normalized probabilities of the model whose design is
+    ``design[:, cols]``, with theta and the mMSE inverse information
+    zero-padded to the width of ``design`` instead of copying columns."""
+    d = design.shape[1]
+    padded = np.zeros(d)
+    padded[cols] = theta
+    res = floored_residuals(family, padded, design, y, eps)
     if criterion is Criterion.MMSE:
-        info = full_information(family, theta, design)
+        block = np.ix_(cols, cols)
+        info = full_information(family, padded, design)[block]
         if _is_singular(info):
             raise SingularInformationError(
-                "full-data information matrix is singular; cannot form the "
-                "mMSE probabilities"
+                "full-data information matrix is singular; cannot form mMSE probabilities"
             )
-        # One factorization with N right-hand sides gives J^-1 x_i for
-        # every row at once.
-        scaled = np.linalg.solve(info, design.T)
-        return np.sqrt(np.einsum("ji,ji->i", scaled, scaled))
-    return np.sqrt(np.einsum("ij,ij->i", design, design))
+        inv = np.zeros((d, d))
+        inv[block] = np.linalg.inv(info)
+        scaled = design @ inv  # row i is (J^-1 x_i)^T over the model's columns
+        norms = np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
+    else:
+        mask = np.isin(np.arange(d), cols)
+        norms = np.sqrt(np.einsum("ij,ij,j->i", design, design, mask))
+    scores = res * norms
+    return scores / scores.sum()
 
 
 def phi_single(
@@ -161,9 +174,8 @@ def phi_single(
     """
     criterion = Criterion.optimality(criterion)
     design = np.atleast_2d(np.asarray(design, dtype=float))
-    res = floored_residuals(family, theta, design, y, eps)
-    scores = res * _criterion_norms(criterion, family, theta, design)
-    return ProbabilityVector(scores / scores.sum(), criterion)
+    probs = _scores(criterion, family, theta, design, np.arange(design.shape[1]), y, eps)
+    return ProbabilityVector(probs, criterion)
 
 
 def phi_model_robust(
@@ -184,12 +196,9 @@ def phi_model_robust(
     """
     criterion = Criterion.optimality(criterion)
     if len(thetas) != len(models):
-        raise ValidationError(
-            f"{len(models)} models but {len(thetas)} pilot estimates"
-        )
-    raw = np.atleast_2d(np.asarray(raw, dtype=float))
-    combined = np.zeros(raw.shape[0])
-    for alpha_q, spec, theta_q in zip(models.alpha, models.specs, thetas):
-        single = phi_single(criterion, family, theta_q, build_design(spec, raw), y, eps)
-        combined = combined + alpha_q * single.probs
+        raise ValidationError(f"{len(models)} models but {len(thetas)} pilot estimates")
+    design = build_design(models.full_spec, raw)
+    combined = np.zeros(design.shape[0])
+    for alpha_q, cols, theta_q in zip(models.alpha, models.columns, thetas):
+        combined += alpha_q * _scores(criterion, family, theta_q, design, cols, y, eps)
     return ProbabilityVector(combined, _ROBUST_LABEL[criterion])

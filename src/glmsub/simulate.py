@@ -194,8 +194,6 @@ def ssmse(per_model_estimates, full_data_mle) -> float:
 def model_information(fit: FitResult) -> float:
     """Determinant of the inverse of the estimated variance matrix; larger
     means a more informative subsample."""
-    if not fit.converged:
-        raise ValidationError("model information requires a converged fit")
     sign, logdet = np.linalg.slogdet(fit.variance)
     if sign <= 0 or not np.isfinite(logdet):
         raise FitError("estimated variance matrix is singular or indefinite")

@@ -55,10 +55,9 @@ class TwoStageResult:
 
     ``fits`` holds one :class:`FitResult` per candidate model, in model-set
     order.  ``combined_sample`` stores the raw covariate rows of the
-    r0 + r selected points (design matrices per model are rebuilt from it
-    with :func:`build_design`), together with the response values and the
-    stage-specific selection probabilities.  The drawn row indices of both
-    stages are kept for reproducibility.
+    r0 + r selected points (model q's design is their union design's
+    ``models.columns[q]``), the response values and the stage-specific
+    selection probabilities; the drawn row indices of both stages are kept.
     """
 
     fits: tuple[FitResult, ...]
@@ -114,13 +113,14 @@ def _combine_and_fit(
     combined_probs = np.concatenate([stage1.probs[idx1], stage2.probs[idx2]])
     raw_rows = raw[combined_idx]
     y_rows = y[combined_idx]
+    design = build_design(models.full_spec, raw_rows)
     fits = tuple(
         fit_weighted_mle(
             family,
-            WeightedSample(build_design(spec, raw_rows), y_rows, combined_probs),
+            WeightedSample(design[:, cols], y_rows, combined_probs),
             population_size=raw.shape[0],
         )
-        for spec in models.specs
+        for cols in models.columns
     )
     return TwoStageResult(
         fits=fits,
@@ -154,12 +154,12 @@ def _stage1_and_probabilities(
     for _ in range(DEFAULT_STAGE1_ATTEMPTS):
         idx1 = draw_with_replacement(init_probs, r0, rng)
         probs = init_probs.probs[idx1]
+        design = build_design(models.full_spec, raw[idx1])
         try:
-            pilots = {}
+            pilots = []
             for q in fit_models:
-                design = build_design(models.specs[q], raw[idx1])
-                sample = WeightedSample(design, y[idx1], probs)
-                pilots[q] = fit_weighted_mle(family, sample).theta
+                sample = WeightedSample(design[:, models.columns[q]], y[idx1], probs)
+                pilots.append(fit_weighted_mle(family, sample).theta)
             break
         except (FitError, NumericOverflowError) as exc:
             last_error = exc
@@ -167,20 +167,10 @@ def _stage1_and_probabilities(
         raise StageOneError(DEFAULT_STAGE1_ATTEMPTS, last_error)
 
     if sampling_model is None:
-        stage2 = phi_model_robust(
-            criterion,
-            family,
-            models,
-            [pilots[q] for q in range(len(models))],
-            raw,
-            y,
-            eps,
-        )
+        stage2 = phi_model_robust(criterion, family, models, pilots, raw, y, eps)
     else:
         design_q = build_design(models.specs[sampling_model], raw)
-        stage2 = phi_single(
-            criterion, family, pilots[sampling_model], design_q, y, eps
-        )
+        stage2 = phi_single(criterion, family, pilots[0], design_q, y, eps)
     return init_probs, idx1, stage2
 
 

@@ -212,13 +212,14 @@ class TestRealDataConfig:
         ssmse = REAL_YAML.replace("mode: subsample", "mode: ssmse").replace(
             "r: 500\n", "r_grid: [300, 500]\nreplicates: 10\n"
         )
-        probabilities = REAL_YAML.replace("mode: subsample", "mode: probabilities")
+        probabilities = REAL_YAML.replace("mode: subsample", "mode: probabilities").replace(
+            "r: 500\n", ""
+        )
         for text, old, new, key in (
             (REAL_YAML, "r0: 200", "r0: 7", "r0"),
             (probabilities, "r0: 200", "r0: 7", "r0"),
             (ssmse, "r0: 200", "r0: 7", "r0"),
             (REAL_YAML, "r: 500", "r: 199", "r"),
-            (probabilities, "r: 500", "r: 199", "r"),
             (ssmse, "[300, 500]", "[150, 500]", "r_grid"),
         ):
             with pytest.raises(ConfigError) as excinfo:
@@ -226,6 +227,24 @@ class TestRealDataConfig:
             assert excinfo.value.key == key
         edge = REAL_YAML.replace("r0: 200", "r0: 8").replace("r: 500", "r: 8")
         assert parse_config(write(tmp_path, edge)).r == 8
+
+    def test_mode_reads_only_its_own_sizes(self, tmp_path):
+        base = REAL_YAML.replace("r: 500\n", "")
+        sizes = {"r": "r: 500\n", "r_grid": "r_grid: [300, 500]\n", "replicates": "replicates: 10\n"}
+        for mode, own in (
+            ("probabilities", ()),
+            ("subsample", ("r",)),
+            ("ssmse", ("r_grid", "replicates")),
+        ):
+            text = base.replace("mode: subsample", f"mode: {mode}")
+            text += "".join(sizes[key] for key in own)
+            assert parse_config(write(tmp_path, text)).mode == mode
+            for key in sorted(sizes.keys() - set(own)):
+                with pytest.raises(ConfigError) as excinfo:
+                    parse_config(write(tmp_path, text + sizes[key]))
+                assert excinfo.value.key == key
+        # ssmse (the last text above) still accepts sampling_model.
+        assert parse_config(write(tmp_path, text + "sampling_model: 2\n")).sampling_model == 1
 
     def test_poisson_family(self, tmp_path):
         text = REAL_YAML.replace("family: logistic", "family: poisson")

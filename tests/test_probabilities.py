@@ -174,24 +174,29 @@ class TestPhiModelRobust:
 
     @pytest.mark.parametrize("kind", ["logistic", "poisson"])
     def test_matches_composed_oracle(self, kind, logistic, poisson, rng):
-        from glmsub import ModelSet
+        from glmsub import ModelSet, ModelSpec
 
         family = logistic if kind == "logistic" else poisson
-        base = enumerate_quadratic_models(2, (0,))
-        models = ModelSet(specs=base.specs, alpha=np.array([0.3, 0.7]))
-        x0 = rng.normal(0, 0.5, size=(12, 2))
-        y = (
-            rng.binomial(1, 0.5, size=12).astype(float)
-            if kind == "logistic"
-            else rng.poisson(1.5, size=12).astype(float)
-        )
-        thetas = [rng.normal(0, 0.3, size=spec.n_params) for spec in models.specs]
-        designs = [build_design(spec, x0) for spec in models.specs]
-        robust = phi_model_robust("mMSE", family, models, thetas, x0, y)
-        expected = phi_model_robust_oracle(
-            "mMSE", kind, thetas, designs, y, [0.3, 0.7]
-        )
-        np.testing.assert_allclose(robust.probs, expected, atol=1e-12)
+        # The second set's models differ in main effects and list terms
+        # out of order, so their columns of the union design are permuted.
+        mixed = (ModelSpec((2, 0), (2,)), ModelSpec((1,)), ModelSpec((0, 1, 2), (0, 1)))
+        for specs, alpha, width in (
+            (enumerate_quadratic_models(2, (0,)).specs, [0.3, 0.7], 2),
+            (mixed, [0.2, 0.3, 0.5], 3),
+        ):
+            models = ModelSet(specs=specs, alpha=np.array(alpha))
+            x0 = rng.normal(0, 0.5, size=(12, width))
+            y = (
+                rng.binomial(1, 0.5, size=12).astype(float)
+                if kind == "logistic"
+                else rng.poisson(1.5, size=12).astype(float)
+            )
+            thetas = [rng.normal(0, 0.3, size=spec.n_params) for spec in models.specs]
+            designs = [build_design(spec, x0) for spec in models.specs]
+            for criterion in ("mMSE", "mVc"):
+                robust = phi_model_robust(criterion, family, models, thetas, x0, y)
+                expected = phi_model_robust_oracle(criterion, kind, thetas, designs, y, alpha)
+                np.testing.assert_allclose(robust.probs, expected, atol=1e-12)
 
     def test_convex_combination_bounds(self, logistic, rng):
         models = enumerate_quadratic_models(2, (0, 1))
