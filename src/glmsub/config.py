@@ -54,6 +54,7 @@ Unknown keys anywhere are rejected, with the offending key path reported.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,7 +62,7 @@ import numpy as np
 import yaml
 
 from .datasets import CovariateColumn, DatasetDescriptor, Scaling
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .families import Family, get_family
 from .models import ModelSet, ModelSpec, enumerate_quadratic_models, validate_alpha
 from .probabilities import DEFAULT_EPS, Criterion
@@ -102,6 +103,20 @@ class RealDataConfig:
     sampling_model: int | None  # None means model-robust sampling
 
 
+_NOUNS = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _checked(value, kind, key: str):
+    """``value`` as a ``kind``.  Booleans are not numbers, integers pass as
+    floats, and a float must be finite (YAML ``.nan`` and ``.inf`` fail)."""
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, allowed) or (
+        kind is float and not abs(value) <= sys.float_info.max
+    ):
+        raise ConfigError(key, f"expected {_NOUNS.get(kind, kind.__name__)}, got {value!r}")
+    return float(value) if kind is float else value
+
+
 class _Block:
     """A mapping view that tracks key paths and rejects unknown keys."""
 
@@ -121,17 +136,7 @@ class _Block:
             if required:
                 raise ConfigError(self._key(name), "required key is missing")
             return default
-        value = self.data[name]
-        if kind is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ConfigError(self._key(name), f"expected an integer, got {value!r}")
-        if not isinstance(value, kind):
-            raise ConfigError(
-                self._key(name),
-                f"expected {kind.__name__}, got {type(value).__name__} ({value!r})",
-            )
-        return value
+        return _checked(self.data[name], kind, self._key(name))
 
     def block(self, name: str, required: bool = False) -> "_Block | None":
         self.seen.add(name)
@@ -146,25 +151,12 @@ class _Block:
         if unknown:
             raise ConfigError(self._key(sorted(unknown)[0]), "unknown key")
 
-    def _list(self, name: str, required: bool, default, kinds, noun: str, convert):
+    def list_of(self, name: str, kind, required: bool = False, default=None):
+        """The list at ``name``, each entry checked as a ``kind``."""
         value = self.get(name, list, required=required, default=default)
         if value is default and not required:
             return default
-        out = []
-        for i, item in enumerate(value):
-            if isinstance(item, bool) or not isinstance(item, kinds):
-                raise ConfigError(f"{self._key(name)}[{i}]", f"expected {noun}, got {item!r}")
-            out.append(convert(item))
-        return out
-
-    def int_list(self, name: str, required: bool = False, default=None):
-        return self._list(name, required, default, int, "an integer", int)
-
-    def float_list(self, name: str, required: bool = False, default=None):
-        return self._list(name, required, default, (int, float), "a number", float)
-
-    def str_list(self, name: str, required: bool = False, default=None):
-        return self._list(name, required, default, str, "a string", str)
+        return [_checked(v, kind, f"{self._key(name)}[{i}]") for i, v in enumerate(value)]
 
 
 def _parse_criterion(root: _Block) -> Criterion:
@@ -183,18 +175,17 @@ def _parse_covariates(block: _Block) -> CovariateDistribution:
         block.reject_unknown()
         return ExponentialCovariates(rate=rate, dimension=dimension)
     if kind == "normal":
-        mean = block.float_list("mean", required=True)
+        mean = block.list_of("mean", float, required=True)
         cov_rows = block.get("covariance", list, required=True)
         block.reject_unknown()
         if len(mean) != dimension:
             raise ConfigError("covariates.mean", f"expected {dimension} entries, got {len(mean)}")
         cov = []
         for i, row in enumerate(cov_rows):
+            key = f"covariates.covariance[{i}]"
             if not isinstance(row, list) or len(row) != dimension:
-                raise ConfigError(
-                    f"covariates.covariance[{i}]", f"expected a row of {dimension} numbers"
-                )
-            cov.append([float(v) for v in row])
+                raise ConfigError(key, f"expected a row of {dimension} numbers")
+            cov.append([_checked(v, float, f"{key}[{j}]") for j, v in enumerate(row)])
         if len(cov) != dimension:
             raise ConfigError("covariates.covariance", f"expected {dimension} rows, got {len(cov)}")
         return MultivariateNormalCovariates(mean=np.array(mean), cov=np.array(cov))
@@ -229,9 +220,9 @@ def _parse_model_set(
     continuous, key, alpha = default_continuous, default_key, None
     if block is not None:
         if covariate_names is not None:
-            listed = block.str_list("quadratic_over", default=None)
+            listed = block.list_of("quadratic_over", str, default=None)
         else:
-            listed = block.int_list("quadratic_over", default=None)
+            listed = block.list_of("quadratic_over", int, default=None)
         if listed is not None:
             key = f"{block.path}.quadratic_over"
             if covariate_names is None:
@@ -241,7 +232,7 @@ def _parse_model_set(
                     if name not in covariate_names:
                         raise ConfigError(key, f"unknown covariate {name!r}")
                 continuous = tuple(sorted({covariate_names.index(name) for name in listed}))
-        alpha = block.float_list("alpha", default=None)
+        alpha = block.list_of("alpha", float, default=None)
         block.reject_unknown()
     k = len(continuous)
     if k > MAX_QUADRATIC_TERMS:
@@ -257,7 +248,11 @@ def _parse_model_set(
                 f"{block.path}.alpha",
                 f"expected {len(model_set)} weights, got {len(alpha)}",
             )
-        model_set = ModelSet(specs=model_set.specs, alpha=validate_alpha(alpha))
+        try:
+            alpha = validate_alpha(alpha)
+        except ValidationError as exc:
+            raise ConfigError(f"{block.path}.alpha", str(exc)) from None
+        model_set = ModelSet(specs=model_set.specs, alpha=alpha)
     return model_set
 
 
@@ -280,7 +275,7 @@ def _parse_simulate(root: _Block, family: Family, criterion: Criterion, eps: flo
     n_population = root.get("population", int, required=True)
     replicates = root.get("replicates", int, required=True)
     r0 = root.get("r0", int, required=True)
-    r_grid = root.int_list("r_grid", required=True)
+    r_grid = root.list_of("r_grid", int, required=True)
     if any(b <= a for a, b in zip(r_grid, r_grid[1:])):
         raise ConfigError("r_grid", f"must be strictly ascending, got {r_grid}")
 
@@ -295,10 +290,9 @@ def _parse_simulate(root: _Block, family: Family, criterion: Criterion, eps: flo
     _check_sizes(model_set, r0, None, r_grid)
 
     dg_block = root.block("data_generating", required=True)
-    quad = _as_zero_based(
-        dg_block.int_list("quadratic_terms", default=[]), n_main, "data_generating.quadratic_terms"
-    )
-    theta = dg_block.float_list("theta", required=True)
+    listed = dg_block.list_of("quadratic_terms", int, default=[])
+    quad = _as_zero_based(listed, n_main, "data_generating.quadratic_terms")
+    theta = dg_block.list_of("theta", float, required=True)
     dg_block.reject_unknown()
     bad = set(quad) - set(model_set.full_spec.quadratic_terms)
     if bad:
@@ -333,8 +327,8 @@ def _parse_simulate(root: _Block, family: Family, criterion: Criterion, eps: flo
 def _parse_dataset(block: _Block) -> DatasetDescriptor:
     path = block.get("path", str, required=True)
     response = block.get("response", str, required=True)
-    names = block.str_list("covariates", required=True)
-    continuous = block.str_list("continuous", default=None)
+    names = block.list_of("covariates", str, required=True)
+    continuous = block.list_of("continuous", str, default=None)
     scaling_block = block.block("scaling")
     block.reject_unknown()
 
@@ -389,7 +383,7 @@ def _parse_real_data(
 
     r0 = root.get("r0", int, required=True)
     r = root.get("r", int, required=True) if mode == "subsample" else None
-    r_grid = root.int_list("r_grid", required=True) if mode == "ssmse" else None
+    r_grid = root.list_of("r_grid", int, required=True) if mode == "ssmse" else None
     replicates = root.get("replicates", int, required=True) if mode == "ssmse" else None
     if r_grid is not None and any(b <= a for a, b in zip(r_grid, r_grid[1:])):
         raise ConfigError("r_grid", f"must be strictly ascending, got {r_grid}")

@@ -4,13 +4,15 @@ Two families are supported: logistic regression (Bernoulli response,
 logit link) and Poisson regression (log link).  Both have dispersion
 fixed at one and a canonical link, so the natural parameter equals the
 linear predictor eta and each family is fully described by three scalar
-functions of eta:
+functions:
 
-* ``mean(eta)``     -- inverse link, the conditional mean of y,
+* ``mean(eta)``     -- inverse link, the conditional mean mu of y,
 * ``cumulant(eta)`` -- the log-normalizer whose derivative is the mean,
-* ``weight(eta)``   -- the information weight var(y | eta) entering
+* ``variance(mu)``  -- the variance function var(y) at mean mu, which
+  under a canonical link is also the information weight entering
   x x^T sums (``mu (1 - mu)`` for logistic, ``mu`` for Poisson).
 
+Callers evaluate ``mean`` once and derive the weight from its result.
 All three operate elementwise on arrays and are overflow-safe where the
 naive formula is not.
 """
@@ -40,8 +42,8 @@ class Family(ABC):
         """Log-normalizer evaluated at ``eta`` (its gradient is ``mean``)."""
 
     @abstractmethod
-    def weight(self, eta: np.ndarray) -> np.ndarray:
-        """Information weight var(y | eta) at ``eta``."""
+    def variance(self, mu: np.ndarray) -> np.ndarray:
+        """Variance function at mean ``mu``: the information weight."""
 
     @abstractmethod
     def validate_response(self, y: np.ndarray) -> None:
@@ -81,8 +83,7 @@ class Logistic(Family):
         # log(1 + exp(eta)), overflow-safe.
         return np.logaddexp(0.0, np.asarray(eta, dtype=float))
 
-    def weight(self, eta: np.ndarray) -> np.ndarray:
-        mu = self.mean(eta)
+    def variance(self, mu: np.ndarray) -> np.ndarray:
         return mu * (1.0 - mu)
 
     def validate_response(self, y: np.ndarray) -> None:
@@ -110,7 +111,7 @@ class Poisson(Family):
             idx = int(np.flatnonzero(~np.isfinite(np.atleast_1d(lam)))[0])
             raise NumericOverflowError(
                 f"Poisson mean overflowed at index {idx} (eta="
-                f"{np.atleast_1d(eta)[idx]!r})",
+                f"{np.atleast_1d(eta)[idx].item()!r})",
                 index=idx,
             )
         return lam
@@ -119,8 +120,8 @@ class Poisson(Family):
         # For the log link the cumulant equals the mean.
         return self.mean(eta)
 
-    def weight(self, eta: np.ndarray) -> np.ndarray:
-        return self.mean(eta)
+    def variance(self, mu: np.ndarray) -> np.ndarray:
+        return mu
 
     def validate_response(self, y: np.ndarray) -> None:
         y = np.asarray(y)

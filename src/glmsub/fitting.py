@@ -10,14 +10,16 @@ which corrects the selection bias of unequal-probability sampling
 Hessian
 
     g(theta) = sum_l (y_l - mean(eta_l)) x_l / phi_l,
-    H(theta) = sum_l weight(eta_l) x_l x_l^T / phi_l.
+    H(theta) = sum_l variance(mean(eta_l)) x_l x_l^T / phi_l.
 
 After convergence the estimator's variance is estimated by the sandwich
 form ``V = J^-1 Vc J^-1`` where, for a subsample of size n drawn from a
 population of N rows,
 
-    J  = 1/(N n)     sum_l weight(eta_l) x_l x_l^T / phi_l,
+    J  = 1/(N n)     sum_l variance(mean(eta_l)) x_l x_l^T / phi_l,
     Vc = 1/(N^2 n^2) sum_l (y_l - mean(eta_l))^2 x_l x_l^T / phi_l^2.
+
+Each sum is a weighted Gram matrix, and the mean is evaluated once per theta.
 """
 
 from __future__ import annotations
@@ -60,6 +62,29 @@ def _is_singular(matrix: np.ndarray) -> bool:
     return not (evals[-1] > 0 and evals[0] > evals[-1] * _RCOND)
 
 
+def _checked_inverse(matrix: np.ndarray, message: str) -> np.ndarray:
+    """Inverse of an information matrix; ``message`` says why it is singular."""
+    if _is_singular(matrix):
+        raise SingularInformationError(message)
+    return np.linalg.inv(matrix)
+
+
+def _gram(x: np.ndarray, v: np.ndarray, scale) -> np.ndarray:
+    """Symmetrized weighted Gram matrix ``sum_i v_i x_i x_i^T / scale``."""
+    g = (x * v[:, None]).T @ x / scale
+    return 0.5 * (g + g.T)
+
+
+def _linear_predictor(theta, design: np.ndarray) -> np.ndarray:
+    """``design @ theta``, after checking that the lengths agree."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape[0] != design.shape[1]:
+        raise ValidationError(
+            f"theta has length {theta.shape[0]} but design has {design.shape[1]} columns"
+        )
+    return design @ theta
+
+
 @dataclass(frozen=True)
 class WeightedSample:
     """Rows selected by a sampling step: design, response and the
@@ -83,7 +108,7 @@ class WeightedSample:
                 f"sample dimensions disagree: design has {n} rows, response "
                 f"{self.response.shape[0]}, probs {self.probs.shape[0]}"
             )
-        if np.any(self.probs <= 0.0) or np.any(self.probs > 1.0):
+        if not np.all((self.probs > 0.0) & (self.probs <= 1.0)):  # NaN fails too
             raise ValidationError("selection probabilities must lie in (0, 1]")
 
     @property
@@ -117,13 +142,7 @@ class FitResult:
 def weighted_loglik(family: Family, theta: np.ndarray, sample: WeightedSample) -> float:
     """Inverse-probability-weighted log-likelihood (additive constants in y
     dropped), averaged over the sample size."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape[0] != sample.n_params:
-        raise ValidationError(
-            f"theta has length {theta.shape[0]} but design has "
-            f"{sample.n_params} columns"
-        )
-    eta = sample.design @ theta
+    eta = _linear_predictor(theta, sample.design)
     terms = (sample.response * eta - family.cumulant(eta)) / sample.probs
     return float(terms.sum() / sample.n_rows)
 
@@ -134,12 +153,9 @@ def score_and_hessian(
     """Score vector and (positive) Hessian of the weighted log-likelihood,
     both unnormalized sums over the sample."""
     x = sample.design
-    eta = x @ np.asarray(theta, dtype=float)
-    mu = family.mean(eta)
-    w = family.weight(eta)
+    mu = family.mean(_linear_predictor(theta, x))
     g = x.T @ ((sample.response - mu) / sample.probs)
-    h = (x * (w / sample.probs)[:, None]).T @ x
-    return g, 0.5 * (h + h.T)
+    return g, _gram(x, family.variance(mu) / sample.probs, 1)
 
 
 def fit_weighted_mle(
@@ -228,17 +244,11 @@ def fit_weighted_mle(
 
     big_n = n if population_size is None else int(population_size)
     x = sample.design
-    eta = x @ theta
-    mu = family.mean(eta)
-    w = family.weight(eta)
-    info = (x * (w / sample.probs)[:, None]).T @ x / (big_n * n)
-    info = 0.5 * (info + info.T)
+    mu = family.mean(x @ theta)
+    info = _gram(x, family.variance(mu) / sample.probs, big_n * n)
     resid_sq = (sample.response - mu) ** 2
-    vc = (x * (resid_sq / sample.probs**2)[:, None]).T @ x / (big_n**2 * n**2)
-    vc = 0.5 * (vc + vc.T)
-    if _is_singular(info):
-        raise SingularInformationError("information matrix is singular at the optimum")
-    info_inv = np.linalg.inv(info)
+    vc = _gram(x, resid_sq / sample.probs**2, big_n**2 * n**2)
+    info_inv = _checked_inverse(info, "information matrix is singular at the optimum")
     variance = info_inv @ vc @ info_inv
     variance = 0.5 * (variance + variance.T)
     return FitResult(
@@ -251,15 +261,8 @@ def fit_weighted_mle(
 
 
 def full_information(family: Family, theta: np.ndarray, design: np.ndarray) -> np.ndarray:
-    """Observed information of the full data, ``(1/N) sum_i weight(eta_i)
-    x_i x_i^T``, at the given parameter value."""
+    """Observed information of the full data, ``(1/N) sum_i
+    variance(mean(eta_i)) x_i x_i^T``, at the given parameter value."""
     design = np.atleast_2d(np.asarray(design, dtype=float))
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape[0] != design.shape[1]:
-        raise ValidationError(
-            f"theta has length {theta.shape[0]} but design has "
-            f"{design.shape[1]} columns"
-        )
-    w = family.weight(design @ theta)
-    info = (design * w[:, None]).T @ design / design.shape[0]
-    return 0.5 * (info + info.T)
+    mu = family.mean(_linear_predictor(theta, design))
+    return _gram(design, family.variance(mu), design.shape[0])

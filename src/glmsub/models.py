@@ -89,12 +89,12 @@ def validate_alpha(alpha) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=float).ravel()
     if alpha.size < 1:
         raise ValidationError("alpha must have at least one entry")
-    bad = (alpha < 0.0) | (alpha > 1.0)
+    bad = ~((alpha >= 0.0) & (alpha <= 1.0))  # NaN is bad too
     if np.any(bad):
         idx = int(np.flatnonzero(bad)[0])
         raise ValidationError(f"alpha[{idx}] = {alpha[idx]} is outside [0, 1]")
     total = float(alpha.sum())
-    if abs(total - 1.0) > ALPHA_SUM_TOL:
+    if not abs(total - 1.0) <= ALPHA_SUM_TOL:
         raise ValidationError(f"alpha sums to {total!r}, expected 1")
     return alpha
 

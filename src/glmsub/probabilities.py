@@ -29,9 +29,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateResponseError, SingularInformationError, ValidationError
+from .errors import DegenerateResponseError, ValidationError
 from .families import Family, Logistic
-from .fitting import _is_singular, full_information
+from .fitting import _checked_inverse, _gram, _linear_predictor
 from .models import ModelSet, build_design
 
 __all__ = [
@@ -87,10 +87,11 @@ class ProbabilityVector:
         probs = np.asarray(self.probs, dtype=float).ravel()
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "criterion", Criterion(self.criterion))
+        # Written so that a NaN entry fails both checks.
         total = float(probs.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL:
+        if not abs(total - 1.0) <= PROB_SUM_TOL:
             raise ValidationError(f"probabilities sum to {total!r}, expected 1")
-        if np.any(probs <= 0.0) or np.any(probs >= 1.0):
+        if not np.all((probs > 0.0) & (probs < 1.0)):
             raise ValidationError("every probability must lie strictly in (0, 1)")
 
     def __len__(self) -> int:
@@ -114,6 +115,13 @@ def initial_probabilities(family: Family, y: np.ndarray) -> ProbabilityVector:
     return ProbabilityVector(np.full(n, 1.0 / n), Criterion.UNIFORM)
 
 
+def _floor(y, mu: np.ndarray, eps: float) -> np.ndarray:
+    """``max(|y_i - mu_i|, eps)`` for a positive ``eps``."""
+    if eps <= 0:
+        raise ValidationError(f"eps must be positive, got {eps}")
+    return np.maximum(np.abs(np.asarray(y, dtype=float).ravel() - mu), eps)
+
+
 def floored_residuals(
     family: Family,
     theta: np.ndarray,
@@ -123,11 +131,8 @@ def floored_residuals(
 ) -> np.ndarray:
     """Absolute residuals ``|y_i - mean(eta_i)|`` floored at ``eps`` so that
     perfectly fitted rows keep a positive selection probability."""
-    if eps <= 0:
-        raise ValidationError(f"eps must be positive, got {eps}")
     design = np.atleast_2d(np.asarray(design, dtype=float))
-    mu = family.mean(design @ np.asarray(theta, dtype=float))
-    return np.maximum(np.abs(np.asarray(y, dtype=float).ravel() - mu), eps)
+    return _floor(y, family.mean(_linear_predictor(theta, design)), eps)
 
 
 def _scores(
@@ -135,20 +140,20 @@ def _scores(
 ) -> np.ndarray:
     """Normalized probabilities of the model whose design is
     ``design[:, cols]``, with theta and the mMSE inverse information
-    zero-padded to the width of ``design`` instead of copying columns."""
+    zero-padded to the width of ``design`` instead of copying columns.  One
+    mean evaluation gives the residuals and the information weights."""
     d = design.shape[1]
     padded = np.zeros(d)
     padded[cols] = theta
-    res = floored_residuals(family, padded, design, y, eps)
+    mu = family.mean(design @ padded)
+    res = _floor(y, mu, eps)
     if criterion is Criterion.MMSE:
         block = np.ix_(cols, cols)
-        info = full_information(family, padded, design)[block]
-        if _is_singular(info):
-            raise SingularInformationError(
-                "full-data information matrix is singular; cannot form mMSE probabilities"
-            )
+        info = _gram(design, family.variance(mu), design.shape[0])[block]
         inv = np.zeros((d, d))
-        inv[block] = np.linalg.inv(info)
+        inv[block] = _checked_inverse(
+            info, "full-data information matrix is singular; cannot form mMSE probabilities"
+        )
         scaled = design @ inv  # row i is (J^-1 x_i)^T over the model's columns
         norms = np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
     else:

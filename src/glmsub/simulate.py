@@ -39,7 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .families import Family
-from .fitting import FitResult
+from .fitting import FitResult, _linear_predictor
 from .models import ModelSet, ModelSpec, build_design
 from .probabilities import DEFAULT_EPS, Criterion
 from .twostage import random_sampling_baseline, two_stage
@@ -150,13 +150,7 @@ def gen_response(
 ) -> np.ndarray:
     """Sample responses from the family at mean(design @ theta)."""
     design = np.atleast_2d(np.asarray(design, dtype=float))
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape[0] != design.shape[1]:
-        raise ValidationError(
-            f"theta has length {theta.shape[0]} but design has "
-            f"{design.shape[1]} columns"
-        )
-    return family.sample_response(family.mean(design @ theta), rng)
+    return family.sample_response(family.mean(_linear_predictor(theta, design)), rng)
 
 
 # ---------------------------------------------------------------------

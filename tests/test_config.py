@@ -48,6 +48,10 @@ dataset:
 """
 
 
+WITH_ALPHA = "quadratic_over: [1, 2]\n  alpha: "
+NORMAL = SIMULATE_YAML[SIMULATE_YAML.index("distribution") : SIMULATE_YAML.index("\nmodel_set")]
+
+
 def write(tmp_path, text, name="run.yaml"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -142,6 +146,36 @@ class TestSimulateConfig:
         )
         config = parse_config(write(tmp_path, text))
         np.testing.assert_allclose(config.model_set.alpha, [0.4, 0.2, 0.2, 0.2])
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("covariance: [[1.5,", "covariance: [[abc,", "covariates.covariance[0][0]"),
+            ("covariance: [[1.5,", "covariance: [[true,", "covariates.covariance[0][0]"),
+            ("[0.0, 1.5]]", "[0.0, .inf]]", "covariates.covariance[1][1]"),
+            ("mean: [0.0, 0.0]", "mean: [0.0, .nan]", "covariates.mean[1]"),
+            (NORMAL, "distribution: exponential\n  dimension: 2\n  rate: .inf", "covariates.rate"),
+            ("theta: [-1.0, 0.5, 0.1]", "theta: [-1.0, false, 0.1]", "data_generating.theta[1]"),
+            ("seed: 20260810", "seed: 20260810\neps: .nan", "eps"),
+            ("seed: 20260810", "seed: 20260810\neps: -.inf", "eps"),
+            ("seed: 20260810", "seed: 20260810\neps: true", "eps"),
+            ("seed: 20260810", "seed: 20260810\neps: small", "eps"),
+            ("quadratic_over: [1, 2]", WITH_ALPHA + "[.nan, .nan, .nan, .nan]", "model_set.alpha[0]"),
+            ("quadratic_over: [1, 2]", WITH_ALPHA + "[0.5, 0.5, 0.5, 0.5]", "model_set.alpha"),
+            ("quadratic_over: [1, 2]", WITH_ALPHA + "[1.2, -0.2, 0.0, 0.0]", "model_set.alpha"),
+        ],
+        ids=[
+            "covariance-string", "covariance-bool", "covariance-inf", "mean-nan", "rate-inf",
+            "theta-bool", "eps-nan", "eps-minus-inf", "eps-bool", "eps-string",
+            "alpha-nan", "alpha-sum", "alpha-range",
+        ],
+    )
+    def test_bad_numbers_name_their_key(self, tmp_path, old, new, key):
+        # Non-numeric, boolean and non-finite numbers, and alpha outside the
+        # simplex, are config errors on the key at fault.
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(write(tmp_path, SIMULATE_YAML.replace(old, new)))
+        assert excinfo.value.key == key
 
     def test_too_many_quadratic_terms(self, tmp_path):
         text = (

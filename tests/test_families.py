@@ -36,8 +36,10 @@ class TestLogistic:
         numeric = (logistic.cumulant(eta + h) - logistic.cumulant(eta - h)) / (2 * h)
         np.testing.assert_allclose(numeric, logistic.mean(eta), atol=1e-8)
 
-    def test_weight(self, logistic):
-        np.testing.assert_allclose(logistic.weight(np.array([0.0])), [0.25], atol=1e-15)
+    def test_variance(self, logistic):
+        # The information weight mu (1 - mu) is 0.25 at eta = 0.
+        mu = logistic.mean(np.array([0.0]))
+        np.testing.assert_allclose(logistic.variance(mu), [0.25], atol=1e-15)
 
     def test_validate_response(self, logistic):
         logistic.validate_response(np.array([0, 1, 1, 0]))
@@ -57,8 +59,12 @@ class TestPoisson:
         assert np.all(mu > 0)
         assert np.all(np.diff(mu) > 0)
 
+    def test_variance(self, poisson):
+        mu = poisson.mean(np.array([0.0, 1.0]))
+        np.testing.assert_allclose(poisson.variance(mu), [1.0, math.e], rtol=1e-15)
+
     def test_overflow_names_index(self, poisson):
-        with pytest.raises(NumericOverflowError) as excinfo:
+        with pytest.raises(NumericOverflowError, match=r"at index 2 \(eta=800\.0\)$") as excinfo:
             poisson.mean(np.array([0.0, 1.0, 800.0]))
         assert excinfo.value.index == 2
 

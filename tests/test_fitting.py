@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from glmsub import (
+    Logistic,
     NonConvergenceError,
     SingularInformationError,
     ValidationError,
     WeightedSample,
     fit_weighted_mle,
     full_information,
+    phi_single,
     score_and_hessian,
     weighted_loglik,
 )
@@ -22,6 +24,17 @@ def uniform_sample(x, y):
     return WeightedSample(design=x, response=y, probs=np.full(len(y), 1.0 / len(y)))
 
 
+class CountingLogistic(Logistic):
+    """Logistic family that counts its mean evaluations."""
+
+    def __init__(self):
+        self.mean_calls = 0
+
+    def mean(self, eta):
+        self.mean_calls += 1
+        return super().mean(eta)
+
+
 class TestWeightedSample:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
@@ -32,6 +45,8 @@ class TestWeightedSample:
             WeightedSample(np.ones((2, 1)), np.zeros(2), np.array([0.5, 0.0]))
         with pytest.raises(ValidationError):
             WeightedSample(np.ones((2, 1)), np.zeros(2), np.array([0.5, 1.5]))
+        with pytest.raises(ValidationError):
+            WeightedSample(np.ones((2, 1)), np.zeros(2), np.array([np.nan, np.nan]))
 
 
 class TestWeightedLoglik:
@@ -227,3 +242,20 @@ class TestFullInformation:
     def test_dimension_mismatch(self, logistic):
         with pytest.raises(ValidationError):
             full_information(logistic, np.zeros(3), np.ones((5, 2)))
+
+
+class TestMeanEvaluations:
+    # The score, Hessian, information and residuals at one theta all come
+    # from a single evaluation of the mean.
+    def test_fit_evaluates_mean_once_per_iteration_and_at_optimum(self, rng):
+        family = CountingLogistic()
+        x, y = make_logistic_data(200, [0.3, -0.5, 0.8], rng)
+        fit = fit_weighted_mle(family, uniform_sample(x, y))
+        assert fit.iterations > 1
+        assert family.mean_calls == fit.iterations + 1
+
+    def test_mmse_probabilities_evaluate_mean_once(self, rng):
+        family = CountingLogistic()
+        x, y = make_logistic_data(200, [0.3, -0.5, 0.8], rng)
+        phi_single("mMSE", family, np.array([0.3, -0.5, 0.8]), x, y)
+        assert family.mean_calls == 1

@@ -87,6 +87,8 @@ class TestValidateAlpha:
     def test_out_of_range(self):
         with pytest.raises(ValidationError, match="outside"):
             validate_alpha([1.2, -0.2])
+        with pytest.raises(ValidationError, match="outside"):
+            validate_alpha([np.nan, np.nan])
 
 
 class TestEnumerateQuadraticModels:

@@ -25,6 +25,8 @@ class TestProbabilityVector:
     def test_sum_enforced(self):
         with pytest.raises(ValidationError, match="sum"):
             ProbabilityVector(np.array([0.5, 0.6]), Criterion.UNIFORM)
+        with pytest.raises(ValidationError, match="sum"):
+            ProbabilityVector(np.full(3, np.nan), Criterion.UNIFORM)
 
     def test_strict_positivity(self):
         with pytest.raises(ValidationError):
