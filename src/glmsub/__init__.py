@@ -42,6 +42,7 @@ from .models import (
 from .probabilities import (
     DEFAULT_EPS,
     Criterion,
+    LazyDesign,
     ProbabilityVector,
     floored_residuals,
     initial_probabilities,
@@ -105,6 +106,7 @@ __all__ = [
     "validate_alpha",
     # probabilities
     "Criterion",
+    "LazyDesign",
     "ProbabilityVector",
     "initial_probabilities",
     "floored_residuals",

@@ -30,6 +30,7 @@ import json
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 from dataclasses import replace
 from pathlib import Path
 
@@ -54,16 +55,20 @@ __all__ = ["main", "write_metrics_csv", "read_metrics_csv", "atomic_write"]
 
 METRICS_HEADER = ["scenario", "estimating_model", "r", "smse", "mean_model_info", "failures"]
 OUT_DIR_ENV = "GLMSUB_OUT_DIR"
+# Probability rows formatted per write, so the text of all N rows never
+# exists at once.
+_WRITE_ROWS = 65536
 
 
-def atomic_write(path: "str | Path", text: str) -> None:
-    """Write a file so that readers never observe a partial artifact."""
+def atomic_write(path: "str | Path", text: "str | Iterable[str]") -> None:
+    """Write a file so that readers never observe a partial artifact.
+    ``text`` is the whole content or an iterable of its consecutive chunks."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -154,13 +159,17 @@ def _csv_text(header: "list[str]", rows) -> str:
     return buf.getvalue()
 
 
+def _probability_lines(probs: np.ndarray) -> Iterator[str]:
+    # The bytes csv.writer gives for [i, repr(p)] rows (no field needs
+    # quoting), _WRITE_ROWS rows at a time.
+    yield "row,probability\r\n"
+    for start in range(0, probs.shape[0], _WRITE_ROWS):
+        chunk = probs[start : start + _WRITE_ROWS].tolist()
+        yield "".join(f"{i},{p!r}\r\n" for i, p in enumerate(chunk, start))
+
+
 def _write_probabilities(path: "str | Path", probs: np.ndarray) -> None:
-    # The bytes csv.writer gives for [i, repr(p)] rows (no field needs quoting).
-    atomic_write(
-        path,
-        "row,probability\r\n"
-        + "".join(f"{i},{p!r}\r\n" for i, p in enumerate(probs.tolist())),
-    )
+    atomic_write(path, _probability_lines(probs))
 
 
 def _load_config(args, mode: str) -> "ScenarioConfig | RealDataConfig":

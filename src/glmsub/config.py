@@ -117,6 +117,16 @@ def _checked(value, kind, key: str):
     return float(value) if kind is float else value
 
 
+_LARGEST = " (largest model size + 1)"
+
+
+def _at_least(value, low, key: str, why: str = ""):
+    """``value``, after checking that it is at least ``low``."""
+    if value < low:
+        raise ConfigError(key, f"must be at least {low}{why}, got {value}")
+    return value
+
+
 class _Block:
     """A mapping view that tracks key paths and rejects unknown keys."""
 
@@ -169,10 +179,12 @@ def _parse_criterion(root: _Block) -> Criterion:
 
 def _parse_covariates(block: _Block) -> CovariateDistribution:
     kind = block.get("distribution", str, required=True).lower()
-    dimension = block.get("dimension", int, required=True)
+    dimension = _at_least(block.get("dimension", int, required=True), 1, "covariates.dimension")
     if kind == "exponential":
         rate = block.get("rate", float, required=True)
         block.reject_unknown()
+        if rate <= 0:
+            raise ConfigError("covariates.rate", f"must be positive, got {rate}")
         return ExponentialCovariates(rate=rate, dimension=dimension)
     if kind == "normal":
         mean = block.list_of("mean", float, required=True)
@@ -188,7 +200,14 @@ def _parse_covariates(block: _Block) -> CovariateDistribution:
             cov.append([_checked(v, float, f"{key}[{j}]") for j, v in enumerate(row)])
         if len(cov) != dimension:
             raise ConfigError("covariates.covariance", f"expected {dimension} rows, got {len(cov)}")
-        return MultivariateNormalCovariates(mean=np.array(mean), cov=np.array(cov))
+        try:
+            dist = MultivariateNormalCovariates(mean=np.array(mean), cov=np.array(cov))
+            np.linalg.cholesky(dist.cov)  # the factor sample() draws through
+        except ValidationError as exc:
+            raise ConfigError("covariates.covariance", str(exc)) from None
+        except np.linalg.LinAlgError:
+            raise ConfigError("covariates.covariance", "must be positive definite") from None
+        return dist
     if kind == "uniform":
         block.reject_unknown()
         return UniformCovariates(dimension=dimension)
@@ -262,9 +281,7 @@ def _check_sizes(
     """Reject subsample sizes that break ``r >= r0 >= d_max + 1`` before
     any data is generated or loaded; ``two_stage`` checks the same
     condition for library callers.  ``r_grid`` is already ascending."""
-    need = model_set.max_params + 1
-    if r0 < need:
-        raise ConfigError("r0", f"must be at least {need} (largest model size + 1), got {r0}")
+    _at_least(r0, model_set.max_params + 1, "r0", _LARGEST)
     if r is not None and r < r0:
         raise ConfigError("r", f"must be at least r0 = {r0}, got {r}")
     if r_grid and r_grid[0] < r0:
@@ -273,7 +290,7 @@ def _check_sizes(
 
 def _parse_simulate(root: _Block, family: Family, criterion: Criterion, eps: float, seed: int) -> ScenarioConfig:
     n_population = root.get("population", int, required=True)
-    replicates = root.get("replicates", int, required=True)
+    replicates = _at_least(root.get("replicates", int, required=True), 1, "replicates")
     r0 = root.get("r0", int, required=True)
     r_grid = root.list_of("r_grid", int, required=True)
     if any(b <= a for a, b in zip(r_grid, r_grid[1:])):
@@ -288,6 +305,7 @@ def _parse_simulate(root: _Block, family: Family, criterion: Criterion, eps: flo
         model_block, n_main, tuple(range(n_main)), "covariates.dimension"
     )
     _check_sizes(model_set, r0, None, r_grid)
+    _at_least(n_population, model_set.max_params + 1, "population", _LARGEST)
 
     dg_block = root.block("data_generating", required=True)
     listed = dg_block.list_of("quadratic_terms", int, default=[])
@@ -384,7 +402,9 @@ def _parse_real_data(
     r0 = root.get("r0", int, required=True)
     r = root.get("r", int, required=True) if mode == "subsample" else None
     r_grid = root.list_of("r_grid", int, required=True) if mode == "ssmse" else None
-    replicates = root.get("replicates", int, required=True) if mode == "ssmse" else None
+    replicates = None
+    if mode == "ssmse":
+        replicates = _at_least(root.get("replicates", int, required=True), 1, "replicates")
     if r_grid is not None and any(b <= a for a, b in zip(r_grid, r_grid[1:])):
         raise ConfigError("r_grid", f"must be strictly ascending, got {r_grid}")
     _check_sizes(model_set, r0, r, r_grid)

@@ -69,15 +69,13 @@ class Logistic(Family):
     name = "logistic"
 
     def mean(self, eta: np.ndarray) -> np.ndarray:
-        # Branch on the sign of eta so exp() is only evaluated on
-        # non-positive arguments; the naive formula overflows near |eta|~700.
+        # exp() only sees non-positive arguments, so nothing overflows (the
+        # naive formula does near |eta|~700): with e = exp(-|eta|), the mean
+        # is 1/(1+e) for eta >= 0 and e/(1+e) below.
         eta = np.asarray(eta, dtype=float)
-        out = np.empty_like(eta)
-        pos = eta >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-        expe = np.exp(eta[~pos])
-        out[~pos] = expe / (1.0 + expe)
-        return out
+        e = np.exp(-np.abs(eta))
+        denom = 1.0 + e
+        return np.where(eta >= 0, 1.0 / denom, e / denom)
 
     def cumulant(self, eta: np.ndarray) -> np.ndarray:
         # log(1 + exp(eta)), overflow-safe.

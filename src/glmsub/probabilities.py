@@ -16,10 +16,16 @@ scaled variance drops the inverse information factor:
     phi_i  propto  res_i * || x_i ||.
 
 The model-robust variants average the per-model normalized vectors with
-the prior model weights alpha, scoring each model on its columns of the
-set's union design with the single-model kernel (so Q = 1 gives the
-single-model vector bit for bit).  The eps floor keeps every probability
-strictly positive so that no row is unreachable.
+the prior model weights alpha, scoring each model with the single-model
+kernel (so Q = 1 gives the single-model vector bit for bit).  The eps
+floor keeps every probability strictly positive so that no row is
+unreachable.
+
+The kernel walks the N rows in blocks of ``_BLOCK_ROWS``: for mMSE a
+first pass stores each row's mean and accumulates J_X, a second scores
+the rows; mVc needs one pass.  Memory therefore grows with N only through
+N-vectors, never through an N x d design (a :class:`LazyDesign` builds
+each block's design from the raw covariates when it is sliced).
 """
 
 from __future__ import annotations
@@ -29,13 +35,14 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateResponseError, ValidationError
+from .errors import DegenerateResponseError, NumericOverflowError, ValidationError
 from .families import Family, Logistic
 from .fitting import _checked_inverse, _gram, _linear_predictor
-from .models import ModelSet, build_design
+from .models import ModelSet, ModelSpec, build_design
 
 __all__ = [
     "Criterion",
+    "LazyDesign",
     "ProbabilityVector",
     "initial_probabilities",
     "floored_residuals",
@@ -46,6 +53,10 @@ __all__ = [
 
 DEFAULT_EPS = 1e-6
 PROB_SUM_TOL = 1e-10
+# Rows per block of the full-data scoring passes.  Model-robust mMSE at
+# N = 1e6, Q = 8 on a 2-vCPU VM: 0.71 s at 8k rows, 0.77 s at 16k, 1.05 s
+# at 32k and 1.32 s at 64k.
+_BLOCK_ROWS = 8192
 
 
 class Criterion(str, Enum):
@@ -135,39 +146,73 @@ def floored_residuals(
     return _floor(y, family.mean(_linear_predictor(theta, design)), eps)
 
 
+@dataclass(frozen=True)
+class LazyDesign:
+    """The design ``build_design(spec, raw)`` without its N rows: slicing
+    rows out of it builds the design of those rows only."""
+
+    spec: ModelSpec
+    raw: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.raw.shape[0], self.spec.n_params)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return build_design(self.spec, self.raw[rows])
+
+
+def _block_mean(family: Family, theta, x: np.ndarray, start: int) -> np.ndarray:
+    """The mean over the row block starting at row ``start``; an overflow
+    names its row in the whole data, not in the block."""
+    eta = _linear_predictor(theta, x)
+    try:
+        return family.mean(eta)
+    except NumericOverflowError as exc:
+        row = start + exc.index
+        raise NumericOverflowError(
+            f"{family.name} mean overflowed at row {row} (eta={eta[exc.index].item()!r})",
+            index=row,
+        ) from None
+
+
 def _scores(
-    criterion: Criterion, family: Family, theta, design: np.ndarray, cols, y, eps: float
+    criterion: Criterion, family: Family, theta, design, y: np.ndarray, eps: float
 ) -> np.ndarray:
-    """Normalized probabilities of the model whose design is
-    ``design[:, cols]``, with theta and the mMSE inverse information
-    zero-padded to the width of ``design`` instead of copying columns.  One
-    mean evaluation gives the residuals and the information weights."""
-    d = design.shape[1]
-    padded = np.zeros(d)
-    padded[cols] = theta
-    mu = family.mean(design @ padded)
-    res = _floor(y, mu, eps)
+    """Normalized probabilities of the model with ``design`` (an array or a
+    :class:`LazyDesign`), computed block by block.  Each row's mean is
+    evaluated once: mMSE keeps it in the output vector between its two
+    passes."""
+    n = design.shape[0]
+    blocks = [slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS)]
+    out = np.empty(n)
+    inv = None
     if criterion is Criterion.MMSE:
-        block = np.ix_(cols, cols)
-        info = _gram(design, family.variance(mu), design.shape[0])[block]
-        inv = np.zeros((d, d))
-        inv[block] = _checked_inverse(
+        info = 0.0
+        for rows in blocks:
+            x = design[rows]
+            out[rows] = mu = _block_mean(family, theta, x, rows.start)
+            info += _gram(x, family.variance(mu), n)
+        inv = _checked_inverse(
             info, "full-data information matrix is singular; cannot form mMSE probabilities"
         )
-        scaled = design @ inv  # row i is (J^-1 x_i)^T over the model's columns
-        norms = np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
-    else:
-        mask = np.isin(np.arange(d), cols)
-        norms = np.sqrt(np.einsum("ij,ij,j->i", design, design, mask))
-    scores = res * norms
-    return scores / scores.sum()
+    for rows in blocks:
+        x = design[rows]
+        if inv is None:
+            mu = _block_mean(family, theta, x, rows.start)
+        else:
+            mu = out[rows]
+            x = x @ inv  # row i is (J^-1 x_i)^T
+        out[rows] = _floor(y[rows], mu, eps) * np.sqrt(np.einsum("ij,ij->i", x, x))
+    out /= out.sum()
+    return out
 
 
 def phi_single(
     criterion: "str | Criterion",
     family: Family,
     theta: np.ndarray,
-    design: np.ndarray,
+    design: "np.ndarray | LazyDesign",
     y: np.ndarray,
     eps: float = DEFAULT_EPS,
 ) -> ProbabilityVector:
@@ -175,12 +220,14 @@ def phi_single(
 
     ``theta`` should be the (pilot) MLE for this design; the mMSE rule
     additionally requires the full-data information matrix at ``theta``
-    to be invertible.
+    to be invertible.  A :class:`LazyDesign` scores the model without
+    forming its N-row design.
     """
     criterion = Criterion.optimality(criterion)
-    design = np.atleast_2d(np.asarray(design, dtype=float))
-    probs = _scores(criterion, family, theta, design, np.arange(design.shape[1]), y, eps)
-    return ProbabilityVector(probs, criterion)
+    if not isinstance(design, LazyDesign):
+        design = np.atleast_2d(np.asarray(design, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    return ProbabilityVector(_scores(criterion, family, theta, design, y, eps), criterion)
 
 
 def phi_model_robust(
@@ -202,8 +249,12 @@ def phi_model_robust(
     criterion = Criterion.optimality(criterion)
     if len(thetas) != len(models):
         raise ValidationError(f"{len(models)} models but {len(thetas)} pilot estimates")
-    design = build_design(models.full_spec, raw)
-    combined = np.zeros(design.shape[0])
-    for alpha_q, cols, theta_q in zip(models.alpha, models.columns, thetas):
-        combined += alpha_q * _scores(criterion, family, theta_q, design, cols, y, eps)
+    raw = np.atleast_2d(np.asarray(raw, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    combined = np.zeros(raw.shape[0])
+    for alpha_q, spec, theta_q in zip(models.alpha, models.specs, thetas):
+        scores = _scores(criterion, family, theta_q, LazyDesign(spec, raw), y, eps)
+        scores *= alpha_q
+        combined += scores
+        del scores  # so that two score vectors never coexist
     return ProbabilityVector(combined, _ROBUST_LABEL[criterion])

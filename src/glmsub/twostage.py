@@ -33,6 +33,7 @@ from .models import ModelSet, build_design
 from .probabilities import (
     DEFAULT_EPS,
     Criterion,
+    LazyDesign,
     ProbabilityVector,
     initial_probabilities,
     phi_model_robust,
@@ -169,7 +170,7 @@ def _stage1_and_probabilities(
     if sampling_model is None:
         stage2 = phi_model_robust(criterion, family, models, pilots, raw, y, eps)
     else:
-        design_q = build_design(models.specs[sampling_model], raw)
+        design_q = LazyDesign(models.specs[sampling_model], raw)
         stage2 = phi_single(criterion, family, pilots[0], design_q, y, eps)
     return init_probs, idx1, stage2
 

@@ -89,6 +89,24 @@ class TestAtomicWrite:
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert not leftovers
 
+    def test_writes_chunks(self, tmp_path):
+        target = tmp_path / "out.txt"
+        atomic_write(target, (f"{i}\n" for i in range(3)))
+        assert target.read_text(encoding="utf-8") == "0\n1\n2\n"
+
+    def test_failing_chunks_keep_old_target(self, tmp_path):
+        target = tmp_path / "out.txt"
+        atomic_write(target, "old")
+
+        def chunks():
+            yield "partial"
+            raise RuntimeError("formatting failed")
+
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            atomic_write(target, chunks())
+        assert target.read_text(encoding="utf-8") == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
 
 class TestSimulateCommand:
     def test_writes_metrics_and_meta(self, tmp_path, capsys):
@@ -191,6 +209,20 @@ class TestProbabilitiesCommand:
 
     def test_writer_bytes_match_csv_writer(self, tmp_path):
         probs = np.array([1e-7, 1 / 3, 0.5, 5e-324])
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["row", "probability"])
+        writer.writerows([i, repr(float(p))] for i, p in enumerate(probs))
+        out = tmp_path / "p.csv"
+        glmsub.cli._write_probabilities(out, probs)
+        assert out.read_bytes() == buf.getvalue().encode("utf-8")
+
+    def test_streamed_writer_bytes_across_chunks(self, tmp_path):
+        # One row past a whole chunk: the second chunk starts its row
+        # numbers where the first stopped.
+        n = glmsub.cli._WRITE_ROWS + 1
+        probs = np.random.default_rng(3).random(n)
+        probs /= probs.sum()
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["row", "probability"])

@@ -177,6 +177,37 @@ class TestSimulateConfig:
             parse_config(write(tmp_path, SIMULATE_YAML.replace(old, new)))
         assert excinfo.value.key == key
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("population: 10000", "population: -5", "population"),
+            ("population: 10000", "population: 5", "population"),
+            ("replicates: 50", "replicates: -3", "replicates"),
+            ("replicates: 50", "replicates: 0", "replicates"),
+            ("dimension: 2", "dimension: 0", "covariates.dimension"),
+            (NORMAL, "distribution: exponential\n  dimension: 2\n  rate: 0.0", "covariates.rate"),
+            (NORMAL, "distribution: exponential\n  dimension: 2\n  rate: -1.0", "covariates.rate"),
+            ("[[1.5, 0.0], [0.0, 1.5]]", "[[1.0, 2.0], [2.0, 1.0]]", "covariates.covariance"),
+            ("[[1.5, 0.0], [0.0, 1.5]]", "[[1.0, 0.5], [0.0, 1.0]]", "covariates.covariance"),
+        ],
+        ids=[
+            "population-negative", "population-below-model-size", "replicates-negative",
+            "replicates-zero", "dimension-zero", "rate-zero", "rate-negative",
+            "covariance-not-positive-definite", "covariance-not-symmetric",
+        ],
+    )
+    def test_out_of_range_values_name_their_key(self, tmp_path, old, new, key):
+        # Numbers of the right type but outside their range fail at parse
+        # time, not once the study runs.
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(write(tmp_path, SIMULATE_YAML.replace(old, new)))
+        assert excinfo.value.key == key
+
+    def test_smallest_population_accepted(self, tmp_path):
+        # The largest of the four candidates has 5 parameters.
+        text = SIMULATE_YAML.replace("population: 10000", "population: 6")
+        assert parse_config(write(tmp_path, text)).n_population == 6
+
     def test_too_many_quadratic_terms(self, tmp_path):
         text = (
             SIMULATE_YAML.replace("dimension: 2", "dimension: 11")
@@ -240,6 +271,9 @@ class TestRealDataConfig:
         assert config.mode == "ssmse"
         assert config.r_grid == (300, 500)
         assert config.n_replicates == 10
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(write(tmp_path, good.replace("replicates: 10", "replicates: 0")))
+        assert excinfo.value.key == "replicates"
 
     def test_sizes_checked_against_largest_model(self, tmp_path):
         # Eight candidates, the largest with 7 parameters: r0 >= 8.

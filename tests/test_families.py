@@ -19,6 +19,19 @@ class TestLogistic:
         assert np.all(np.isfinite(out))
         assert out[0] == 1.0 and out[1] == 0.0
 
+    @pytest.mark.parametrize("n", [1_500, 1_000_000])
+    def test_mean_bits_match_two_branch_form(self, logistic, n):
+        # The two-branch form: 1/(1+exp(-eta)) for eta >= 0, and
+        # exp(eta)/(1+exp(eta)) below, each evaluated on its own rows.
+        eta = np.random.default_rng(5).normal(0.0, 40.0, size=n)
+        eta[:6] = [800.0, -800.0, 0.0, -0.0, 1e-300, -1e-300]
+        expected = np.empty(n)
+        pos = eta >= 0
+        expected[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+        neg = np.exp(eta[~pos])
+        expected[~pos] = neg / (1.0 + neg)
+        assert logistic.mean(eta).tobytes() == expected.tobytes()
+
     def test_mean_bounds_and_monotone(self, logistic):
         eta = np.linspace(-30, 30, 2001)
         mu = logistic.mean(eta)

@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import glmsub.probabilities as probabilities
 from glmsub import (
     Criterion,
     DegenerateResponseError,
+    LazyDesign,
+    NumericOverflowError,
     ProbabilityVector,
     SingularInformationError,
     ValidationError,
@@ -221,6 +226,101 @@ class TestPhiModelRobust:
             phi_model_robust(
                 "mMSE", logistic, models, [np.zeros(3)], np.ones((4, 2)), np.array([0, 1, 0, 1])
             )
+
+
+SMALL_BLOCK = 16
+
+
+class TestBlockedKernel:
+    """The scoring passes walk the rows in blocks of ``_BLOCK_ROWS``; a
+    small block makes every edge (a partial, exactly one, one-past and
+    several blocks) cheap to reach."""
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(probabilities, "_BLOCK_ROWS", SMALL_BLOCK)
+
+    @pytest.mark.parametrize("n", [1, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 2 * SMALL_BLOCK + 3])
+    @pytest.mark.parametrize("criterion", ["mMSE", "mVc"])
+    @pytest.mark.parametrize("kind", ["logistic", "poisson"])
+    def test_single_matches_oracle(self, small_blocks, n, criterion, kind, logistic, poisson, rng):
+        family = logistic if kind == "logistic" else poisson
+        maker = make_logistic_data if kind == "logistic" else make_poisson_data
+        x, y = maker(n, [0.3, -0.4], rng)
+        if n == 1:
+            x = x[:, 1:]  # one row informs one parameter
+        theta = rng.normal(0, 0.3, size=x.shape[1])
+        scores = probabilities._scores(Criterion(criterion), family, theta, x, y.astype(float), 1e-6)
+        np.testing.assert_allclose(
+            scores, phi_oracle(criterion, kind, theta, x, y), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("n", [SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 2 * SMALL_BLOCK + 3])
+    @pytest.mark.parametrize("criterion", ["mMSE", "mVc"])
+    @pytest.mark.parametrize("kind", ["logistic", "poisson"])
+    def test_robust_matches_oracle(self, small_blocks, n, criterion, kind, logistic, poisson, rng):
+        family = logistic if kind == "logistic" else poisson
+        models = enumerate_quadratic_models(2, (0, 1))
+        x0 = rng.normal(0, 0.5, size=(n, 2))
+        y = (
+            rng.binomial(1, 0.5, size=n) if kind == "logistic" else rng.poisson(1.5, size=n)
+        ).astype(float)
+        thetas = [rng.normal(0, 0.3, size=spec.n_params) for spec in models.specs]
+        designs = [build_design(spec, x0) for spec in models.specs]
+        robust = phi_model_robust(criterion, family, models, thetas, x0, y)
+        expected = phi_model_robust_oracle(criterion, kind, thetas, designs, y, models.alpha)
+        np.testing.assert_allclose(robust.probs, expected, rtol=0, atol=1e-12)
+
+    def test_default_block_size_matches_oracle(self, logistic, rng):
+        n = 2 * probabilities._BLOCK_ROWS + 3
+        x, y = make_logistic_data(n, [0.3, -0.4], rng)
+        theta = np.array([0.2, -0.3])
+        pv = phi_single("mMSE", logistic, theta, x, y)
+        np.testing.assert_allclose(
+            pv.probs, phi_oracle("mMSE", "logistic", theta, x, y), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("criterion", ["mMSE", "mVc"])
+    def test_reductions_stay_bitwise_over_blocks(self, small_blocks, criterion, logistic, rng):
+        x0 = rng.normal(size=(3 * SMALL_BLOCK + 5, 2))
+        y = rng.binomial(1, 0.5, size=x0.shape[0]).astype(float)
+        models = enumerate_quadratic_models(2, ())
+        theta = rng.normal(0, 0.3, size=3)
+        design = build_design(models.specs[0], x0)
+        single = phi_single(criterion, logistic, theta, design, y)
+        robust = phi_model_robust(criterion, logistic, models, [theta], x0, y)
+        lazy = phi_single(criterion, logistic, theta, LazyDesign(models.specs[0], x0), y)
+        assert np.array_equal(robust.probs, single.probs)
+        assert np.array_equal(lazy.probs, single.probs)
+
+    def test_overflow_names_row_of_the_data(self, small_blocks, poisson):
+        design = np.ones((2 * SMALL_BLOCK + 3, 1))
+        design[SMALL_BLOCK + 2, 0] = 800.0
+        y = np.ones(design.shape[0])
+        with pytest.raises(NumericOverflowError, match=r"at row 18 \(eta=800\.0\)$") as excinfo:
+            phi_single("mVc", poisson, np.ones(1), design, y)
+        assert excinfo.value.index == SMALL_BLOCK + 2
+
+    def test_theta_length_checked(self, logistic):
+        with pytest.raises(ValidationError, match="theta has length 1"):
+            phi_single("mMSE", logistic, np.zeros(1), np.ones((4, 2)), np.array([0, 1, 0, 1]))
+
+    def test_peak_memory_stays_below_eight_vectors(self, logistic):
+        # No N x d design, and no N x d product of one, is ever formed: at
+        # N = 200k and Q = 8 the union design alone would be 7 vectors.
+        n = 200_000
+        rng = np.random.default_rng(7)
+        x0 = rng.normal(size=(n, 3))
+        y = rng.binomial(1, 0.4, size=n).astype(float)
+        models = enumerate_quadratic_models(3, (0, 1, 2))
+        thetas = [rng.normal(0, 0.2, size=spec.n_params) for spec in models.specs]
+        tracemalloc.start()
+        try:
+            phi_model_robust("mMSE", logistic, models, thetas, x0, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * 8
 
 
 @settings(max_examples=25, deadline=None)
