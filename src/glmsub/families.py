@@ -106,10 +106,10 @@ class Poisson(Family):
         with np.errstate(over="ignore"):
             lam = np.exp(np.asarray(eta, dtype=float))
         if not np.all(np.isfinite(lam)):
-            idx = int(np.flatnonzero(~np.isfinite(np.atleast_1d(lam)))[0])
+            # A flat index, so that an array of any shape is named.
+            idx = int(np.flatnonzero(~np.isfinite(lam))[0])
             raise NumericOverflowError(
-                f"Poisson mean overflowed at index {idx} (eta="
-                f"{np.atleast_1d(eta)[idx].item()!r})",
+                f"Poisson mean overflowed at index {idx} (eta={np.ravel(eta)[idx].item()!r})",
                 index=idx,
             )
         return lam

@@ -19,7 +19,18 @@ population of N rows,
     J  = 1/(N n)     sum_l variance(mean(eta_l)) x_l x_l^T / phi_l,
     Vc = 1/(N^2 n^2) sum_l (y_l - mean(eta_l))^2 x_l x_l^T / phi_l^2.
 
-Each sum is a weighted Gram matrix, and the mean is evaluated once per theta.
+Every candidate model is fitted on the same rows, so
+:func:`fit_weighted_mles` fits them all in one Newton loop over the
+sample's union design, each model a column index into it.  The parameters
+form a ``(Q, D)`` block that is zero outside each model's columns.  The
+loop walks the rows in blocks of ``_BLOCK_ROWS``: one matmul gives the
+linear predictors of every still-running model, the mean is evaluated
+once for all of them, and their weighted Gram matrices come from one
+matmul of the block's pair products ``x_j x_k`` (j <= k) against the
+weight matrix.  A model leaves the loop when it converges or fails, and
+each model converges or fails after the same number of iterations as it
+would alone, with results equal up to rounding; :func:`fit_weighted_mle`
+is the one-model call.
 """
 
 from __future__ import annotations
@@ -42,6 +53,7 @@ __all__ = [
     "weighted_loglik",
     "score_and_hessian",
     "fit_weighted_mle",
+    "fit_weighted_mles",
     "full_information",
 ]
 
@@ -53,18 +65,29 @@ DEFAULT_MAX_ITER = 100
 # deficiency reliably (the pivot is rounding noise, not exactly zero).
 _RCOND = 1e-12
 
+# Rows per block of every pass over a sample or the full data.  Model-robust
+# mMSE probabilities at N = 1e6, Q = 8 on a 2-vCPU VM: 0.71 s at 8k rows,
+# 0.77 s at 16k, 1.05 s at 32k and 1.32 s at 64k.
+_BLOCK_ROWS = 8192
 
-def _is_singular(matrix: np.ndarray) -> bool:
+
+def _singular(stack: np.ndarray) -> np.ndarray:
+    """Which matrices of an ``(A, d, d)`` symmetric stack are singular: a
+    smallest eigenvalue not above ``_RCOND`` times the largest (so also
+    every matrix whose largest eigenvalue is not positive), or no
+    eigenvalues at all (NaN entries)."""
     try:
-        evals = np.linalg.eigvalsh(matrix)
+        evals = np.linalg.eigvalsh(stack)
     except np.linalg.LinAlgError:
-        return True
-    return not (evals[-1] > 0 and evals[0] > evals[-1] * _RCOND)
+        if len(stack) == 1:
+            return np.ones(1, dtype=bool)
+        return np.concatenate([_singular(matrix[None]) for matrix in stack])
+    return ~(evals[:, 0] > evals[:, -1] * _RCOND)
 
 
 def _checked_inverse(matrix: np.ndarray, message: str) -> np.ndarray:
     """Inverse of an information matrix; ``message`` says why it is singular."""
-    if _is_singular(matrix):
+    if _singular(matrix[None])[0]:
         raise SingularInformationError(message)
     return np.linalg.inv(matrix)
 
@@ -83,6 +106,19 @@ def _linear_predictor(theta, design: np.ndarray) -> np.ndarray:
             f"theta has length {theta.shape[0]} but design has {design.shape[1]} columns"
         )
     return design @ theta
+
+
+def _block_mean(family: Family, eta: np.ndarray, start: int) -> np.ndarray:
+    """The mean of the linear predictors ``eta`` of a row block starting at
+    row ``start``; an overflow names its row in the data, not in the block."""
+    try:
+        return family.mean(eta)
+    except NumericOverflowError as exc:
+        row = start + exc.index
+        raise NumericOverflowError(
+            f"{family.name} mean overflowed at row {row} (eta={eta[exc.index].item()!r})",
+            index=row,
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -166,7 +202,7 @@ def fit_weighted_mle(
     population_size: int | None = None,
 ) -> FitResult:
     """Fit a GLM to a weighted sample by Newton-Raphson from the zero
-    vector.
+    vector: :func:`fit_weighted_mles` with one model using every column.
 
     Parameters
     ----------
@@ -191,73 +227,287 @@ def fit_weighted_mle(
     ------
     SingularInformationError
         The Hessian is singular at the starting value (rank-deficient
-        design).
+        design) or the information at the optimum.
     NonConvergenceError
         ``max_iter`` exceeded, or the iterates diverged (e.g. separated
         logistic data, where the MLE does not exist).  Carries the last
         iterate.
     """
-    n, d = sample.design.shape
-    if n < d:
-        raise ValidationError(f"need at least {d} rows to fit {d} parameters, got {n}")
+    columns = [np.arange(sample.n_params)]
+    return fit_weighted_mles(family, sample, columns, population_size, tol, max_iter)[0]
+
+
+def _transposed_block(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A row block's design as contiguous columns ``xt`` (D x B), and its
+    pair products: rows ``x_j * x_k`` for j <= k in ``np.triu_indices``
+    order, then a row of zeros.  The packed Gram matrices of the weight
+    rows ``W`` (A x B) are ``W @ pairs.T``, and their last column is zero.
+
+    Models run along the first axis of every (A, B) array, so elementwise
+    work on them loops over the rows of the block, not over the models.
+    """
+    xt = np.ascontiguousarray(x.T)
+    dim = xt.shape[0]
+    pairs = np.empty((dim * (dim + 1) // 2 + 1, xt.shape[1]))
+    start = 0
+    for j in range(dim):
+        np.multiply(xt[j], xt[j:], out=pairs[start : start + dim - j])
+        start += dim - j
+    pairs[start] = 0.0
+    return xt, pairs
+
+
+def _pad_absent(stack: np.ndarray, absent: np.ndarray) -> np.ndarray:
+    """Set, in place, each matrix's diagonal outside its model's columns
+    (where the matrix is zero) to its largest diagonal entry.
+
+    A diagonal entry lies inside the spectrum of the model's own block, so
+    the padded matrix has that block's extreme eigenvalues and its solution
+    on the model's columns; an identity pad would add the eigenvalue 1,
+    which changes the singular check of a block whose spectrum lies below 1.
+    """
+    i = np.arange(stack.shape[1])
+    diag = stack[:, i, i]
+    stack[:, i, i] = np.where(absent, diag.max(axis=1, keepdims=True), diag)
+    return stack
+
+
+def _batch_mean(family: Family, eta: np.ndarray, start: int, overflow: dict) -> np.ndarray:
+    """The mean of an ``(A, B)`` block of linear predictors, one row per
+    model.  A row that overflows gets a zero mean, and ``overflow`` maps
+    its position to the error naming its first overflowing row of data."""
+    try:
+        return family.mean(eta)
+    except NumericOverflowError:
+        pass
+    mu = np.zeros_like(eta)
+    for a in range(eta.shape[0]):
+        try:
+            mu[a] = _block_mean(family, eta[a], start)
+        except NumericOverflowError as exc:
+            overflow.setdefault(a, exc)
+    return mu
+
+
+def _block_terms(family: Family, block, y, p, theta, start: int, overflow: dict, at_optimum):
+    """One row block's share of :func:`_block_sums`; ``block`` is its
+    :func:`_transposed_block`.  Its arrays are freed on return, before the
+    next block's are made."""
+    xt, pairs = block
+    mu = _batch_mean(family, theta @ xt, start, overflow)
+    models = len(theta)
+    w = np.empty((2 * models if at_optimum else models, len(p)))  # the weight rows
+    np.divide(family.variance(mu), p, out=w[:models])
+    resid = np.subtract(y, mu, out=mu)  # the mean is not needed again
+    if at_optimum:
+        np.divide(np.square(resid, out=resid), p**2, out=w[models:])
+        return None, w @ pairs.T
+    return np.divide(resid, p, out=resid) @ xt.T, w @ pairs.T
+
+
+def _block_sums(family: Family, x, y, probs, theta, blocks, cached, at_optimum):
+    """One pass over the row blocks at the ``(A, D)`` parameter block.
+
+    In a Newton pass, returns the scores ``(y - mu) / phi @ X`` (A x D) and
+    the packed Grams of ``variance(mu) / phi`` (A x P).  At the optimum the
+    first value is None and the Grams also hold those of
+    ``(y - mu)^2 / phi^2`` (2A x P).  The third value is the overflow map
+    of :func:`_batch_mean`.  ``cached`` is the :func:`_transposed_block`
+    of a one-block sample, which every pass reuses.
+    """
+    scores = None if at_optimum else 0.0
+    grams = 0.0
+    overflow: dict = {}
+    for rows in blocks:
+        block_scores, block_grams = _block_terms(
+            family,
+            cached or _transposed_block(x[rows]),
+            y[rows],
+            probs[rows],
+            theta,
+            rows.start,
+            overflow,
+            at_optimum,
+        )
+        if not at_optimum:
+            scores = scores + block_scores
+        grams = grams + block_grams
+    return scores, grams, overflow
+
+
+def fit_weighted_mles(
+    family: Family,
+    sample: WeightedSample,
+    columns,
+    population_size: int | None = None,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> tuple[FitResult, ...]:
+    """Fit every model ``design[:, columns[q]]`` of a weighted sample in
+    one Newton loop.
+
+    ``sample.design`` is the union design of the models and ``columns``
+    their column indices in it (``ModelSet.columns``).  Each model's
+    result, iteration count and error are those of
+    :func:`fit_weighted_mle` on ``design[:, columns[q]]`` alone; the
+    parameters are as in that function.
+
+    Returns
+    -------
+    tuple of FitResult
+        One per model, in the order of ``columns``.
+
+    Raises
+    ------
+    ValidationError, SingularInformationError, NonConvergenceError,
+    NumericOverflowError
+        The error of the lowest-index model that fails, as a lone fit of
+        it would raise.  Models after it stop once it has failed.
+    """
+    n = sample.n_rows
+    columns = [np.asarray(cols, dtype=np.intp) for cols in columns]
+    n_models = len(columns)
+    if n_models == 0:
+        raise ValidationError("no models to fit")
+    present = np.zeros((n_models, sample.n_params), dtype=bool)
+    for k, cols in enumerate(columns):
+        present[k, cols] = True
+        if present[k].sum() != cols.size:
+            raise ValidationError(f"model {k} repeats a column: {cols.tolist()}")
+
+    errors: dict[int, Exception] = {}
+    for k, cols in enumerate(columns):
+        if cols.size > n:
+            errors[k] = ValidationError(
+                f"need at least {cols.size} rows to fit {cols.size} parameters, got {n}"
+            )
+            break
+    if 0 in errors:
+        raise errors[0]
     family.validate_response(sample.response)
 
-    theta = np.zeros(d)
+    # Drop the columns no model uses; model k's entries of the (Q, D)
+    # parameter block are then ``present[k]``, at positions ``columns[k]``.
+    # Where some model lacks a column, its matrices are padded.
+    used = present.any(axis=0)
+    x = sample.design if used.all() else sample.design[:, used]
+    position = np.cumsum(used) - 1
+    columns = [position[cols] for cols in columns]
+    present = present[:, used]
+    sparse = not present.all()
+    dim = x.shape[1]
+    # gather[k] picks model k's D x D matrix out of packed Grams: the pair
+    # row of each entry, or the trailing zero row outside its columns.
+    i = np.arange(dim)
+    low, high = np.minimum.outer(i, i), np.maximum.outer(i, i)
+    pair_of = low * dim - low * (low - 1) // 2 + high - low
+    gather = np.where(present[:, :, None] & present[:, None, :], pair_of, dim * (dim + 1) // 2)
+
+    y, probs = sample.response, sample.probs
+    blocks = [slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS)]
+    cached = _transposed_block(x) if len(blocks) == 1 else None
+
+    theta = np.zeros((n_models, dim))
+    iterations = np.zeros(n_models, dtype=int)
+    active = np.arange(min(errors, default=n_models))
+    th = theta[active]  # the iterates of the active models
+    changed = True
     for t in range(max_iter):
-        try:
-            g, h = score_and_hessian(family, theta, sample)
-        except NumericOverflowError as exc:
-            raise NonConvergenceError(
-                f"iterates diverged after {t} updates: {exc}",
-                theta=theta,
-                iterations=t,
-            ) from exc
-        if _is_singular(h):
-            if t == 0:
-                raise SingularInformationError(
-                    "information matrix is singular at the starting value "
-                    "(rank-deficient design?)"
-                )
-            # Weights underflowed mid-iteration: the iterates diverged, as
-            # happens for separated logistic data where no MLE exists.
-            raise NonConvergenceError(
-                f"information matrix became singular after {t} updates",
-                theta=theta,
-                iterations=t,
-            )
-        step = np.linalg.solve(h, g)
-        if not np.all(np.isfinite(step)):
-            raise NonConvergenceError(
-                f"Newton step became non-finite after {t} updates",
-                theta=theta,
-                iterations=t,
-            )
-        theta = theta + step
-        if float(np.linalg.norm(step)) < tol:
+        if active.size == 0:
             break
-    else:
-        raise NonConvergenceError(
+        if changed:
+            absent = ~present[active]
+            picks = np.arange(active.size)[:, None, None], gather[active]
+        rhs, grams, overflow = _block_sums(
+            family, x, y, probs, th, blocks, cached, at_optimum=False
+        )
+        hess = grams[picks]
+        if sparse:
+            _pad_absent(hess, absent)
+            rhs = np.where(absent, 0.0, rhs)
+        singular = _singular(hess)
+        trouble = bool(overflow) or singular.any()
+        if trouble:  # keep the stacked solve clear of the failed models
+            hess[singular] = np.eye(dim)
+            for a in overflow:
+                hess[a] = np.eye(dim)
+        step = np.linalg.solve(hess, rhs[..., None])[..., 0]
+        norms = np.sqrt(np.einsum("ad,ad->a", step, step))
+        leave = done = norms < tol
+        if trouble or not np.isfinite(norms).all():
+            bad = singular | ~np.isfinite(step).all(axis=1)
+            bad[list(overflow)] = True
+            for a in np.flatnonzero(bad):
+                k = active[a]
+                if a in overflow:
+                    message = f"iterates diverged after {t} updates: {overflow[a]}"
+                elif singular[a] and t == 0:
+                    errors[k] = SingularInformationError(
+                        "information matrix is singular at the starting value "
+                        "(rank-deficient design?)"
+                    )
+                    continue
+                elif singular[a]:
+                    # Weights underflowed mid-iteration: the iterates diverged,
+                    # as happens for separated logistic data where no MLE exists.
+                    message = f"information matrix became singular after {t} updates"
+                else:
+                    message = f"Newton step became non-finite after {t} updates"
+                errors[k] = NonConvergenceError(message, theta=th[a, columns[k]], iterations=t)
+                errors[k].__cause__ = overflow.get(a)
+            done = done & ~bad
+            leave = done | bad
+        th += step
+        if errors:
+            leave = leave | (active > min(errors))
+        changed = leave.any()
+        if changed:
+            theta[active[done]] = th[done]
+            iterations[active[done]] = t + 1
+            active, th = active[~leave], th[~leave]
+    for a, k in enumerate(active):
+        errors[k] = NonConvergenceError(
             f"Newton-Raphson did not converge in {max_iter} iterations",
-            theta=theta,
+            theta=th[a, columns[k]],
             iterations=max_iter,
         )
 
-    big_n = n if population_size is None else int(population_size)
-    x = sample.design
-    mu = family.mean(x @ theta)
-    info = _gram(x, family.variance(mu) / sample.probs, big_n * n)
-    resid_sq = (sample.response - mu) ** 2
-    vc = _gram(x, resid_sq / sample.probs**2, big_n**2 * n**2)
-    info_inv = _checked_inverse(info, "information matrix is singular at the optimum")
+    fitted = np.flatnonzero(iterations[: min(errors, default=n_models)])
+    if fitted.size:
+        _, grams, overflow = _block_sums(
+            family, x, y, probs, theta[fitted], blocks, cached, at_optimum=True
+        )
+        big_n = n if population_size is None else int(population_size)
+        model = np.arange(fitted.size)[:, None, None]
+        info = grams[model, gather[fitted]] / (big_n * n)
+        vc = grams[fitted.size + model, gather[fitted]] / (big_n**2 * n**2)
+        padded = _pad_absent(info.copy(), ~present[fitted]) if sparse else info
+        for a, exc in overflow.items():
+            errors[fitted[a]] = exc
+        for a in np.flatnonzero(_singular(padded)):
+            errors.setdefault(
+                fitted[a], SingularInformationError("information matrix is singular at the optimum")
+            )
+    if errors:
+        raise errors[min(errors)]
+
+    # Every model converged, so ``fitted`` indexes all of them in order.
+    info_inv = np.linalg.inv(padded)
     variance = info_inv @ vc @ info_inv
-    variance = 0.5 * (variance + variance.T)
-    return FitResult(
-        theta=theta,
-        info_JX=info,
-        vc=vc,
-        variance=variance,
-        iterations=t + 1,
-    )
+    variance = 0.5 * (variance + variance.transpose(0, 2, 1))
+    results = []
+    for k, cols in enumerate(columns):
+        block = np.ix_(cols, cols)
+        results.append(
+            FitResult(
+                theta=theta[k, cols],
+                info_JX=info[k][block],
+                vc=vc[k][block],
+                variance=variance[k][block],
+                iterations=int(iterations[k]),
+            )
+        )
+    return tuple(results)
 
 
 def full_information(family: Family, theta: np.ndarray, design: np.ndarray) -> np.ndarray:

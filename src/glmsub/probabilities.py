@@ -35,9 +35,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateResponseError, NumericOverflowError, ValidationError
+from .errors import DegenerateResponseError, ValidationError
 from .families import Family, Logistic
-from .fitting import _checked_inverse, _gram, _linear_predictor
+from .fitting import _BLOCK_ROWS, _block_mean, _checked_inverse, _gram, _linear_predictor
 from .models import ModelSet, ModelSpec, build_design
 
 __all__ = [
@@ -53,10 +53,6 @@ __all__ = [
 
 DEFAULT_EPS = 1e-6
 PROB_SUM_TOL = 1e-10
-# Rows per block of the full-data scoring passes.  Model-robust mMSE at
-# N = 1e6, Q = 8 on a 2-vCPU VM: 0.71 s at 8k rows, 0.77 s at 16k, 1.05 s
-# at 32k and 1.32 s at 64k.
-_BLOCK_ROWS = 8192
 
 
 class Criterion(str, Enum):
@@ -162,20 +158,6 @@ class LazyDesign:
         return build_design(self.spec, self.raw[rows])
 
 
-def _block_mean(family: Family, theta, x: np.ndarray, start: int) -> np.ndarray:
-    """The mean over the row block starting at row ``start``; an overflow
-    names its row in the whole data, not in the block."""
-    eta = _linear_predictor(theta, x)
-    try:
-        return family.mean(eta)
-    except NumericOverflowError as exc:
-        row = start + exc.index
-        raise NumericOverflowError(
-            f"{family.name} mean overflowed at row {row} (eta={eta[exc.index].item()!r})",
-            index=row,
-        ) from None
-
-
 def _scores(
     criterion: Criterion, family: Family, theta, design, y: np.ndarray, eps: float
 ) -> np.ndarray:
@@ -191,7 +173,7 @@ def _scores(
         info = 0.0
         for rows in blocks:
             x = design[rows]
-            out[rows] = mu = _block_mean(family, theta, x, rows.start)
+            out[rows] = mu = _block_mean(family, _linear_predictor(theta, x), rows.start)
             info += _gram(x, family.variance(mu), n)
         inv = _checked_inverse(
             info, "full-data information matrix is singular; cannot form mMSE probabilities"
@@ -199,7 +181,7 @@ def _scores(
     for rows in blocks:
         x = design[rows]
         if inv is None:
-            mu = _block_mean(family, theta, x, rows.start)
+            mu = _block_mean(family, _linear_predictor(theta, x), rows.start)
         else:
             mu = out[rows]
             x = x @ inv  # row i is (J^-1 x_i)^T

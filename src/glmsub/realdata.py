@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import RealDataConfig
 from .families import Family
-from .fitting import WeightedSample, fit_weighted_mle
+from .fitting import WeightedSample, fit_weighted_mles
 from .models import ModelSet, build_design
 from .simulate import run_strategies, ssmse
 from .twostage import TwoStageResult, two_stage
@@ -34,12 +34,10 @@ class SsmseRecord:
 
 
 def full_data_mles(family: Family, models: ModelSet, raw: np.ndarray, y: np.ndarray):
-    """Unweighted MLE of every candidate model on the whole dataset."""
-    mles = []
-    for spec in models.specs:
-        sample = WeightedSample(build_design(spec, raw), y, np.ones(len(y)))
-        mles.append(fit_weighted_mle(family, sample, max_iter=200).theta)
-    return mles
+    """Unweighted MLE of every candidate model on the whole dataset, all
+    fitted on one union design."""
+    sample = WeightedSample(build_design(models.full_spec, raw), y, np.ones(len(y)))
+    return [fit.theta for fit in fit_weighted_mles(family, sample, models.columns, max_iter=200)]
 
 
 def run_subsample(

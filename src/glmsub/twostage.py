@@ -14,9 +14,13 @@ candidate models are fitted on the final combined sample.
 ``random_sampling_baseline`` skips the optimality step and reuses the
 stage-1 probabilities for stage 2.
 
-The Newton settings are fixed: every fit uses :func:`fit_weighted_mle`'s
-defaults, and a stage-1 draw whose pilot fit fails is redrawn up to
-``DEFAULT_STAGE1_ATTEMPTS`` times before :class:`StageOneError`.
+Every fit of a row set is one call of :func:`fit_weighted_mles` on the
+rows' union design, which runs one Newton loop for all the models fitted
+on them: the Q candidates on the combined sample, and the models that
+shape the stage-2 probabilities on the stage-1 pilot rows.  The Newton
+settings are fixed at that function's defaults, and a stage-1 draw whose
+pilot fit fails (any model's) is redrawn up to ``DEFAULT_STAGE1_ATTEMPTS``
+times before :class:`StageOneError`.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 from .alias import draw_with_replacement
 from .errors import FitError, NumericOverflowError, StageOneError, ValidationError
 from .families import Family
-from .fitting import FitResult, WeightedSample, fit_weighted_mle
+from .fitting import FitResult, WeightedSample, fit_weighted_mles
 from .models import ModelSet, build_design
 from .probabilities import (
     DEFAULT_EPS,
@@ -114,15 +118,8 @@ def _combine_and_fit(
     combined_probs = np.concatenate([stage1.probs[idx1], stage2.probs[idx2]])
     raw_rows = raw[combined_idx]
     y_rows = y[combined_idx]
-    design = build_design(models.full_spec, raw_rows)
-    fits = tuple(
-        fit_weighted_mle(
-            family,
-            WeightedSample(design[:, cols], y_rows, combined_probs),
-            population_size=raw.shape[0],
-        )
-        for cols in models.columns
-    )
+    sample = WeightedSample(build_design(models.full_spec, raw_rows), y_rows, combined_probs)
+    fits = fit_weighted_mles(family, sample, models.columns, population_size=raw.shape[0])
     return TwoStageResult(
         fits=fits,
         combined_sample=WeightedSample(raw_rows, y_rows, combined_probs),
@@ -150,17 +147,17 @@ def _stage1_and_probabilities(
     ``DEFAULT_STAGE1_ATTEMPTS`` fresh draws).  Returns (initial
     probabilities, stage-1 row indices, stage-2 probabilities)."""
     init_probs = initial_probabilities(family, y)
-    fit_models = range(len(models)) if sampling_model is None else [sampling_model]
+    pilot_columns = (
+        models.columns if sampling_model is None else [models.columns[sampling_model]]
+    )
     last_error: Exception | None = None
     for _ in range(DEFAULT_STAGE1_ATTEMPTS):
         idx1 = draw_with_replacement(init_probs, r0, rng)
-        probs = init_probs.probs[idx1]
-        design = build_design(models.full_spec, raw[idx1])
+        sample = WeightedSample(
+            build_design(models.full_spec, raw[idx1]), y[idx1], init_probs.probs[idx1]
+        )
         try:
-            pilots = []
-            for q in fit_models:
-                sample = WeightedSample(design[:, models.columns[q]], y[idx1], probs)
-                pilots.append(fit_weighted_mle(family, sample).theta)
+            pilots = [fit.theta for fit in fit_weighted_mles(family, sample, pilot_columns)]
             break
         except (FitError, NumericOverflowError) as exc:
             last_error = exc

@@ -8,6 +8,9 @@ import pytest
 import glmsub.cli
 from glmsub import MetricsRecord, NumericOverflowError, read_metrics_csv
 from glmsub.cli import METRICS_HEADER, atomic_write, main, write_metrics_csv
+from glmsub.config import parse_config
+from glmsub.datasets import load_csv
+from glmsub.realdata import run_subsample
 
 SIM_YAML = """
 mode: simulate
@@ -172,6 +175,19 @@ class TestSubsampleCommand:
         assert len(probs_lines) - 1 == 400
         total = sum(float(line.split(",")[1]) for line in probs_lines[1:])
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_meta_lists_newton_iterations(self, tmp_path):
+        csv_path = make_dataset_csv(tmp_path / "d.csv")
+        config_path = write(tmp_path, real_yaml(csv_path, extra="r: 100\n"))
+        out = tmp_path / "est.csv"
+        assert main(["subsample", str(config_path), "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / "est.csv.meta.json").read_text(encoding="utf-8"))
+        config = parse_config(config_path)
+        raw, y = load_csv(config.dataset, family=config.family)
+        rng = np.random.default_rng(np.random.SeedSequence([config.master_seed]))
+        result = run_subsample(config, raw, y, rng)
+        assert meta["newton_iterations"] == [fit.iterations for fit in result.fits]
+        assert len(meta["newton_iterations"]) == 4
 
     def test_deterministic_under_seed(self, tmp_path):
         csv_path = make_dataset_csv(tmp_path / "d.csv")

@@ -77,9 +77,11 @@ class TestPoisson:
         np.testing.assert_allclose(poisson.variance(mu), [1.0, math.e], rtol=1e-15)
 
     def test_overflow_names_index(self, poisson):
-        with pytest.raises(NumericOverflowError, match=r"at index 2 \(eta=800\.0\)$") as excinfo:
-            poisson.mean(np.array([0.0, 1.0, 800.0]))
-        assert excinfo.value.index == 2
+        # A (models x rows) block is named by its flat index.
+        for eta in ([0.0, 1.0, 800.0], [[0.0, 1.0], [800.0, 0.0]]):
+            with pytest.raises(NumericOverflowError, match=r"at index 2 \(eta=800\.0\)$") as excinfo:
+                poisson.mean(np.array(eta))
+            assert excinfo.value.index == 2
 
     def test_cumulant_gradient_is_mean(self, poisson):
         eta = np.linspace(-3, 3, 25)

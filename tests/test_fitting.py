@@ -1,15 +1,21 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import glmsub.fitting
 from glmsub import (
     Logistic,
     NonConvergenceError,
+    NumericOverflowError,
     SingularInformationError,
     ValidationError,
     WeightedSample,
+    build_design,
+    enumerate_quadratic_models,
     fit_weighted_mle,
+    fit_weighted_mles,
     full_information,
     phi_single,
     score_and_hessian,
@@ -213,6 +219,197 @@ class TestFitWeightedMle:
         fit_a = fit_weighted_mle(logistic, WeightedSample(x, y, probs), population_size=500)
         fit_b = fit_weighted_mle(logistic, WeightedSample(x, y, probs), population_size=5000)
         np.testing.assert_allclose(fit_a.variance, fit_b.variance, rtol=1e-9)
+
+
+def lone_fit(family, sample, cols, **kwargs):
+    """``fit_weighted_mle`` on one model's columns of a union-design sample."""
+    own = WeightedSample(sample.design[:, cols], sample.response, sample.probs)
+    return fit_weighted_mle(family, own, **kwargs)
+
+
+def raised(call):
+    with pytest.raises((ValidationError, NonConvergenceError, SingularInformationError)) as excinfo:
+        call()
+    return excinfo.value
+
+
+def assert_same_error(batched, alone):
+    assert type(batched) is type(alone)
+    assert str(batched) == str(alone)
+    if isinstance(alone, NonConvergenceError):
+        # Diverging iterates agree in length, not in their last digits.
+        assert batched.iterations == alone.iterations
+        assert batched.theta.shape == alone.theta.shape
+
+
+class TestBatchedFits:
+    """``fit_weighted_mles`` fits every model of a union design in one
+    Newton loop; each model must come out as a lone fit on its columns."""
+
+    @staticmethod
+    def weighted_sample(kind, rng, n=300):
+        # Models of 4 to 7 parameters over three covariates.  Each row's
+        # probability is 1/m for a multiplicity m, so the weighted MLE is the
+        # unweighted MLE of the data with row l repeated m_l times.
+        models = enumerate_quadratic_models(3, [0, 1, 2])
+        raw = rng.normal(0.0, 0.7, size=(n, 3))
+        eta = 0.3 + raw @ np.array([0.5, -0.4, 0.3]) + 0.2 * raw[:, 0] ** 2
+        if kind == "logistic":
+            y = rng.binomial(1, 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        else:
+            y = rng.poisson(np.exp(eta)).astype(float)
+        mult = rng.integers(1, 4, size=n)
+        sample = WeightedSample(build_design(models.full_spec, raw), y, 1.0 / mult)
+        return models, sample, mult
+
+    @pytest.mark.parametrize("kind", ["logistic", "poisson"])
+    def test_each_model_matches_a_lone_fit(self, kind, logistic, poisson, rng):
+        family = logistic if kind == "logistic" else poisson
+        models, sample, mult = self.weighted_sample(kind, rng)
+        assert sorted({len(cols) for cols in models.columns}) == [4, 5, 6, 7]
+        fits = fit_weighted_mles(family, sample, models.columns, population_size=5000)
+        precise = fit_weighted_mles(family, sample, models.columns, tol=1e-10)
+        for cols, fit, fine in zip(models.columns, fits, precise):
+            alone = lone_fit(family, sample, cols, population_size=5000)
+            assert fit.iterations == alone.iterations
+            for name in ("theta", "info_JX", "vc", "variance"):
+                np.testing.assert_allclose(getattr(fit, name), getattr(alone, name), rtol=1e-10)
+            oracle = irls_glm(
+                np.repeat(sample.design[:, cols], mult, axis=0),
+                np.repeat(sample.response, mult),
+                kind,
+            )
+            assert np.max(np.abs(fine.theta - oracle)) < 1e-6
+
+    def test_row_blocks_sum_to_the_one_block_fit(self, poisson, rng, monkeypatch):
+        models, sample, _ = self.weighted_sample("poisson", rng, n=100)
+        whole = fit_weighted_mles(poisson, sample, models.columns)
+        monkeypatch.setattr(glmsub.fitting, "_BLOCK_ROWS", 16)
+        blocked = fit_weighted_mles(poisson, sample, models.columns)
+        for a, b in zip(whole, blocked):
+            assert a.iterations == b.iterations
+            for name in ("theta", "info_JX", "vc", "variance"):
+                np.testing.assert_allclose(getattr(a, name), getattr(b, name), rtol=1e-10)
+
+    def test_one_model_is_fit_weighted_mle(self, logistic, rng):
+        x, y = make_logistic_data(120, [0.2, -0.6, 0.4], rng)
+        sample = WeightedSample(x, y, rng.uniform(0.1, 1.0, size=120))
+        (batched,) = fit_weighted_mles(logistic, sample, [np.arange(3)])
+        alone = fit_weighted_mle(logistic, sample)
+        assert batched.iterations == alone.iterations
+        np.testing.assert_array_equal(batched.theta, alone.theta)
+        np.testing.assert_array_equal(batched.variance, alone.variance)
+
+    def test_column_order_follows_the_model(self, logistic, rng):
+        x, y = make_logistic_data(150, [0.2, -0.6, 0.4], rng)
+        sample = uniform_sample(x, y)
+        (fit,) = fit_weighted_mles(logistic, sample, [np.array([2, 0])])
+        alone = lone_fit(logistic, sample, [2, 0])
+        np.testing.assert_allclose(fit.theta, alone.theta, rtol=1e-10)
+        np.testing.assert_allclose(fit.variance, alone.variance, rtol=1e-10)
+
+    def test_padding_keeps_the_singular_decision_of_a_small_spectrum(self, poisson):
+        # Model 0's information has eigenvalues 1e-3 and 1e-14 (ratio above
+        # the cutoff): invertible alone.  Padding its absent column with the
+        # identity would add the eigenvalue 1 and call it singular.
+        x = np.diag([math.sqrt(1e-3), 1e-7, math.sqrt(1e-3)])
+        sample = WeightedSample(x, np.ones(3), np.ones(3))
+        columns = [np.array([0, 1]), np.arange(3)]
+        fits = fit_weighted_mles(poisson, sample, columns)
+        for cols, fit in zip(columns, fits):
+            alone = lone_fit(poisson, sample, cols)
+            assert fit.iterations == alone.iterations == 1
+            np.testing.assert_allclose(fit.variance, alone.variance, rtol=1e-10)
+
+    def test_iteration_limit_as_alone(self, logistic, rng):
+        models, sample, _ = self.weighted_sample("logistic", rng)
+        batched = raised(lambda: fit_weighted_mles(logistic, sample, models.columns, max_iter=2))
+        alone = raised(lambda: lone_fit(logistic, sample, models.columns[0], max_iter=2))
+        assert "did not converge in 2 iterations" in str(alone)
+        assert_same_error(batched, alone)
+        np.testing.assert_allclose(batched.theta, alone.theta, rtol=1e-10)
+
+    def test_bad_column_sets(self, logistic):
+        sample = uniform_sample(np.ones((5, 2)), np.array([0.0, 1.0, 0.0, 1.0, 1.0]))
+        with pytest.raises(ValidationError, match="repeats a column"):
+            fit_weighted_mles(logistic, sample, [np.array([0, 0])])
+        with pytest.raises(ValidationError, match="no models"):
+            fit_weighted_mles(logistic, sample, [])
+
+    def test_too_few_rows_for_a_later_model(self, logistic, rng):
+        # Model 0 fits its 2 parameters on 3 rows; model 1 has 4 parameters.
+        x = np.column_stack([np.ones(3), rng.normal(size=(3, 3))])
+        sample = uniform_sample(x, np.array([0.0, 1.0, 1.0]))
+        columns = [np.array([0, 1]), np.arange(4)]
+        batched = raised(lambda: fit_weighted_mles(logistic, sample, columns))
+        assert_same_error(batched, raised(lambda: lone_fit(logistic, sample, columns[1])))
+
+    @staticmethod
+    def square_separated(rng, n=200, constant_x2=False):
+        """Logistic data with y = 1 exactly when |x1| > 1, so only models
+        with x1^2 separate; with ``constant_x2`` x2 is +-1, so x2^2 equals
+        the intercept."""
+        raw = rng.normal(size=(n, 2))
+        if constant_x2:
+            raw[:, 1] = rng.choice([-1.0, 1.0], size=n)
+        y = (np.abs(raw[:, 0]) > 1.0).astype(float)
+        return raw, y
+
+    def test_separating_model_fails_as_alone(self, logistic, rng):
+        # Models: main effects (converges) and main effects + x1^2 (separates).
+        models = enumerate_quadratic_models(2, [0])
+        raw, y = self.square_separated(rng)
+        sample = uniform_sample(build_design(models.full_spec, raw), y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batched = raised(lambda: fit_weighted_mles(logistic, sample, models.columns))
+            alone = raised(lambda: lone_fit(logistic, sample, models.columns[1]))
+            (main_only,) = fit_weighted_mles(logistic, sample, models.columns[:1])
+        assert isinstance(alone, NonConvergenceError)
+        assert_same_error(batched, alone)
+        assert main_only.iterations == lone_fit(logistic, sample, models.columns[0]).iterations
+
+    def test_singular_later_model(self, logistic, rng):
+        # Models 2 (x2^2) and 3 (x1^2, x2^2) are singular; model 2 wins.
+        models = enumerate_quadratic_models(2, [0, 1])
+        raw, _ = self.square_separated(rng, constant_x2=True)
+        y = rng.binomial(1, 0.4, size=raw.shape[0]).astype(float)
+        sample = uniform_sample(build_design(models.full_spec, raw), y)
+        batched = raised(lambda: fit_weighted_mles(logistic, sample, models.columns))
+        alone = raised(lambda: lone_fit(logistic, sample, models.columns[2]))
+        assert isinstance(alone, SingularInformationError)
+        assert_same_error(batched, alone)
+
+    def test_lowest_failing_index_wins_over_first_failure(self, logistic, rng):
+        # Model 1 (x1^2) separates and fails after some updates; models 2
+        # and 3 fail earlier, singular at the start, but have higher index.
+        models = enumerate_quadratic_models(2, [0, 1])
+        raw, y = self.square_separated(rng, constant_x2=True)
+        sample = uniform_sample(build_design(models.full_spec, raw), y)
+        batched = raised(lambda: fit_weighted_mles(logistic, sample, models.columns))
+        alone = raised(lambda: lone_fit(logistic, sample, models.columns[1]))
+        assert isinstance(alone, NonConvergenceError) and alone.iterations > 0
+        assert_same_error(batched, alone)
+
+    def test_poisson_overflow_names_its_row_past_the_first_block(self, poisson, rng):
+        # One extreme row past the first block of 8,192 throws the first
+        # update so far that its mean overflows.
+        n = glmsub.fitting._BLOCK_ROWS + 100
+        models = enumerate_quadratic_models(1, [0])
+        raw = rng.uniform(-0.1, 0.1, size=(n, 1))
+        y = rng.poisson(1.0, size=n).astype(float)
+        raw[8200, 0], y[8200] = 2000.0, 1e6
+        sample = uniform_sample(build_design(models.full_spec, raw), y)
+        batched = raised(lambda: fit_weighted_mles(poisson, sample, models.columns))
+        alone = raised(lambda: lone_fit(poisson, sample, models.columns[0]))
+        for exc in (batched, alone):
+            assert isinstance(exc, NonConvergenceError) and exc.iterations == 1
+            assert "poisson mean overflowed at row 8200 (eta=" in str(exc)
+            assert isinstance(exc.__cause__, NumericOverflowError)
+            assert exc.__cause__.index == 8200
+        # The eta in the message may differ in its last digits.
+        assert str(batched).split("(eta=")[0] == str(alone).split("(eta=")[0]
+        np.testing.assert_allclose(batched.theta, alone.theta, rtol=1e-10)
 
 
 class TestFullInformation:
