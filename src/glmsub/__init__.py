@@ -34,6 +34,7 @@ from .fitting import (
     weighted_loglik,
 )
 from .models import (
+    LazyDesign,
     ModelSet,
     ModelSpec,
     build_design,
@@ -43,7 +44,6 @@ from .models import (
 from .probabilities import (
     DEFAULT_EPS,
     Criterion,
-    LazyDesign,
     ProbabilityVector,
     floored_residuals,
     initial_probabilities,

@@ -21,6 +21,9 @@ from .families import Family
 
 __all__ = ["Scaling", "CovariateColumn", "DatasetDescriptor", "load_csv", "apply_scaling"]
 
+# Rows per block when the covariates are moved to the front of the table.
+_SPLIT_ROWS = 65536
+
 
 class Scaling(str, Enum):
     NONE = "none"
@@ -101,9 +104,9 @@ def _parse_cell(text: str, row: int, column: str) -> float:
     return value
 
 
-def _parse_table(fh, n_fields: int, positions: "list[int]") -> "np.ndarray | None":
+def _parse_table(fh, n_fields: int) -> "np.ndarray | None":
     """Parse the rest of an open CSV file in one vectorised pass and return
-    the columns at ``positions``.
+    the whole table.
 
     Returns ``None`` unless the body is a non-empty table of exactly
     ``n_fields`` finite numbers per row; the caller then rescans the file
@@ -119,7 +122,7 @@ def _parse_table(fh, n_fields: int, positions: "list[int]") -> "np.ndarray | Non
         return None
     if table.shape[0] == 0 or table.shape[1] != n_fields or not np.isfinite(table).all():
         return None
-    return table[:, positions]
+    return table
 
 
 def _parse_rows(path: Path, n_fields: int, positions: "list[int]", columns: "list[str]") -> np.ndarray:
@@ -144,6 +147,28 @@ def _parse_rows(path: Path, n_fields: int, positions: "list[int]", columns: "lis
     return np.asarray(rows, dtype=float)
 
 
+def _split_table(table: np.ndarray, positions: "list[int]") -> tuple[np.ndarray, np.ndarray]:
+    """The response column (``positions[0]``) and the C-contiguous
+    covariate columns of a parsed table.
+
+    The covariates are moved, one row block at a time, to the front of the
+    table's own buffer, which is then cut to their size: the table and a
+    copy of it are never held together.  Row i lands at ``i * p``, at or
+    before its source at ``i * n_fields``, so no unread row is overwritten.
+    """
+    n = table.shape[0]
+    covariates = positions[1:]
+    p = len(covariates)
+    y = table[:, positions[0]].copy()
+    flat = table.reshape(-1)
+    for start in range(0, n, _SPLIT_ROWS):
+        block = np.take(table[start : start + _SPLIT_ROWS], covariates, axis=1)
+        flat[start * p : start * p + block.size] = block.ravel()
+    del flat
+    table.resize((n, p), refcheck=False)  # no view of the table is left
+    return y, table
+
+
 def load_csv(
     descriptor: DatasetDescriptor, family: Family | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -166,11 +191,11 @@ def load_csv(
             if col not in header:
                 raise ValidationError(f"column {col!r} not found in {path} header")
         positions = [header.index(col) for col in columns]
-        table = _parse_table(fh, len(header), positions)
+        table = _parse_table(fh, len(header))
     if table is None:
         table = _parse_rows(path, len(header), positions, columns)
-    y = table[:, 0].copy()
-    raw = np.ascontiguousarray(table[:, 1:])
+        positions = list(range(len(columns)))
+    y, raw = _split_table(table, positions)
     for j, col in enumerate(descriptor.covariates):
         raw[:, j] = apply_scaling(raw[:, j], col.scaling, col.name)
     if family is not None:

@@ -71,11 +71,12 @@ class Logistic(Family):
     def mean(self, eta: np.ndarray) -> np.ndarray:
         # exp() only sees non-positive arguments, so nothing overflows (the
         # naive formula does near |eta|~700): with e = exp(-|eta|), the mean
-        # is 1/(1+e) for eta >= 0 and e/(1+e) below.
+        # is 1/(1+e) for eta >= 0 and e/(1+e) below.  The numerator is
+        # max(e, 1) = 1 or max(e, 0) = e, picked without a per-element branch
+        # (NaN propagates through max as through e/(1+e)).
         eta = np.asarray(eta, dtype=float)
         e = np.exp(-np.abs(eta))
-        denom = 1.0 + e
-        return np.where(eta >= 0, 1.0 / denom, e / denom)
+        return np.maximum(e, eta >= 0) / (1.0 + e)
 
     def cumulant(self, eta: np.ndarray) -> np.ndarray:
         # log(1 + exp(eta)), overflow-safe.

@@ -23,18 +23,21 @@ Every candidate model is fitted on the same rows, so
 :func:`fit_weighted_mles` fits them all in one Newton loop over the
 sample's union design, each model a column index into it.  The parameters
 form a ``(Q, D)`` block that is zero outside each model's columns.  The
-loop walks the rows in blocks of ``_BLOCK_ROWS``: one matmul gives the
-linear predictors of every still-running model, the mean is evaluated
-once for all of them, and their weighted Gram matrices come from one
-matmul of the block's pair products ``x_j x_k`` (j <= k) against the
-weight matrix.  A model leaves the loop when it converges or fails, and
-each model converges or fails after the same number of iterations as it
-would alone, with results equal up to rounding; :func:`fit_weighted_mle`
-is the one-model call.
+loop walks the rows in feature-major blocks ``xt`` (D x B) of
+``_BLOCK_ROWS`` rows: one matmul gives the linear predictors of every
+still-running model, the mean is evaluated once for all of them, and
+their weighted Gram matrices come from one matmul of the block's pair
+products ``x_j x_k`` (j <= k) against the weight matrix.  A sample whose
+design is a :class:`LazyDesign` has each block built from its raw
+covariates, so the full-data fits hold no N x D array.  A model leaves
+the loop when it converges or fails, and each model converges or fails
+after the same number of iterations as it would alone, with results
+equal up to rounding; :func:`fit_weighted_mle` is the one-model call.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +49,7 @@ from .errors import (
     ValidationError,
 )
 from .families import Family
+from .models import LazyDesign, _design_block
 
 __all__ = [
     "WeightedSample",
@@ -92,20 +96,26 @@ def _checked_inverse(matrix: np.ndarray, message: str) -> np.ndarray:
     return np.linalg.inv(matrix)
 
 
-def _gram(x: np.ndarray, v: np.ndarray, scale) -> np.ndarray:
-    """Symmetrized weighted Gram matrix ``sum_i v_i x_i x_i^T / scale``."""
-    g = (x * v[:, None]).T @ x / scale
+def _gram(xt: np.ndarray, v: np.ndarray, scale) -> np.ndarray:
+    """Symmetrized weighted Gram matrix ``sum_i v_i x_i x_i^T / scale`` of
+    the feature-major columns ``xt`` (d x B)."""
+    g = (xt * v) @ xt.T / scale
     return 0.5 * (g + g.T)
+
+
+def _checked_theta(theta, n_params: int) -> np.ndarray:
+    """``theta`` as floats, after checking that it has ``n_params`` entries."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape[0] != n_params:
+        raise ValidationError(
+            f"theta has length {theta.shape[0]} but design has {n_params} columns"
+        )
+    return theta
 
 
 def _linear_predictor(theta, design: np.ndarray) -> np.ndarray:
     """``design @ theta``, after checking that the lengths agree."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape[0] != design.shape[1]:
-        raise ValidationError(
-            f"theta has length {theta.shape[0]} but design has {design.shape[1]} columns"
-        )
-    return design @ theta
+    return design @ _checked_theta(theta, design.shape[1])
 
 
 def _block_mean(family: Family, eta: np.ndarray, start: int) -> np.ndarray:
@@ -126,16 +136,20 @@ class WeightedSample:
     """Rows selected by a sampling step: design, response and the
     probability under which each row was drawn.
 
-    Probabilities must be strictly positive (and at most one); rows keep
-    the probability of the stage that drew them when stages are combined.
+    The design is an array or a :class:`LazyDesign`, whose rows the fits
+    build block by block.  Probabilities must be strictly positive (and
+    at most one); rows keep the probability of the stage that drew them
+    when stages are combined.
     """
 
-    design: np.ndarray
+    design: "np.ndarray | LazyDesign"
     response: np.ndarray
     probs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "design", np.atleast_2d(np.asarray(self.design, dtype=float)))
+        if not isinstance(self.design, LazyDesign):
+            design = np.atleast_2d(np.asarray(self.design, dtype=float))
+            object.__setattr__(self, "design", design)
         object.__setattr__(self, "response", np.asarray(self.response, dtype=float).ravel())
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float).ravel())
         n = self.design.shape[0]
@@ -178,7 +192,7 @@ class FitResult:
 def weighted_loglik(family: Family, theta: np.ndarray, sample: WeightedSample) -> float:
     """Inverse-probability-weighted log-likelihood (additive constants in y
     dropped), averaged over the sample size."""
-    eta = _linear_predictor(theta, sample.design)
+    eta = _linear_predictor(theta, sample.design[:])
     terms = (sample.response * eta - family.cumulant(eta)) / sample.probs
     return float(terms.sum() / sample.n_rows)
 
@@ -188,10 +202,10 @@ def score_and_hessian(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Score vector and (positive) Hessian of the weighted log-likelihood,
     both unnormalized sums over the sample."""
-    x = sample.design
+    x = sample.design[:]
     mu = family.mean(_linear_predictor(theta, x))
     g = x.T @ ((sample.response - mu) / sample.probs)
-    return g, _gram(x, family.variance(mu) / sample.probs, 1)
+    return g, _gram(x.T, family.variance(mu) / sample.probs, 1)
 
 
 def fit_weighted_mle(
@@ -237,18 +251,22 @@ def fit_weighted_mle(
     return fit_weighted_mles(family, sample, columns, population_size, tol, max_iter)[0]
 
 
-def _transposed_block(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A row block's design as contiguous columns ``xt`` (D x B), and its
-    pair products: rows ``x_j * x_k`` for j <= k in ``np.triu_indices``
-    order, then a row of zeros.  The packed Gram matrices of the weight
-    rows ``W`` (A x B) are ``W @ pairs.T``, and their last column is zero.
+def _pair_block(design, rows, used, buffer) -> tuple[np.ndarray, np.ndarray]:
+    """A row block of the design as feature-major columns ``xt`` (D x B),
+    keeping the columns ``used`` (all when None), and its pair products:
+    rows ``x_j * x_k`` for j <= k in ``np.triu_indices`` order, then a row
+    of zeros.  The packed Gram matrices of the weight rows ``W`` (A x B)
+    are ``W @ pairs.T``, and their last column is zero.  The products are
+    written into ``buffer`` (P + 1 rows, at least B columns).
 
     Models run along the first axis of every (A, B) array, so elementwise
     work on them loops over the rows of the block, not over the models.
     """
-    xt = np.ascontiguousarray(x.T)
+    xt = _design_block(design, rows)
+    if used is not None:
+        xt = xt[used]
     dim = xt.shape[0]
-    pairs = np.empty((dim * (dim + 1) // 2 + 1, xt.shape[1]))
+    pairs = buffer[:, : xt.shape[1]]
     start = 0
     for j in range(dim):
         np.multiply(xt[j], xt[j:], out=pairs[start : start + dim - j])
@@ -291,7 +309,7 @@ def _batch_mean(family: Family, eta: np.ndarray, start: int, overflow: dict) -> 
 
 def _block_terms(family: Family, block, y, p, theta, start: int, overflow: dict, at_optimum):
     """One row block's share of :func:`_block_sums`; ``block`` is its
-    :func:`_transposed_block`.  Its arrays are freed on return, before the
+    :func:`_pair_block`.  Its arrays are freed on return, before the
     next block's are made."""
     xt, pairs = block
     mu = _batch_mean(family, theta @ xt, start, overflow)
@@ -305,15 +323,15 @@ def _block_terms(family: Family, block, y, p, theta, start: int, overflow: dict,
     return np.divide(resid, p, out=resid) @ xt.T, w @ pairs.T
 
 
-def _block_sums(family: Family, x, y, probs, theta, blocks, cached, at_optimum):
-    """One pass over the row blocks at the ``(A, D)`` parameter block.
+def _block_sums(family: Family, block_of, y, probs, theta, blocks, at_optimum):
+    """One pass over the row blocks at the ``(A, D)`` parameter block;
+    ``block_of(rows)`` gives a block's :func:`_pair_block`.
 
     In a Newton pass, returns the scores ``(y - mu) / phi @ X`` (A x D) and
     the packed Grams of ``variance(mu) / phi`` (A x P).  At the optimum the
     first value is None and the Grams also hold those of
     ``(y - mu)^2 / phi^2`` (2A x P).  The third value is the overflow map
-    of :func:`_batch_mean`.  ``cached`` is the :func:`_transposed_block`
-    of a one-block sample, which every pass reuses.
+    of :func:`_batch_mean`.
     """
     scores = None if at_optimum else 0.0
     grams = 0.0
@@ -321,7 +339,7 @@ def _block_sums(family: Family, x, y, probs, theta, blocks, cached, at_optimum):
     for rows in blocks:
         block_scores, block_grams = _block_terms(
             family,
-            cached or _transposed_block(x[rows]),
+            block_of(rows),
             y[rows],
             probs[rows],
             theta,
@@ -333,6 +351,44 @@ def _block_sums(family: Family, x, y, probs, theta, blocks, cached, at_optimum):
             scores = scores + block_scores
         grams = grams + block_grams
     return scores, grams, overflow
+
+
+@functools.lru_cache(maxsize=256)
+def _column_layout(n_params: int, columns: tuple) -> tuple:
+    """What :func:`fit_weighted_mles` derives from the column sets alone,
+    once per distinct sets (tuples of ints) of a design with ``n_params``
+    columns.
+
+    The columns no model uses are dropped (``used`` keeps the others, or
+    is None when every column is used).  Model k's entries of the
+    ``(Q, D)`` parameter block are then ``present[k]``, at positions
+    ``columns[k]``; where some model lacks a column, its matrices are
+    padded.  ``gather[k]`` picks model k's D x D matrix out of packed
+    Grams: the pair row of each entry, or the trailing zero row outside
+    its columns.  ``extract[k]`` indexes model k's own d x d block of a
+    D x D matrix.  Every array is read-only, as all callers share it.
+    """
+    columns = [np.array(cols, dtype=np.intp) for cols in columns]
+    present = np.zeros((len(columns), n_params), dtype=bool)
+    for k, cols in enumerate(columns):
+        present[k, cols] = True
+        if present[k].sum() != cols.size:
+            raise ValidationError(f"model {k} repeats a column: {cols.tolist()}")
+    used = present.any(axis=0)
+    position = np.cumsum(used) - 1
+    columns = tuple(position[cols] for cols in columns)
+    present = present[:, used]
+    dim = present.shape[1]
+    i = np.arange(dim)
+    low, high = np.minimum.outer(i, i), np.maximum.outer(i, i)
+    pair_of = low * dim - low * (low - 1) // 2 + high - low
+    gather = np.where(present[:, :, None] & present[:, None, :], pair_of, dim * (dim + 1) // 2)
+    extract = tuple(np.ix_(cols, cols) for cols in columns)
+    used = None if used.all() else used
+    for array in (used, present, gather, *columns, *(a for ix in extract for a in ix)):
+        if array is not None:
+            array.flags.writeable = False
+    return used, columns, present, gather, extract
 
 
 def fit_weighted_mles(
@@ -365,15 +421,12 @@ def fit_weighted_mles(
         it would raise.  Models after it stop once it has failed.
     """
     n = sample.n_rows
-    columns = [np.asarray(cols, dtype=np.intp) for cols in columns]
-    n_models = len(columns)
-    if n_models == 0:
+    key = tuple(tuple(np.asarray(cols, dtype=np.intp).tolist()) for cols in columns)
+    if not key:
         raise ValidationError("no models to fit")
-    present = np.zeros((n_models, sample.n_params), dtype=bool)
-    for k, cols in enumerate(columns):
-        present[k, cols] = True
-        if present[k].sum() != cols.size:
-            raise ValidationError(f"model {k} repeats a column: {cols.tolist()}")
+    used, columns, present, gather, extract = _column_layout(sample.n_params, key)
+    n_models, dim = present.shape
+    sparse = not present.all()
 
     errors: dict[int, Exception] = {}
     for k, cols in enumerate(columns):
@@ -386,26 +439,17 @@ def fit_weighted_mles(
         raise errors[0]
     family.validate_response(sample.response)
 
-    # Drop the columns no model uses; model k's entries of the (Q, D)
-    # parameter block are then ``present[k]``, at positions ``columns[k]``.
-    # Where some model lacks a column, its matrices are padded.
-    used = present.any(axis=0)
-    x = sample.design if used.all() else sample.design[:, used]
-    position = np.cumsum(used) - 1
-    columns = [position[cols] for cols in columns]
-    present = present[:, used]
-    sparse = not present.all()
-    dim = x.shape[1]
-    # gather[k] picks model k's D x D matrix out of packed Grams: the pair
-    # row of each entry, or the trailing zero row outside its columns.
-    i = np.arange(dim)
-    low, high = np.minimum.outer(i, i), np.maximum.outer(i, i)
-    pair_of = low * dim - low * (low - 1) // 2 + high - low
-    gather = np.where(present[:, :, None] & present[:, None, :], pair_of, dim * (dim + 1) // 2)
-
-    y, probs = sample.response, sample.probs
+    design, y, probs = sample.design, sample.response, sample.probs
     blocks = [slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS)]
-    cached = _transposed_block(x) if len(blocks) == 1 else None
+    # Every block's pair products go to one buffer: made afresh (3 MB per
+    # block at D = 9), they can cost a page fault per page whenever the
+    # allocator hands the freed memory back to the system.
+    buffer = np.empty((dim * (dim + 1) // 2 + 1, min(n, _BLOCK_ROWS)))
+    if len(blocks) == 1:  # every pass reuses the one block
+        cached = _pair_block(design, blocks[0], used, buffer)
+        block_of = lambda rows: cached
+    else:
+        block_of = lambda rows: _pair_block(design, rows, used, buffer)
 
     theta = np.zeros((n_models, dim))
     iterations = np.zeros(n_models, dtype=int)
@@ -419,7 +463,7 @@ def fit_weighted_mles(
             absent = ~present[active]
             picks = np.arange(active.size)[:, None, None], gather[active]
         rhs, grams, overflow = _block_sums(
-            family, x, y, probs, th, blocks, cached, at_optimum=False
+            family, block_of, y, probs, th, blocks, at_optimum=False
         )
         hess = grams[picks]
         if sparse:
@@ -475,7 +519,7 @@ def fit_weighted_mles(
     fitted = np.flatnonzero(iterations[: min(errors, default=n_models)])
     if fitted.size:
         _, grams, overflow = _block_sums(
-            family, x, y, probs, theta[fitted], blocks, cached, at_optimum=True
+            family, block_of, y, probs, theta[fitted], blocks, at_optimum=True
         )
         big_n = n if population_size is None else int(population_size)
         model = np.arange(fitted.size)[:, None, None]
@@ -495,19 +539,16 @@ def fit_weighted_mles(
     info_inv = np.linalg.inv(padded)
     variance = info_inv @ vc @ info_inv
     variance = 0.5 * (variance + variance.transpose(0, 2, 1))
-    results = []
-    for k, cols in enumerate(columns):
-        block = np.ix_(cols, cols)
-        results.append(
-            FitResult(
-                theta=theta[k, cols],
-                info_JX=info[k][block],
-                vc=vc[k][block],
-                variance=variance[k][block],
-                iterations=int(iterations[k]),
-            )
+    return tuple(
+        FitResult(
+            theta=theta[k, cols],
+            info_JX=info[k][block],
+            vc=vc[k][block],
+            variance=variance[k][block],
+            iterations=int(iterations[k]),
         )
-    return tuple(results)
+        for k, (cols, block) in enumerate(zip(columns, extract))
+    )
 
 
 def full_information(family: Family, theta: np.ndarray, design: np.ndarray) -> np.ndarray:
@@ -515,4 +556,4 @@ def full_information(family: Family, theta: np.ndarray, design: np.ndarray) -> n
     variance(mean(eta_i)) x_i x_i^T``, at the given parameter value."""
     design = np.atleast_2d(np.asarray(design, dtype=float))
     mu = family.mean(_linear_predictor(theta, design))
-    return _gram(design, family.variance(mu), design.shape[0])
+    return _gram(design.T, family.variance(mu), design.shape[0])

@@ -4,6 +4,14 @@ A model is a feature map from raw covariates to a design matrix with a
 fixed column order: intercept, then main effects in their input order,
 then squared terms in subset order.  A model set bundles several such
 maps with prior weights that sum to one.
+
+Every design is built by one private builder that reads the raw columns
+of a row block straight into a feature-major ``(d, B)`` array, the
+transpose of the block's design, without stacking columns or copying a
+transpose.  The kernels that walk all N rows (the stage-2 probabilities
+and the full-data fits) take their blocks from a :class:`LazyDesign`, so
+they never hold an N x d array; :func:`build_design` is the same build
+over all rows, returned row-major.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = [
+    "LazyDesign",
     "ModelSpec",
     "ModelSet",
     "build_design",
@@ -69,19 +78,66 @@ class ModelSpec:
         return labels
 
 
-def build_design(spec: ModelSpec, raw: np.ndarray) -> np.ndarray:
-    """Build the design matrix ``[1 | x_main | x_quad^2]`` for a model."""
-    raw = np.atleast_2d(np.asarray(raw, dtype=float))
+def _check_covariates(spec: ModelSpec, raw: np.ndarray) -> None:
     needed = max(spec.main_effects, default=-1)
     if needed >= raw.shape[1]:
         raise ValidationError(
             f"model references covariate index {needed} but raw data has "
             f"{raw.shape[1]} columns"
         )
-    cols = [np.ones(raw.shape[0])]
-    cols += [raw[:, i] for i in spec.main_effects]
-    cols += [raw[:, i] ** 2 for i in spec.quadratic_terms]
-    return np.column_stack(cols)
+
+
+def _feature_rows(spec: ModelSpec, raw: np.ndarray, rows) -> np.ndarray:
+    """The C-contiguous ``(d, B)`` transpose of ``build_design(spec,
+    raw[rows])``, bit for bit: each feature is written into its own row,
+    read straight from the raw column (a squared term from its main
+    effect's row)."""
+    part = raw[rows]
+    mains = spec.main_effects
+    out = np.empty((spec.n_params, part.shape[0]))
+    out[0] = 1.0
+    for k, i in enumerate(mains, start=1):
+        out[k] = part[:, i]
+    for k, i in enumerate(spec.quadratic_terms, start=1 + len(mains)):
+        np.square(out[1 + mains.index(i)], out=out[k])
+    return out
+
+
+def build_design(spec: ModelSpec, raw: np.ndarray) -> np.ndarray:
+    """Build the design matrix ``[1 | x_main | x_quad^2]`` for a model."""
+    raw = np.atleast_2d(np.asarray(raw, dtype=float))
+    _check_covariates(spec, raw)
+    # Row-major, so that products with it round as they always have.
+    return np.ascontiguousarray(_feature_rows(spec, raw, slice(None)).T)
+
+
+@dataclass(frozen=True)
+class LazyDesign:
+    """The design ``build_design(spec, raw)`` without its N rows: slicing
+    rows out of it builds the design of those rows only."""
+
+    spec: ModelSpec
+    raw: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "raw", np.atleast_2d(np.asarray(self.raw, dtype=float)))
+        _check_covariates(self.spec, self.raw)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.raw.shape[0], self.spec.n_params)
+
+    def __getitem__(self, rows) -> np.ndarray:
+        return build_design(self.spec, self.raw[rows])
+
+
+def _design_block(design: "np.ndarray | LazyDesign", rows) -> np.ndarray:
+    """Rows ``rows`` of an N x d design array or a :class:`LazyDesign` as
+    a C-contiguous ``(d, B)`` block.  The block may share memory with an
+    array design, so callers do not write to it."""
+    if isinstance(design, LazyDesign):
+        return _feature_rows(design.spec, design.raw, rows)
+    return np.ascontiguousarray(design[rows].T)
 
 
 def validate_alpha(alpha) -> np.ndarray:

@@ -21,11 +21,14 @@ kernel (so Q = 1 gives the single-model vector bit for bit).  The eps
 floor keeps every probability strictly positive so that no row is
 unreachable.
 
-The kernel walks the N rows in blocks of ``_BLOCK_ROWS``: for mMSE a
-first pass stores each row's mean and accumulates J_X, a second scores
-the rows; mVc needs one pass.  Memory therefore grows with N only through
-N-vectors, never through an N x d design (a :class:`LazyDesign` builds
-each block's design from the raw covariates when it is sliced).
+The kernel walks the N rows in blocks of ``_BLOCK_ROWS``, each a
+feature-major ``(d, B)`` array ``xt``: ``eta = theta @ xt``, J_X sums
+``(xt * v) @ xt.T`` over the blocks, and the norms are column sums of
+squares of ``J_X^-1 @ xt`` (mMSE) or of ``xt`` (mVc).  For mMSE a first
+pass stores each row's mean and accumulates J_X, a second scores the
+rows; mVc needs one pass.  Memory therefore grows with N only through
+N-vectors, never through an N x d array: a :class:`LazyDesign` builds
+each block straight from the raw covariates.
 """
 
 from __future__ import annotations
@@ -37,8 +40,15 @@ import numpy as np
 
 from .errors import DegenerateResponseError, ValidationError
 from .families import Family, Logistic
-from .fitting import _BLOCK_ROWS, _block_mean, _checked_inverse, _gram, _linear_predictor
-from .models import ModelSet, ModelSpec, build_design
+from .fitting import (
+    _BLOCK_ROWS,
+    _block_mean,
+    _checked_inverse,
+    _checked_theta,
+    _gram,
+    _linear_predictor,
+)
+from .models import LazyDesign, ModelSet, _design_block
 
 __all__ = [
     "Criterion",
@@ -142,50 +152,36 @@ def floored_residuals(
     return _floor(y, family.mean(_linear_predictor(theta, design)), eps)
 
 
-@dataclass(frozen=True)
-class LazyDesign:
-    """The design ``build_design(spec, raw)`` without its N rows: slicing
-    rows out of it builds the design of those rows only."""
-
-    spec: ModelSpec
-    raw: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.raw.shape[0], self.spec.n_params)
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        return build_design(self.spec, self.raw[rows])
-
-
 def _scores(
     criterion: Criterion, family: Family, theta, design, y: np.ndarray, eps: float
 ) -> np.ndarray:
     """Normalized probabilities of the model with ``design`` (an array or a
-    :class:`LazyDesign`), computed block by block.  Each row's mean is
-    evaluated once: mMSE keeps it in the output vector between its two
-    passes."""
+    :class:`LazyDesign`), computed on feature-major row blocks ``xt``
+    (d x B).  Each row's mean is evaluated once: mMSE keeps it in the
+    output vector between its two passes."""
     n = design.shape[0]
+    theta = _checked_theta(theta, design.shape[1])
     blocks = [slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS)]
     out = np.empty(n)
     inv = None
     if criterion is Criterion.MMSE:
         info = 0.0
         for rows in blocks:
-            x = design[rows]
-            out[rows] = mu = _block_mean(family, _linear_predictor(theta, x), rows.start)
-            info += _gram(x, family.variance(mu), n)
+            xt = _design_block(design, rows)
+            out[rows] = mu = _block_mean(family, theta @ xt, rows.start)
+            info += _gram(xt, family.variance(mu), n)
         inv = _checked_inverse(
             info, "full-data information matrix is singular; cannot form mMSE probabilities"
         )
     for rows in blocks:
-        x = design[rows]
+        xt = _design_block(design, rows)
         if inv is None:
-            mu = _block_mean(family, _linear_predictor(theta, x), rows.start)
+            mu = _block_mean(family, theta @ xt, rows.start)
         else:
             mu = out[rows]
-            x = x @ inv  # row i is (J^-1 x_i)^T
-        out[rows] = _floor(y[rows], mu, eps) * np.sqrt(np.einsum("ij,ij->i", x, x))
+            xt = inv @ xt  # column i is J^-1 x_i
+        norms = np.sqrt(np.einsum("ij,ij->j", xt, xt))
+        out[rows] = _floor(y[rows], mu, eps) * norms
     out /= out.sum()
     return out
 

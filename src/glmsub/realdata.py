@@ -4,7 +4,9 @@ comparison study.
 Because the true parameters are unknown on real data, strategies are
 compared by the summed SMSE over all candidate models, each measured
 against its own full-data MLE and aggregated over repeated subsampling
-runs on the fixed dataset.
+runs on the fixed dataset.  The full-data MLEs walk the N rows in
+feature-major blocks built from the raw covariates, so no N x d design
+is built.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from .config import RealDataConfig
 from .families import Family
 from .fitting import WeightedSample, fit_weighted_mles
-from .models import ModelSet, build_design
+from .models import LazyDesign, ModelSet
 from .simulate import run_strategies, ssmse
 from .twostage import TwoStageResult, two_stage
 
@@ -35,8 +37,9 @@ class SsmseRecord:
 
 def full_data_mles(family: Family, models: ModelSet, raw: np.ndarray, y: np.ndarray):
     """Unweighted MLE of every candidate model on the whole dataset, all
-    fitted on one union design."""
-    sample = WeightedSample(build_design(models.full_spec, raw), y, np.ones(len(y)))
+    fitted in one Newton loop on a lazy union design, whose row blocks the
+    loop builds as it walks them."""
+    sample = WeightedSample(LazyDesign(models.full_spec, raw), y, np.ones(len(y)))
     return [fit.theta for fit in fit_weighted_mles(family, sample, models.columns, max_iter=200)]
 
 

@@ -25,7 +25,6 @@ count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Union
 
@@ -338,6 +337,10 @@ def run_strategies(config, data, summarize, threads: int = 1):
     workers = min(threads, config.n_replicates, os.cpu_count() or 1)
     try:
         if workers > 1:
+            # Imported here: the pool pulls in multiprocessing, pickle and
+            # socket, which no single-process command needs.
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_init_worker,

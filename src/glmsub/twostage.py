@@ -15,12 +15,13 @@ candidate models are fitted on the final combined sample.
 stage-1 probabilities for stage 2.
 
 Every fit of a row set is one call of :func:`fit_weighted_mles` on the
-rows' union design, which runs one Newton loop for all the models fitted
-on them: the Q candidates on the combined sample, and the models that
-shape the stage-2 probabilities on the stage-1 pilot rows.  The Newton
-settings are fixed at that function's defaults, and a stage-1 draw whose
-pilot fit fails (any model's) is redrawn up to ``DEFAULT_STAGE1_ATTEMPTS``
-times before :class:`StageOneError`.
+rows' union design (a :class:`LazyDesign` of their raw covariates, built
+feature-major by the fit), which runs one Newton loop for all the models
+fitted on them: the Q candidates on the combined sample, and the models
+that shape the stage-2 probabilities on the stage-1 pilot rows.  The
+Newton settings are fixed at that function's defaults, and a stage-1 draw
+whose pilot fit fails (any model's) is redrawn up to
+``DEFAULT_STAGE1_ATTEMPTS`` times before :class:`StageOneError`.
 """
 
 from __future__ import annotations
@@ -33,11 +34,10 @@ from .alias import draw_with_replacement
 from .errors import FitError, NumericOverflowError, StageOneError, ValidationError
 from .families import Family
 from .fitting import FitResult, WeightedSample, fit_weighted_mles
-from .models import ModelSet, build_design
+from .models import LazyDesign, ModelSet
 from .probabilities import (
     DEFAULT_EPS,
     Criterion,
-    LazyDesign,
     ProbabilityVector,
     initial_probabilities,
     phi_model_robust,
@@ -118,7 +118,7 @@ def _combine_and_fit(
     combined_probs = np.concatenate([stage1.probs[idx1], stage2.probs[idx2]])
     raw_rows = raw[combined_idx]
     y_rows = y[combined_idx]
-    sample = WeightedSample(build_design(models.full_spec, raw_rows), y_rows, combined_probs)
+    sample = WeightedSample(LazyDesign(models.full_spec, raw_rows), y_rows, combined_probs)
     fits = fit_weighted_mles(family, sample, models.columns, population_size=raw.shape[0])
     return TwoStageResult(
         fits=fits,
@@ -154,7 +154,7 @@ def _stage1_and_probabilities(
     for _ in range(DEFAULT_STAGE1_ATTEMPTS):
         idx1 = draw_with_replacement(init_probs, r0, rng)
         sample = WeightedSample(
-            build_design(models.full_spec, raw[idx1]), y[idx1], init_probs.probs[idx1]
+            LazyDesign(models.full_spec, raw[idx1]), y[idx1], init_probs.probs[idx1]
         )
         try:
             pilots = [fit.theta for fit in fit_weighted_mles(family, sample, pilot_columns)]

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import glmsub.datasets
 from glmsub import (
     CovariateColumn,
     DatasetDescriptor,
@@ -210,3 +211,20 @@ class TestLoadCsv:
         assert raw.flags.c_contiguous
         assert raw.tobytes() == np.ascontiguousarray(table[:, [0, 2]]).tobytes()
         assert y.tobytes() == table[:, 1].tobytes()
+
+    @pytest.mark.parametrize("header", ["y,a,b", "a,y,b", "b,z,a,y", "z,y,a,b"])
+    def test_covariates_split_off_in_blocks(self, tmp_path, monkeypatch, header):
+        # The covariates are moved to the front of the parsed table in row
+        # blocks; block edges, reordered columns and an unused column z
+        # must all give the descriptor's columns exactly.
+        monkeypatch.setattr(glmsub.datasets, "_SPLIT_ROWS", 7)
+        rng = np.random.default_rng(9)
+        names = header.split(",")
+        table = rng.normal(size=(50, len(names)))
+        table[:, names.index("y")] = rng.integers(0, 2, size=50)
+        text = header + "\n" + "".join(",".join(map(repr, r)) + "\n" for r in table.tolist())
+        raw, y = load_csv(descriptor(write_csv(tmp_path / "d.csv", text)))
+        assert raw.flags.c_contiguous
+        expected = table[:, [names.index("a"), names.index("b")]]
+        assert raw.tobytes() == np.ascontiguousarray(expected).tobytes()
+        assert y.tobytes() == table[:, names.index("y")].tobytes()

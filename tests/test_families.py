@@ -32,6 +32,25 @@ class TestLogistic:
         expected[~pos] = neg / (1.0 + neg)
         assert logistic.mean(eta).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("shape", [(40,), (5, 8)])
+    def test_mean_bits_match_where_form(self, logistic, shape):
+        # The mean picks its numerator with a maximum, not np.where; the
+        # bits must be those of the np.where form, NaN and infinities included.
+        eta = np.random.default_rng(3).normal(0.0, 30.0, size=40)
+        eta[:12] = [0.0, -0.0, np.inf, -np.inf, np.nan, 700.0, -700.0, 800.0, -800.0,
+                    1e-300, -1e-300, 5e-324]
+        eta = eta.reshape(shape)
+        e = np.exp(-np.abs(eta))
+        expected = np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        out = logistic.mean(eta)
+        assert out.shape == shape
+        assert out.tobytes() == expected.tobytes()
+
+    def test_mean_of_scalars(self, logistic):
+        assert logistic.mean(0.0) == 0.5
+        assert logistic.mean(np.array(-800.0)) == 0.0
+        assert float(logistic.mean(np.float64(2.0))) == 1.0 / (1.0 + math.exp(-2.0))
+
     def test_mean_bounds_and_monotone(self, logistic):
         eta = np.linspace(-30, 30, 2001)
         mu = logistic.mean(eta)

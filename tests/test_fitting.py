@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import glmsub.fitting
 from glmsub import (
+    LazyDesign,
     Logistic,
     NonConvergenceError,
     NumericOverflowError,
@@ -16,6 +18,7 @@ from glmsub import (
     enumerate_quadratic_models,
     fit_weighted_mle,
     fit_weighted_mles,
+    full_data_mles,
     full_information,
     phi_single,
     score_and_hessian,
@@ -290,6 +293,48 @@ class TestBatchedFits:
             assert a.iterations == b.iterations
             for name in ("theta", "info_JX", "vc", "variance"):
                 np.testing.assert_allclose(getattr(a, name), getattr(b, name), rtol=1e-10)
+
+    @pytest.mark.parametrize("block_rows", [16, 8192])
+    def test_lazy_design_fits_as_its_array(self, poisson, rng, monkeypatch, block_rows):
+        # A LazyDesign sample builds each row block from the raw covariates.
+        # Its fits are those of the array sample bit for bit, for all the
+        # models and for one model alone (the unused columns dropped).
+        models = enumerate_quadratic_models(3, [0, 1, 2])
+        raw = rng.normal(0.0, 0.7, size=(100, 3))
+        y = rng.poisson(np.exp(0.3 + raw @ np.array([0.5, -0.4, 0.3]))).astype(float)
+        probs = rng.uniform(0.2, 1.0, size=100)
+        monkeypatch.setattr(glmsub.fitting, "_BLOCK_ROWS", block_rows)
+        lazy = WeightedSample(LazyDesign(models.full_spec, raw), y, probs)
+        array = WeightedSample(build_design(models.full_spec, raw), y, probs)
+        assert (lazy.n_rows, lazy.n_params) == (100, 7)
+        for columns in (models.columns, [models.columns[5]]):
+            fits = fit_weighted_mles(poisson, lazy, columns, population_size=1000)
+            same = fit_weighted_mles(poisson, array, columns, population_size=1000)
+            for a, b in zip(fits, same):
+                assert a.iterations == b.iterations
+                for name in ("theta", "info_JX", "vc", "variance"):
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        theta = fit_weighted_mle(poisson, array).theta
+        assert weighted_loglik(poisson, theta, lazy) == weighted_loglik(poisson, theta, array)
+        for a, b in zip(score_and_hessian(poisson, theta, lazy), score_and_hessian(poisson, theta, array)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_full_data_fits_hold_no_union_design(self, logistic):
+        # At N = 200k and Q = 8 the union design is 7 vectors of N floats;
+        # the full-data fits walk row blocks of a lazy design instead.
+        n = 200_000
+        rng = np.random.default_rng(11)
+        raw = rng.normal(size=(n, 3))
+        y = rng.binomial(1, 0.4, size=n).astype(float)
+        models = enumerate_quadratic_models(3, (0, 1, 2))
+        tracemalloc.start()
+        try:
+            thetas = full_data_mles(logistic, models, raw, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(thetas) == 8
+        assert peak < n * models.full_spec.n_params * 8
 
     def test_one_model_is_fit_weighted_mle(self, logistic, rng):
         x, y = make_logistic_data(120, [0.2, -0.6, 0.4], rng)

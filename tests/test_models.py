@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import glmsub.fitting
 from glmsub import (
+    LazyDesign,
     ModelSet,
     ModelSpec,
     ValidationError,
@@ -11,6 +13,7 @@ from glmsub import (
     enumerate_quadratic_models,
     validate_alpha,
 )
+from glmsub.models import _design_block, _feature_rows
 
 
 class TestModelSpec:
@@ -69,6 +72,49 @@ class TestBuildDesign:
         np.testing.assert_array_equal(
             build_design(spec, raw[perm]), build_design(spec, raw)[perm]
         )
+
+
+class TestFeatureRows:
+    """Every design is built feature-major, ``(d, B)``, by one builder."""
+
+    B = glmsub.fitting._BLOCK_ROWS
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("size", [1, B - 1, B, B + 1])
+    def test_transpose_of_build_design_bit_for_bit(self, order, size):
+        rng = np.random.default_rng(size)
+        raw = np.asarray(rng.normal(size=(self.B + 40, 3)), order=order)
+        picks = rng.integers(0, raw.shape[0], size=size)
+        for spec in enumerate_quadratic_models(3, [0, 1, 2]).specs:
+            for rows in (slice(0, size), slice(raw.shape[0] - size, None), picks):
+                part = raw[rows]
+                reference = np.column_stack(
+                    [np.ones(size)]
+                    + [part[:, i] for i in spec.main_effects]
+                    + [part[:, i] ** 2 for i in spec.quadratic_terms]
+                )
+                design = build_design(spec, part)
+                assert design.tobytes() == reference.tobytes()
+                block = _feature_rows(spec, raw, rows)
+                assert block.flags.c_contiguous
+                assert block.tobytes() == np.ascontiguousarray(design.T).tobytes()
+
+    def test_unsorted_terms_and_lazy_rows(self, rng):
+        raw = rng.normal(size=(30, 3))
+        spec = ModelSpec(main_effects=(2, 0), quadratic_terms=(0, 2))
+        design = np.column_stack(
+            [np.ones(30), raw[:, 2], raw[:, 0], raw[:, 0] ** 2, raw[:, 2] ** 2]
+        )
+        assert build_design(spec, raw).tobytes() == design.tobytes()
+        assert build_design(spec, raw).flags.c_contiguous
+        lazy = LazyDesign(spec, raw)
+        assert lazy.shape == (30, 5)
+        assert lazy[3:9].tobytes() == design[3:9].tobytes()
+        assert _design_block(lazy, slice(3, 9)).tobytes() == _design_block(design, slice(3, 9)).tobytes()
+
+    def test_lazy_design_checks_covariates(self):
+        with pytest.raises(ValidationError, match="covariate index 2"):
+            LazyDesign(ModelSpec(main_effects=(0, 2)), np.ones((3, 2)))
 
 
 class TestValidateAlpha:

@@ -1,5 +1,8 @@
+import concurrent.futures
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -299,11 +302,27 @@ class TestRunStudy:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(glmsub.simulate, "ProcessPoolExecutor", InlineExecutor)
+        # run_strategies imports the pool at call time, from this module.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         config = tiny_config(seed=5, replicates=3)
         assert run_study(config, threads=10_000) == run_study(config, threads=1)
         assert seen["max_workers"] <= 3
+
+    def test_cli_import_leaves_the_pool_out(self):
+        # Only --threads > 1 uses the process pool, so no command should pay
+        # for importing it (multiprocessing, pickle, socket).
+        code = "import sys, glmsub.cli; print('concurrent.futures' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_failure_accounting(self):
         records = run_study(tiny_config(replicates=3))
