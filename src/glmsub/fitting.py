@@ -30,9 +30,11 @@ their weighted Gram matrices come from one matmul of the block's pair
 products ``x_j x_k`` (j <= k) against the weight matrix.  A sample whose
 design is a :class:`LazyDesign` has each block built from its raw
 covariates, so the full-data fits hold no N x D array.  A model leaves
-the loop when it converges or fails, and each model converges or fails
-after the same number of iterations as it would alone, with results
-equal up to rounding; :func:`fit_weighted_mle` is the one-model call.
+the loop when it converges, after the same number of iterations as it
+would alone and with results equal up to rounding.  Every caller treats
+one model's failure as the failure of the row set, so the first iteration
+in which any model fails ends the call with the error a lone fit of that
+model would raise; :func:`fit_weighted_mle` is the one-model call.
 """
 
 from __future__ import annotations
@@ -120,15 +122,20 @@ def _linear_predictor(theta, design: np.ndarray) -> np.ndarray:
 
 def _block_mean(family: Family, eta: np.ndarray, start: int) -> np.ndarray:
     """The mean of the linear predictors ``eta`` of a row block starting at
-    row ``start``; an overflow names its row in the data, not in the block."""
+    row ``start``, one row of ``eta`` per model when it is 2-D.  An overflow
+    names its row in the data, not its flat index in the block, and its
+    ``model`` attribute is the row of ``eta`` it was found in."""
     try:
         return family.mean(eta)
     except NumericOverflowError as exc:
-        row = start + exc.index
-        raise NumericOverflowError(
-            f"{family.name} mean overflowed at row {row} (eta={eta[exc.index].item()!r})",
+        model, column = divmod(exc.index, eta.shape[-1])
+        row = start + column
+        error = NumericOverflowError(
+            f"{family.name} mean overflowed at row {row} (eta={eta.flat[exc.index].item()!r})",
             index=row,
-        ) from None
+        )
+        error.model = model
+        raise error from None
 
 
 @dataclass(frozen=True)
@@ -290,29 +297,12 @@ def _pad_absent(stack: np.ndarray, absent: np.ndarray) -> np.ndarray:
     return stack
 
 
-def _batch_mean(family: Family, eta: np.ndarray, start: int, overflow: dict) -> np.ndarray:
-    """The mean of an ``(A, B)`` block of linear predictors, one row per
-    model.  A row that overflows gets a zero mean, and ``overflow`` maps
-    its position to the error naming its first overflowing row of data."""
-    try:
-        return family.mean(eta)
-    except NumericOverflowError:
-        pass
-    mu = np.zeros_like(eta)
-    for a in range(eta.shape[0]):
-        try:
-            mu[a] = _block_mean(family, eta[a], start)
-        except NumericOverflowError as exc:
-            overflow.setdefault(a, exc)
-    return mu
-
-
-def _block_terms(family: Family, block, y, p, theta, start: int, overflow: dict, at_optimum):
+def _block_terms(family: Family, block, y, p, theta, start: int, at_optimum):
     """One row block's share of :func:`_block_sums`; ``block`` is its
     :func:`_pair_block`.  Its arrays are freed on return, before the
     next block's are made."""
     xt, pairs = block
-    mu = _batch_mean(family, theta @ xt, start, overflow)
+    mu = _block_mean(family, theta @ xt, start)
     models = len(theta)
     w = np.empty((2 * models if at_optimum else models, len(p)))  # the weight rows
     np.divide(family.variance(mu), p, out=w[:models])
@@ -330,27 +320,19 @@ def _block_sums(family: Family, block_of, y, probs, theta, blocks, at_optimum):
     In a Newton pass, returns the scores ``(y - mu) / phi @ X`` (A x D) and
     the packed Grams of ``variance(mu) / phi`` (A x P).  At the optimum the
     first value is None and the Grams also hold those of
-    ``(y - mu)^2 / phi^2`` (2A x P).  The third value is the overflow map
-    of :func:`_batch_mean`.
+    ``(y - mu)^2 / phi^2`` (2A x P).  An overflowing mean raises the
+    :class:`NumericOverflowError` of :func:`_block_mean`.
     """
     scores = None if at_optimum else 0.0
     grams = 0.0
-    overflow: dict = {}
     for rows in blocks:
         block_scores, block_grams = _block_terms(
-            family,
-            block_of(rows),
-            y[rows],
-            probs[rows],
-            theta,
-            rows.start,
-            overflow,
-            at_optimum,
+            family, block_of(rows), y[rows], probs[rows], theta, rows.start, at_optimum
         )
         if not at_optimum:
             scores = scores + block_scores
         grams = grams + block_grams
-    return scores, grams, overflow
+    return scores, grams
 
 
 @functools.lru_cache(maxsize=256)
@@ -404,9 +386,9 @@ def fit_weighted_mles(
 
     ``sample.design`` is the union design of the models and ``columns``
     their column indices in it (``ModelSet.columns``).  Each model's
-    result, iteration count and error are those of
-    :func:`fit_weighted_mle` on ``design[:, columns[q]]`` alone; the
-    parameters are as in that function.
+    result and iteration count are those of :func:`fit_weighted_mle` on
+    ``design[:, columns[q]]`` alone; the parameters are as in that
+    function.
 
     Returns
     -------
@@ -417,8 +399,12 @@ def fit_weighted_mles(
     ------
     ValidationError, SingularInformationError, NonConvergenceError,
     NumericOverflowError
-        The error of the lowest-index model that fails, as a lone fit of
-        it would raise.  Models after it stop once it has failed.
+        At the first Newton iteration (or the pass at the optimum) in which
+        any model fails, the error that a lone fit of the lowest-index
+        model failing in it would raise: the same class, message, ``theta``
+        and ``iterations``.  A mean that overflows stops the pass at its
+        row block, and the error names the model and the row that the
+        block's mean reports first.  The other models' fits are dropped.
     """
     n = sample.n_rows
     key = tuple(tuple(np.asarray(cols, dtype=np.intp).tolist()) for cols in columns)
@@ -428,16 +414,13 @@ def fit_weighted_mles(
     n_models, dim = present.shape
     sparse = not present.all()
 
-    errors: dict[int, Exception] = {}
-    for k, cols in enumerate(columns):
-        if cols.size > n:
-            errors[k] = ValidationError(
-                f"need at least {cols.size} rows to fit {cols.size} parameters, got {n}"
-            )
-            break
-    if 0 in errors:
-        raise errors[0]
-    family.validate_response(sample.response)
+    oversized = [cols.size for cols in columns if cols.size > n]
+    if columns[0].size <= n:  # else model 0 fails on its size first
+        family.validate_response(sample.response)
+    if oversized:
+        raise ValidationError(
+            f"need at least {oversized[0]} rows to fit {oversized[0]} parameters, got {n}"
+        )
 
     design, y, probs = sample.design, sample.response, sample.probs
     blocks = [slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS)]
@@ -453,7 +436,7 @@ def fit_weighted_mles(
 
     theta = np.zeros((n_models, dim))
     iterations = np.zeros(n_models, dtype=int)
-    active = np.arange(min(errors, default=n_models))
+    active = np.arange(n_models)
     th = theta[active]  # the iterates of the active models
     changed = True
     for t in range(max_iter):
@@ -462,80 +445,59 @@ def fit_weighted_mles(
         if changed:
             absent = ~present[active]
             picks = np.arange(active.size)[:, None, None], gather[active]
-        rhs, grams, overflow = _block_sums(
-            family, block_of, y, probs, th, blocks, at_optimum=False
-        )
+        try:
+            rhs, grams = _block_sums(family, block_of, y, probs, th, blocks, at_optimum=False)
+        except NumericOverflowError as exc:
+            a = exc.model
+            raise NonConvergenceError(
+                f"iterates diverged after {t} updates: {exc}",
+                theta=th[a, columns[active[a]]],
+                iterations=t,
+            ) from exc
         hess = grams[picks]
         if sparse:
             _pad_absent(hess, absent)
             rhs = np.where(absent, 0.0, rhs)
         singular = _singular(hess)
-        trouble = bool(overflow) or singular.any()
-        if trouble:  # keep the stacked solve clear of the failed models
-            hess[singular] = np.eye(dim)
-            for a in overflow:
-                hess[a] = np.eye(dim)
+        hess[singular] = np.eye(dim)  # keep the stacked solve clear of them
         step = np.linalg.solve(hess, rhs[..., None])[..., 0]
-        norms = np.sqrt(np.einsum("ad,ad->a", step, step))
-        leave = done = norms < tol
-        if trouble or not np.isfinite(norms).all():
-            bad = singular | ~np.isfinite(step).all(axis=1)
-            bad[list(overflow)] = True
-            for a in np.flatnonzero(bad):
-                k = active[a]
-                if a in overflow:
-                    message = f"iterates diverged after {t} updates: {overflow[a]}"
-                elif singular[a] and t == 0:
-                    errors[k] = SingularInformationError(
-                        "information matrix is singular at the starting value "
-                        "(rank-deficient design?)"
-                    )
-                    continue
-                elif singular[a]:
-                    # Weights underflowed mid-iteration: the iterates diverged,
-                    # as happens for separated logistic data where no MLE exists.
-                    message = f"information matrix became singular after {t} updates"
-                else:
-                    message = f"Newton step became non-finite after {t} updates"
-                errors[k] = NonConvergenceError(message, theta=th[a, columns[k]], iterations=t)
-                errors[k].__cause__ = overflow.get(a)
-            done = done & ~bad
-            leave = done | bad
+        bad = singular | ~np.isfinite(step).all(axis=1)
+        if bad.any():
+            a = np.flatnonzero(bad)[0]
+            if singular[a] and t == 0:
+                raise SingularInformationError(
+                    "information matrix is singular at the starting value "
+                    "(rank-deficient design?)"
+                )
+            if singular[a]:
+                # Weights underflowed mid-iteration: the iterates diverged,
+                # as happens for separated logistic data where no MLE exists.
+                message = f"information matrix became singular after {t} updates"
+            else:
+                message = f"Newton step became non-finite after {t} updates"
+            raise NonConvergenceError(message, theta=th[a, columns[active[a]]], iterations=t)
         th += step
-        if errors:
-            leave = leave | (active > min(errors))
-        changed = leave.any()
+        done = np.sqrt(np.einsum("ad,ad->a", step, step)) < tol
+        changed = done.any()
         if changed:
             theta[active[done]] = th[done]
             iterations[active[done]] = t + 1
-            active, th = active[~leave], th[~leave]
-    for a, k in enumerate(active):
-        errors[k] = NonConvergenceError(
+            active, th = active[~done], th[~done]
+    if active.size:
+        raise NonConvergenceError(
             f"Newton-Raphson did not converge in {max_iter} iterations",
-            theta=th[a, columns[k]],
+            theta=th[0, columns[active[0]]],
             iterations=max_iter,
         )
 
-    fitted = np.flatnonzero(iterations[: min(errors, default=n_models)])
-    if fitted.size:
-        _, grams, overflow = _block_sums(
-            family, block_of, y, probs, theta[fitted], blocks, at_optimum=True
-        )
-        big_n = n if population_size is None else int(population_size)
-        model = np.arange(fitted.size)[:, None, None]
-        info = grams[model, gather[fitted]] / (big_n * n)
-        vc = grams[fitted.size + model, gather[fitted]] / (big_n**2 * n**2)
-        padded = _pad_absent(info.copy(), ~present[fitted]) if sparse else info
-        for a, exc in overflow.items():
-            errors[fitted[a]] = exc
-        for a in np.flatnonzero(_singular(padded)):
-            errors.setdefault(
-                fitted[a], SingularInformationError("information matrix is singular at the optimum")
-            )
-    if errors:
-        raise errors[min(errors)]
-
-    # Every model converged, so ``fitted`` indexes all of them in order.
+    _, grams = _block_sums(family, block_of, y, probs, theta, blocks, at_optimum=True)
+    big_n = n if population_size is None else int(population_size)
+    model = np.arange(n_models)[:, None, None]
+    info = grams[model, gather] / (big_n * n)
+    vc = grams[n_models + model, gather] / (big_n**2 * n**2)
+    padded = _pad_absent(info.copy(), ~present) if sparse else info
+    if _singular(padded).any():
+        raise SingularInformationError("information matrix is singular at the optimum")
     info_inv = np.linalg.inv(padded)
     variance = info_inv @ vc @ info_inv
     variance = 0.5 * (variance + variance.transpose(0, 2, 1))

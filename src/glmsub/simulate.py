@@ -331,7 +331,8 @@ def run_strategies(config, data, summarize, threads: int = 1):
 
     ``threads`` bounds worker parallelism over replicates; the output is
     identical for any value because each replicate consumes only its own
-    seed substreams.
+    seed substreams.  A worker process that dies (killed, or out of
+    memory) raises :class:`ChildProcessError`.
     """
     ms = range(config.n_replicates)
     workers = min(threads, config.n_replicates, os.cpu_count() or 1)
@@ -340,13 +341,18 @@ def run_strategies(config, data, summarize, threads: int = 1):
             # Imported here: the pool pulls in multiprocessing, pickle and
             # socket, which no single-process command needs.
             from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
 
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=(config, data, summarize),
-            ) as pool:
-                replicates = list(pool.map(_run_replicate, ms))
+            try:
+                with ProcessPoolExecutor(
+                    max_workers=workers,
+                    initializer=_init_worker,
+                    initargs=(config, data, summarize),
+                ) as pool:
+                    replicates = list(pool.map(_run_replicate, ms))
+            except BrokenProcessPool as exc:
+                # An OSError, so the CLI reports it as a runtime failure.
+                raise ChildProcessError(f"a worker process died: {exc}") from exc
         else:
             _init_worker(config, data, summarize)
             replicates = [_run_replicate(m) for m in ms]

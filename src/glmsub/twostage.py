@@ -59,8 +59,9 @@ class TwoStageResult:
     """Everything produced by one two-stage run.
 
     ``fits`` holds one :class:`FitResult` per candidate model, in model-set
-    order.  ``combined_sample`` stores the raw covariate rows of the
-    r0 + r selected points (model q's design is their union design's
+    order.  ``combined_sample`` is the sample they were fitted on: the
+    union design of the r0 + r selected points, a :class:`LazyDesign` of
+    their raw covariate rows (model q's design is its columns
     ``models.columns[q]``), the response values and the stage-specific
     selection probabilities; the drawn row indices of both stages are kept.
     """
@@ -116,13 +117,12 @@ def _combine_and_fit(
     that drew it, and fit every candidate model on the combined sample."""
     combined_idx = np.concatenate([idx1, idx2])
     combined_probs = np.concatenate([stage1.probs[idx1], stage2.probs[idx2]])
-    raw_rows = raw[combined_idx]
-    y_rows = y[combined_idx]
-    sample = WeightedSample(LazyDesign(models.full_spec, raw_rows), y_rows, combined_probs)
+    design = LazyDesign(models.full_spec, raw[combined_idx])
+    sample = WeightedSample(design, y[combined_idx], combined_probs)
     fits = fit_weighted_mles(family, sample, models.columns, population_size=raw.shape[0])
     return TwoStageResult(
         fits=fits,
-        combined_sample=WeightedSample(raw_rows, y_rows, combined_probs),
+        combined_sample=sample,
         stage2_probs=stage2,
         stage1_indices=idx1,
         stage2_indices=idx2,

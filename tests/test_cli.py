@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+import os
 
 import numpy as np
 import pytest
 
 import glmsub.cli
+import glmsub.simulate
 from glmsub import MetricsRecord, NumericOverflowError, read_metrics_csv
 from glmsub.cli import METRICS_HEADER, atomic_write, main, write_metrics_csv
 from glmsub.config import parse_config
@@ -57,6 +59,16 @@ dataset:
   covariates: [a, b]
 """
     return text + extra
+
+
+_run_replicate = glmsub.simulate._run_replicate
+
+
+def _replicate_1_kills_its_worker(m):
+    """Replicate 1's worker process exits at once, as a killed one does."""
+    if m == 1:
+        os._exit(3)
+    return _run_replicate(m)
 
 
 def write(tmp_path, text, name="run.yaml"):
@@ -303,6 +315,19 @@ class TestExitCodes:
         out = blocker / "m.csv"
         assert main(["simulate", str(config), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("glmsub: error: ")
+
+    def test_dead_worker_is_runtime(self, tmp_path, monkeypatch, capsys):
+        # The pool sends its workers the task function by name, so they run
+        # the patched replicate; one of the two workers dies.
+        monkeypatch.setattr(glmsub.simulate, "_run_replicate", _replicate_1_kills_its_worker)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        config = write(tmp_path, SIM_YAML)
+        out = tmp_path / "m.csv"
+        assert main(["simulate", str(config), "--out", str(out), "--threads", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("glmsub: error: a worker process died: ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_usage(self, capsys):
         assert main(["frobnicate"]) == 1

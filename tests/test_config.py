@@ -9,6 +9,7 @@ from glmsub import (
     RealDataConfig,
     Scaling,
     ScenarioConfig,
+    UniformCovariates,
     parse_config,
 )
 
@@ -139,6 +140,13 @@ class TestSimulateConfig:
         config = parse_config(write(tmp_path, text))
         assert config.covariates.rate == pytest.approx(1.7320508)
 
+    def test_uniform_distribution(self, tmp_path):
+        text = SIMULATE_YAML.replace(NORMAL, "distribution: uniform\n  dimension: 2")
+        assert parse_config(write(tmp_path, text)).covariates == UniformCovariates(dimension=2)
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(write(tmp_path, text.replace("dimension: 2", "dimension: 2\n  rate: 1.0")))
+        assert excinfo.value.key == "covariates.rate"
+
     def test_alpha_override(self, tmp_path):
         text = SIMULATE_YAML.replace(
             "quadratic_over: [1, 2]",
@@ -189,11 +197,14 @@ class TestSimulateConfig:
             (NORMAL, "distribution: exponential\n  dimension: 2\n  rate: -1.0", "covariates.rate"),
             ("[[1.5, 0.0], [0.0, 1.5]]", "[[1.0, 2.0], [2.0, 1.0]]", "covariates.covariance"),
             ("[[1.5, 0.0], [0.0, 1.5]]", "[[1.0, 0.5], [0.0, 1.0]]", "covariates.covariance"),
+            ("seed: 20260810", "seed: 20260810\neps: 0", "eps"),
+            ("seed: 20260810", "seed: -1", "seed"),
         ],
         ids=[
             "population-negative", "population-below-model-size", "replicates-negative",
             "replicates-zero", "dimension-zero", "rate-zero", "rate-negative",
-            "covariance-not-positive-definite", "covariance-not-symmetric",
+            "covariance-not-positive-definite", "covariance-not-symmetric", "eps-zero",
+            "seed-negative",
         ],
     )
     def test_out_of_range_values_name_their_key(self, tmp_path, old, new, key):

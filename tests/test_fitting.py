@@ -425,15 +425,48 @@ class TestBatchedFits:
         assert isinstance(alone, SingularInformationError)
         assert_same_error(batched, alone)
 
-    def test_lowest_failing_index_wins_over_first_failure(self, logistic, rng):
+    def test_first_failing_iteration_ends_the_fit(self, logistic, rng):
         # Model 1 (x1^2) separates and fails after some updates; models 2
-        # and 3 fail earlier, singular at the start, but have higher index.
+        # and 3 are singular at the start.  The first iteration with a
+        # failure ends the call, with the lowest failing index in it: model 2.
         models = enumerate_quadratic_models(2, [0, 1])
         raw, y = self.square_separated(rng, constant_x2=True)
         sample = uniform_sample(build_design(models.full_spec, raw), y)
         batched = raised(lambda: fit_weighted_mles(logistic, sample, models.columns))
-        alone = raised(lambda: lone_fit(logistic, sample, models.columns[1]))
-        assert isinstance(alone, NonConvergenceError) and alone.iterations > 0
+        later = raised(lambda: lone_fit(logistic, sample, models.columns[1]))
+        assert isinstance(later, NonConvergenceError) and later.iterations == 66
+        alone = raised(lambda: lone_fit(logistic, sample, models.columns[2]))
+        assert "singular at the starting value" in str(alone)
+        assert_same_error(batched, alone)
+
+    def test_non_finite_step_fails_as_alone(self, poisson):
+        # The Hessian at the start is well conditioned, but the score of the
+        # response 1e308 overflows in model 1's column (NumPy warns), so its
+        # first step is not finite.  Model 0 steps normally.
+        x = np.column_stack([np.ones(6), [-1.0, 0.5, 1.0, 2.0, -0.5, 4.0]])
+        sample = WeightedSample(x, np.array([0.0, 1.0, 2.0, 1.0, 0.0, 1e308]), np.ones(6))
+        columns = [np.array([0]), np.arange(2)]
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            batched = raised(lambda: fit_weighted_mles(poisson, sample, columns))
+            alone = raised(lambda: lone_fit(poisson, sample, columns[1]))
+        assert str(alone) == "Newton step became non-finite after 0 updates"
+        assert_same_error(batched, alone)
+        np.testing.assert_array_equal(batched.theta, np.zeros(2))
+
+    def test_singular_at_the_optimum_fails_as_alone(self, logistic):
+        # Paired rows with y = 0 and 1 make the score vanish at the start, so
+        # one zero step converges.  The Hessian diag(4c^2, 4d^2) has the
+        # eigenvalue ratio 1e-11, above the cutoff; divided by N n = 4e153,
+        # the information keeps 1e-313 but its d entry underflows to zero.
+        c, d = 1e-80, 1e-80 * math.sqrt(1e-11)
+        x = np.array([[c, d], [c, d], [c, -d], [c, -d]])
+        sample = uniform_sample(x, np.array([0.0, 1.0, 0.0, 1.0]))
+        columns = [np.array([0]), np.arange(2)]
+        fits = fit_weighted_mles(logistic, sample, columns)  # N = n = 4
+        assert [fit.iterations for fit in fits] == [1, 1]
+        batched = raised(lambda: fit_weighted_mles(logistic, sample, columns, population_size=10**153))
+        alone = raised(lambda: lone_fit(logistic, sample, columns[1], population_size=10**153))
+        assert str(alone) == "information matrix is singular at the optimum"
         assert_same_error(batched, alone)
 
     def test_poisson_overflow_names_its_row_past_the_first_block(self, poisson, rng):
@@ -454,6 +487,24 @@ class TestBatchedFits:
             assert exc.__cause__.index == 8200
         # The eta in the message may differ in its last digits.
         assert str(batched).split("(eta=")[0] == str(alone).split("(eta=")[0]
+        np.testing.assert_allclose(batched.theta, alone.theta, rtol=1e-10)
+
+    def test_overflow_of_a_later_model_names_that_model(self, poisson, rng):
+        # The intercept-only model 0 steps to a finite mean; model 1 throws
+        # the extreme row past the overflow.  Its row of the 2-D mean
+        # names the model whose iterate the error carries.
+        n = glmsub.fitting._BLOCK_ROWS + 100
+        x = np.column_stack([np.ones(n), rng.uniform(-0.1, 0.1, size=n)])
+        y = rng.poisson(1.0, size=n).astype(float)
+        x[8200, 1], y[8200] = 2000.0, 1e6
+        sample = uniform_sample(x, y)
+        columns = [np.array([0]), np.arange(2)]
+        batched = raised(lambda: fit_weighted_mles(poisson, sample, columns))
+        alone = raised(lambda: lone_fit(poisson, sample, columns[1]))
+        assert batched.__cause__.index == alone.__cause__.index == 8200
+        assert (batched.__cause__.model, alone.__cause__.model) == (1, 0)
+        assert str(batched).split("(eta=")[0] == str(alone).split("(eta=")[0]
+        assert batched.iterations == alone.iterations == 1
         np.testing.assert_allclose(batched.theta, alone.theta, rtol=1e-10)
 
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import math
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import glmsub.realdata
 import glmsub.simulate
 from glmsub import (
     CovariateColumn,
@@ -23,6 +25,7 @@ from glmsub import (
     Poisson,
     RealDataConfig,
     ScenarioConfig,
+    SingularInformationError,
     UniformCovariates,
     ValidationError,
     enumerate_quadratic_models,
@@ -192,6 +195,32 @@ def tiny_config(seed=123, replicates=2, family=None, r_grid=(60,)):
     )
 
 
+def tiny_real_study():
+    """An ssmse config of 3 replicates on a fixed logistic dataset."""
+    data_rng = np.random.default_rng(8)
+    raw = data_rng.normal(size=(600, 2))
+    design = np.column_stack([np.ones(600), raw])
+    y = gen_response(Logistic(), np.array([-0.4, 0.8, -0.5]), design, data_rng)
+    real = RealDataConfig(
+        mode="ssmse",
+        family=Logistic(),
+        dataset=DatasetDescriptor(
+            path="unused.csv", response="y",
+            covariates=(CovariateColumn("a"), CovariateColumn("b")),
+        ),
+        model_set=enumerate_quadratic_models(2, (0, 1)),
+        criterion=Criterion.MMSE,
+        eps=1e-6,
+        master_seed=31,
+        r0=40,
+        r=None,
+        r_grid=(60,),
+        n_replicates=3,
+        sampling_model=None,
+    )
+    return real, raw, y
+
+
 class TestScenarioConfig:
     def test_theta_length_checked(self):
         with pytest.raises(ValidationError):
@@ -258,27 +287,7 @@ class TestRunStudy:
         assert run_study(config, threads=1) == run_study(config, threads=2)
 
         # The fixed-dataset path of the same runner.
-        data_rng = np.random.default_rng(8)
-        raw = data_rng.normal(size=(600, 2))
-        design = np.column_stack([np.ones(600), raw])
-        y = gen_response(Logistic(), np.array([-0.4, 0.8, -0.5]), design, data_rng)
-        real = RealDataConfig(
-            mode="ssmse",
-            family=Logistic(),
-            dataset=DatasetDescriptor(
-                path="unused.csv", response="y",
-                covariates=(CovariateColumn("a"), CovariateColumn("b")),
-            ),
-            model_set=enumerate_quadratic_models(2, (0, 1)),
-            criterion=Criterion.MMSE,
-            eps=1e-6,
-            master_seed=31,
-            r0=40,
-            r=None,
-            r_grid=(60,),
-            n_replicates=3,
-            sampling_model=None,
-        )
+        real, raw, y = tiny_real_study()
         one = run_ssmse_study(real, raw, y, threads=1)
         assert len(one) == 6
         assert one == run_ssmse_study(real, raw, y, threads=2)
@@ -331,6 +340,28 @@ class TestRunStudy:
             if rec.n_failed < 3:
                 assert np.isfinite(rec.smse) and rec.smse >= 0
                 assert rec.mean_model_info > 0
+
+    def test_cells_that_all_fail_give_nan_records(self):
+        # Every regenerated response is 0 (P(y = 1) is about 1e-26), so no
+        # strategy ever fits: each record counts all replicates as failed.
+        config = dataclasses.replace(tiny_config(replicates=2), true_theta=[-60.0, 0.0, 0.0])
+        records = run_study(config)
+        assert len(records) == 6
+        for rec in records:
+            assert rec.n_failed == 2
+            assert math.isnan(rec.smse) and math.isnan(rec.mean_model_info)
+
+    def test_ssmse_cells_that_all_fail_give_nan_records(self, monkeypatch):
+        # The full-data fits succeed; every run then fails in its summary.
+        def singular(config, result):
+            raise SingularInformationError("information matrix is singular at the optimum")
+
+        monkeypatch.setattr(glmsub.realdata, "_model_estimates", singular)
+        real, raw, y = tiny_real_study()
+        records = run_ssmse_study(real, raw, y)
+        assert len(records) == 6
+        for rec in records:
+            assert rec.n_failed == 3 and math.isnan(rec.ssmse)
 
     def test_degenerate_replicates_are_counted_not_fatal(self):
         # A rare-event logistic design at tiny N: many regenerated datasets

@@ -6,8 +6,10 @@ from glmsub import (
     StageOneError,
     ValidationError,
     WeightedSample,
+    build_design,
     enumerate_quadratic_models,
     fit_weighted_mle,
+    fit_weighted_mles,
     initial_probabilities,
     pilot_probabilities,
     random_sampling_baseline,
@@ -40,6 +42,18 @@ class TestTwoStage:
         assert result.stage2_indices.shape == (150,)
         assert len(result.stage2_probs) == len(y)
         assert result.stage2_probs.criterion is Criterion.MMSE
+
+    def test_combined_sample_is_the_fitted_design(self, poisson, rng):
+        raw, y = poisson_population(rng)
+        models = enumerate_quadratic_models(2, (0, 1))
+        result = two_stage(poisson, models, raw, y, 40, 80, rng)
+        rows = np.concatenate([result.stage1_indices, result.stage2_indices])
+        sample = result.combined_sample
+        np.testing.assert_array_equal(sample.design[:], build_design(models.full_spec, raw[rows]))
+        np.testing.assert_array_equal(sample.response, y[rows])
+        refit = fit_weighted_mles(poisson, sample, models.columns, population_size=len(y))
+        for fit, again in zip(result.fits, refit):
+            np.testing.assert_array_equal(fit.theta, again.theta)
 
     def test_rows_carry_stage_probabilities(self, poisson, rng):
         raw, y = poisson_population(rng)
