@@ -15,8 +15,15 @@ output path, ``--threads`` bounds parallelism without changing results.
 Outputs are written atomically (temp file + rename) and every CSV gets a
 ``<name>.meta.json`` sidecar echoing the config, the master seed and the
 tool version; ``subsample`` adds ``newton_iterations``, one count per
-model in model order.  The ``GLMSUB_OUT_DIR`` environment variable
-redirects default output locations.
+model in model order, and a probability file's sidecar adds
+``criterion``.  The ``GLMSUB_OUT_DIR`` environment variable redirects
+default output locations.
+
+A probability file of ``_SPLIT_ROWS`` rows or more is formatted by two
+processes when two or more CPUs are usable on Linux: one extra Python
+process, which imports only the standard library (:mod:`glmsub._rows`),
+formats the second half of the rows.  The bytes are the same either way;
+``taskset -c 0`` keeps the write to one process.
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure (estimation,
 numeric overflow or I/O).
@@ -31,14 +38,16 @@ import json
 import os
 import sys
 import tempfile
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from . import __version__
+from . import __version__, _rows
 from .config import RealDataConfig, parse_config
 from .datasets import load_csv
 from .errors import (
@@ -56,21 +65,32 @@ __all__ = ["main", "write_metrics_csv", "read_metrics_csv", "atomic_write"]
 
 METRICS_HEADER = ["scenario", "estimating_model", "r", "smse", "mean_model_info", "failures"]
 OUT_DIR_ENV = "GLMSUB_OUT_DIR"
-# Probability rows formatted per write, so the text of all N rows never
-# exists at once.  Writing 1e6 rows grows the resident set by about 1.5 MB
-# at 8,192 rows and 10.4 MB at 65,536, in the same time.
-_WRITE_ROWS = 8192
+# Probability files of at least this many rows are formatted by two
+# processes, the second started with its half of the rows.  Its start-up
+# (16-18 ms) costs more than it saves below about 70k rows: on a 2-vCPU VM,
+# medians of 11 alternating writes went 140 -> 162 ms at 2^16 rows,
+# 179 -> 125 ms at 98,304, 241 -> 157 ms at 2^17 and 1.82 -> 1.09 s at 2^20.
+_SPLIT_ROWS = 1 << 17
 
 
-def atomic_write(path: "str | Path", text: "str | Iterable[str]") -> None:
+def atomic_write(
+    path: "str | Path",
+    text: "str | Iterable[str]",
+    append: "Callable[[int], None] | None" = None,
+) -> None:
     """Write a file so that readers never observe a partial artifact.
-    ``text`` is the whole content or an iterable of its consecutive chunks."""
+    ``text`` is the whole content or an iterable of its consecutive chunks;
+    ``append``, when given, is called with the file descriptor after the
+    text is written and writes the rest of the content."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines([text] if isinstance(text, str) else text)
+            if append is not None:
+                fh.flush()
+                append(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -162,16 +182,82 @@ def _csv_text(header: "list[str]", rows) -> str:
 
 
 def _probability_lines(probs: np.ndarray) -> Iterator[str]:
-    # The bytes csv.writer gives for [i, repr(p)] rows (no field needs
-    # quoting), _WRITE_ROWS rows at a time.
+    # The header, then the rows of ``probs`` numbered from 0.
     yield "row,probability\r\n"
-    for start in range(0, probs.shape[0], _WRITE_ROWS):
-        chunk = probs[start : start + _WRITE_ROWS].tolist()
-        yield "".join(f"{i},{p!r}\r\n" for i, p in enumerate(chunk, start))
+    for start in range(0, probs.shape[0], _rows.WRITE_ROWS):
+        yield _rows.rows_text(start, probs[start : start + _rows.WRITE_ROWS].tolist())
+
+
+def _append_part(proc, part: str, fd: int) -> None:
+    """Wait for the helper ``proc``, then append its file ``part`` to the
+    file descriptor ``fd`` inside the kernel."""
+    err = proc.stderr.read().decode("utf-8", "replace").strip()
+    if proc.wait() != 0:
+        last = err.splitlines()[-1] if err else "no message"
+        raise OSError(f"the row-formatting process exited {proc.returncode}: {last}")
+    with open(part, "rb") as src:
+        while os.sendfile(fd, src.fileno(), None, 1 << 30):
+            pass
+
+
+@contextmanager
+def _row_helper(path: Path, probs: np.ndarray):
+    """Hand the upper rows of ``probs`` to a helper process running
+    :mod:`glmsub._rows`, which formats them into a part file beside ``path``
+    while the caller formats the rest.
+
+    Yields ``(m, append)``: the caller writes rows ``[0, m)``, then
+    ``append(fd)`` adds rows ``[m, N)`` to its file.  Yields ``(N, None)``,
+    and starts nothing, below ``_SPLIT_ROWS`` rows, with fewer than two
+    usable CPUs, off Linux (``os.sendfile`` appends to a regular file only
+    there), without ``sys.executable`` or when the process cannot start.
+    The part file is removed on every exit.
+    """
+    n = probs.shape[0]
+    if (
+        n < _SPLIT_ROWS
+        or not sys.executable
+        or not sys.platform.startswith("linux")
+        or len(os.sched_getaffinity(0)) < 2
+    ):
+        yield n, None
+        return
+    import subprocess
+
+    m = n // 2
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, part = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".part")
+    os.close(fd)
+    try:
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-I", "-S", _rows.__file__, str(m), str(n - m), part],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+            )
+        except OSError:
+            proc = None
+        if proc is None:
+            yield n, None
+            return
+        with proc:
+            try:
+                with proc.stdin:
+                    proc.stdin.write(memoryview(probs[m:]))
+                yield m, partial(_append_part, proc, part)
+            except BaseException:
+                proc.kill()
+                raise
+    finally:
+        os.unlink(part)
 
 
 def _write_probabilities(path: "str | Path", probs: np.ndarray) -> None:
-    atomic_write(path, _probability_lines(probs))
+    path = Path(path)
+    probs = np.ascontiguousarray(probs, dtype=np.float64)
+    with _row_helper(path, probs) as (m, append):
+        atomic_write(path, _probability_lines(probs[:m]), append)
 
 
 def _load_config(args, mode: str) -> "ScenarioConfig | RealDataConfig":
@@ -217,7 +303,12 @@ def _cmd_subsample(args) -> int:
         extra={"newton_iterations": [fit.iterations for fit in result.fits]},
     )
     if args.write_probs is not None:
-        _write_probabilities(args.write_probs, result.stage2_probs.probs)
+        probs = result.stage2_probs
+        _write_probabilities(args.write_probs, probs.probs)
+        _write_meta(
+            Path(args.write_probs), Path(args.config), config.master_seed, "subsample",
+            extra={"criterion": probs.criterion.value},
+        )
     print(f"wrote estimates for {len(config.model_set)} models to {out}")
     return 0
 

@@ -310,7 +310,11 @@ def _block_terms(family: Family, block, y, p, theta, start: int, at_optimum):
     if at_optimum:
         np.divide(np.square(resid, out=resid), p**2, out=w[models:])
         return None, w @ pairs.T
-    return np.divide(resid, p, out=resid) @ xt.T, w @ pairs.T
+    # A score that overflows makes the Newton step non-finite, which the
+    # loop reports as the fit's error; NumPy's warning would only precede it.
+    with np.errstate(over="ignore"):
+        scores = np.divide(resid, p, out=resid) @ xt.T
+    return scores, w @ pairs.T
 
 
 def _block_sums(family: Family, block_of, y, probs, theta, blocks, at_optimum):

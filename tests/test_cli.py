@@ -2,10 +2,13 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import glmsub._rows
 import glmsub.cli
 import glmsub.simulate
 from glmsub import MetricsRecord, NumericOverflowError, read_metrics_csv
@@ -69,6 +72,15 @@ def _replicate_1_kills_its_worker(m):
     if m == 1:
         os._exit(3)
     return _run_replicate(m)
+
+
+def csv_writer_bytes(probs):
+    """The probability file that csv.writer makes of ``probs``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["row", "probability"])
+    writer.writerows([i, repr(float(p))] for i, p in enumerate(probs))
+    return buf.getvalue().encode("utf-8")
 
 
 def write(tmp_path, text, name="run.yaml"):
@@ -201,6 +213,17 @@ class TestSubsampleCommand:
         assert meta["newton_iterations"] == [fit.iterations for fit in result.fits]
         assert len(meta["newton_iterations"]) == 4
 
+    def test_probability_file_gets_a_sidecar(self, tmp_path):
+        csv_path = make_dataset_csv(tmp_path / "d.csv")
+        config = write(tmp_path, real_yaml(csv_path, extra="r: 100\n"))
+        out, probs_out = tmp_path / "est.csv", tmp_path / "probs.csv"
+        argv = ["subsample", str(config), "--out", str(out), "--write-probs", str(probs_out)]
+        assert main(argv) == 0
+        meta = json.loads((tmp_path / "probs.csv.meta.json").read_text(encoding="utf-8"))
+        assert meta["mode"] == "subsample"
+        assert meta["master_seed"] == 4
+        assert meta["criterion"] == "model-robust-mMSE"
+
     def test_deterministic_under_seed(self, tmp_path):
         csv_path = make_dataset_csv(tmp_path / "d.csv")
         config = write(tmp_path, real_yaml(csv_path, extra="r: 100\n"))
@@ -237,27 +260,103 @@ class TestProbabilitiesCommand:
 
     def test_writer_bytes_match_csv_writer(self, tmp_path):
         probs = np.array([1e-7, 1 / 3, 0.5, 5e-324])
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["row", "probability"])
-        writer.writerows([i, repr(float(p))] for i, p in enumerate(probs))
         out = tmp_path / "p.csv"
         glmsub.cli._write_probabilities(out, probs)
-        assert out.read_bytes() == buf.getvalue().encode("utf-8")
+        assert out.read_bytes() == csv_writer_bytes(probs)
 
     def test_streamed_writer_bytes_across_chunks(self, tmp_path):
         # One row past a whole chunk: the second chunk starts its row
         # numbers where the first stopped.
-        n = glmsub.cli._WRITE_ROWS + 1
+        n = glmsub._rows.WRITE_ROWS + 1
         probs = np.random.default_rng(3).random(n)
         probs /= probs.sum()
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["row", "probability"])
-        writer.writerows([i, repr(float(p))] for i, p in enumerate(probs))
         out = tmp_path / "p.csv"
         glmsub.cli._write_probabilities(out, probs)
-        assert out.read_bytes() == buf.getvalue().encode("utf-8")
+        assert out.read_bytes() == csv_writer_bytes(probs)
+
+
+def split_probs(n):
+    """Random values with 5e-324, 1/3, 0.5 and 1e-7 on both sides of row
+    n // 2, where a split write hands the rows over to its helper."""
+    probs = np.random.default_rng(n).random(n)
+    m = n // 2
+    probs[m - 4 : m + 4] = [5e-324, 1 / 3, 0.5, 1e-7] * 2
+    return probs
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The argument lists of the processes started, each started for real."""
+    calls = []
+    popen = subprocess.Popen
+
+    def counting(args, **kwargs):
+        calls.append(args)
+        return popen(args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", counting)
+    return calls
+
+
+class TestSplitWriter:
+    # T - 1 and T + 1 are odd, so the two processes get unequal shares.
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_bytes_around_the_threshold(self, tmp_path, two_cpus, started, offset):
+        n = glmsub.cli._SPLIT_ROWS + offset
+        probs = split_probs(n)
+        out = tmp_path / "p.csv"
+        glmsub.cli._write_probabilities(out, probs)
+        assert out.read_bytes() == csv_writer_bytes(probs)
+        assert len(started) == (offset >= 0)
+        if started:
+            assert started[0][-3:-1] == [str(n // 2), str(n - n // 2)]
+        assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
+
+    @pytest.mark.parametrize(
+        "patch", [("sched_getaffinity", lambda pid: {0}), ("executable", "")]
+    )
+    def test_one_process_without_a_second_cpu_or_interpreter(self, tmp_path, monkeypatch, patch):
+        name, value = patch
+        monkeypatch.setattr(os if name == "sched_getaffinity" else sys, name, value)
+        monkeypatch.setattr(
+            subprocess, "Popen", lambda *a, **k: pytest.fail("started a process")
+        )
+        probs = split_probs(glmsub.cli._SPLIT_ROWS + 1)
+        out = tmp_path / "p.csv"
+        glmsub.cli._write_probabilities(out, probs)
+        assert out.read_bytes() == csv_writer_bytes(probs)
+
+    def test_one_process_when_the_helper_cannot_start(self, tmp_path, monkeypatch, two_cpus):
+        def refuse(*args, **kwargs):
+            raise OSError("Resource temporarily unavailable")
+
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        probs = split_probs(glmsub.cli._SPLIT_ROWS + 1)
+        out = tmp_path / "p.csv"
+        glmsub.cli._write_probabilities(out, probs)
+        assert out.read_bytes() == csv_writer_bytes(probs)
+        assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
+
+    def test_failing_helper_is_runtime(self, tmp_path, monkeypatch, capsys, two_cpus):
+        # The "interpreter" reads its rows, then fails the way a helper
+        # that cannot write its part file would.
+        fake = tmp_path / "python"
+        fake.write_text("#!/bin/sh\ncat >/dev/null\necho 'OSError: disk full' >&2\nexit 3\n")
+        fake.chmod(0o755)
+        monkeypatch.setattr(sys, "executable", str(fake))
+        monkeypatch.setattr(glmsub.cli, "_SPLIT_ROWS", 100)
+        csv_path = make_dataset_csv(tmp_path / "d.csv")
+        config = write(tmp_path, real_yaml(csv_path, mode="probabilities"))
+        outdir = tmp_path / "out"
+        assert main(["probabilities", str(config), "--out", str(outdir / "p.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "glmsub: error: the row-formatting process exited 3: OSError: disk full\n"
+        assert list(outdir.iterdir()) == []
 
 
 class TestSsmseCommand:

@@ -366,6 +366,25 @@ class TestBatchedFits:
             assert fit.iterations == alone.iterations == 1
             np.testing.assert_allclose(fit.variance, alone.variance, rtol=1e-10)
 
+    def test_singular_classifies_each_matrix_when_the_stack_fails(self, monkeypatch):
+        # LAPACK may fail to converge on a matrix with NaN entries; the stack
+        # is then classified one matrix at a time and the failing one counts
+        # as singular.
+        eigvalsh = np.linalg.eigvalsh
+
+        def failing_on_nan(a):
+            if np.isnan(a).any():
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_on_nan)
+        stack = np.array(
+            [np.eye(2), [[1.0, np.nan], [np.nan, 1.0]], [[1.0, 1.0], [1.0, 1.0]], np.diag([2.0, 3.0])]
+        )
+        np.testing.assert_array_equal(
+            glmsub.fitting._singular(stack), [False, True, True, False]
+        )
+
     def test_iteration_limit_as_alone(self, logistic, rng):
         models, sample, _ = self.weighted_sample("logistic", rng)
         batched = raised(lambda: fit_weighted_mles(logistic, sample, models.columns, max_iter=2))
@@ -441,12 +460,14 @@ class TestBatchedFits:
 
     def test_non_finite_step_fails_as_alone(self, poisson):
         # The Hessian at the start is well conditioned, but the score of the
-        # response 1e308 overflows in model 1's column (NumPy warns), so its
-        # first step is not finite.  Model 0 steps normally.
+        # response 1e308 overflows in model 1's column, so its first step is
+        # not finite.  Model 0 steps normally.  The fit error is the only
+        # signal: NumPy does not warn about the overflow.
         x = np.column_stack([np.ones(6), [-1.0, 0.5, 1.0, 2.0, -0.5, 4.0]])
         sample = WeightedSample(x, np.array([0.0, 1.0, 2.0, 1.0, 0.0, 1e308]), np.ones(6))
         columns = [np.array([0]), np.arange(2)]
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             batched = raised(lambda: fit_weighted_mles(poisson, sample, columns))
             alone = raised(lambda: lone_fit(poisson, sample, columns[1]))
         assert str(alone) == "Newton step became non-finite after 0 updates"

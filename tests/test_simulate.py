@@ -319,9 +319,13 @@ class TestRunStudy:
         assert seen["max_workers"] <= 3
 
     def test_cli_import_leaves_the_pool_out(self):
-        # Only --threads > 1 uses the process pool, so no command should pay
-        # for importing it (multiprocessing, pickle, socket).
-        code = "import sys, glmsub.cli; print('concurrent.futures' in sys.modules)"
+        # Only --threads > 1 uses the process pool, and only a large
+        # probability file a helper process, so no command should pay for
+        # importing them (multiprocessing, pickle, socket; subprocess).
+        code = (
+            "import sys, glmsub.cli; "
+            "print('concurrent.futures' in sys.modules or 'subprocess' in sys.modules)"
+        )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run(
             [sys.executable, "-c", code],
