@@ -346,7 +346,9 @@ class TestSplitWriter:
         # The "interpreter" reads its rows, then fails the way a helper
         # that cannot write its part file would.
         fake = tmp_path / "python"
-        fake.write_text("#!/bin/sh\ncat >/dev/null\necho 'OSError: disk full' >&2\nexit 3\n")
+        fake.write_text(
+            "#!/bin/sh\ncat >/dev/null\necho 'OSError: disk full' >&2\nexit 3\n", encoding="utf-8"
+        )
         fake.chmod(0o755)
         monkeypatch.setattr(sys, "executable", str(fake))
         monkeypatch.setattr(glmsub.cli, "_SPLIT_ROWS", 100)
