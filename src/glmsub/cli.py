@@ -81,7 +81,8 @@ def atomic_write(
     """Write a file so that readers never observe a partial artifact.
     ``text`` is the whole content or an iterable of its consecutive chunks;
     ``append``, when given, is called with the file descriptor after the
-    text is written and writes the rest of the content."""
+    text is written and writes the rest of the content.  The file gets the
+    mode a plain ``open`` would give it, ``0o666`` less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
@@ -91,6 +92,9 @@ def atomic_write(
             if append is not None:
                 fh.flush()
                 append(fh.fileno())
+        umask = os.umask(0o022)  # os.umask only reads by setting, so set it back
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -13,7 +13,7 @@ Simulation mode (synthetic data regenerated each replicate)::
 
     population: 10000         # N
     replicates: 200           # M
-    r_grid: [100, 200, 400]   # stage-2 sizes, ascending
+    r_grid: [100, 200, 400]   # stage-2 sizes: non-empty, strictly ascending
     covariates:
       distribution: normal    # normal | exponential | uniform
       dimension: 2
@@ -49,7 +49,12 @@ combination of squared terms over the ``quadratic_over`` covariates:
 Q = 2^k models for k covariates, with k at most ``MAX_QUADRATIC_TERMS``.
 Every stage-2 size (``r`` or each ``r_grid`` entry) must be at least
 ``r0``, and ``r0`` at least the largest model's parameter count + 1.
-Unknown keys anywhere are rejected, with the offending key path reported.
+
+``parse_config`` only parses: types, required and unknown keys (each
+reported with its key path), names and 1-based positions mapped to
+indices, the cap on quadratic terms and the ``alpha`` length.  The
+dataclasses it builds check the values and raise :class:`ConfigError` on
+the YAML key, for library callers and the CLI's ``--seed`` too.
 """
 
 from __future__ import annotations
@@ -72,6 +77,8 @@ from .simulate import (
     MultivariateNormalCovariates,
     ScenarioConfig,
     UniformCovariates,
+    _check_dimension,
+    _check_run,
 )
 
 __all__ = ["RealDataConfig", "parse_config", "MODES"]
@@ -102,6 +109,22 @@ class RealDataConfig:
     n_replicates: int | None
     sampling_model: int | None  # None means model-robust sampling
 
+    def __post_init__(self):
+        _check_run(self, self.r)
+        names = self.dataset.covariate_names
+        squared = set(self.model_set.full_spec.quadratic_terms)
+        non_continuous = sorted(squared - set(self.dataset.continuous_indices))
+        if non_continuous:
+            raise ConfigError(
+                "model_set.quadratic_over",
+                f"covariates {[names[i] for i in non_continuous]} are not continuous",
+            )
+        q = len(self.model_set)
+        if self.sampling_model is not None and not 0 <= self.sampling_model < q:
+            raise ConfigError(
+                "sampling_model", f"model index {self.sampling_model + 1} outside 1..{q}"
+            )
+
 
 _NOUNS = {int: "an integer", float: "a finite number", str: "a string"}
 
@@ -115,16 +138,6 @@ def _checked(value, kind, key: str):
     ):
         raise ConfigError(key, f"expected {_NOUNS.get(kind, kind.__name__)}, got {value!r}")
     return float(value) if kind is float else value
-
-
-_LARGEST = " (largest model size + 1)"
-
-
-def _at_least(value, low, key: str, why: str = ""):
-    """``value``, after checking that it is at least ``low``."""
-    if value < low:
-        raise ConfigError(key, f"must be at least {low}{why}, got {value}")
-    return value
 
 
 class _Block:
@@ -179,14 +192,13 @@ def _parse_criterion(root: _Block) -> Criterion:
 
 def _parse_covariates(block: _Block) -> CovariateDistribution:
     kind = block.get("distribution", str, required=True).lower()
-    dimension = _at_least(block.get("dimension", int, required=True), 1, "covariates.dimension")
+    dimension = block.get("dimension", int, required=True)
     if kind == "exponential":
         rate = block.get("rate", float, required=True)
         block.reject_unknown()
-        if rate <= 0:
-            raise ConfigError("covariates.rate", f"must be positive, got {rate}")
         return ExponentialCovariates(rate=rate, dimension=dimension)
     if kind == "normal":
+        _check_dimension(dimension)  # it sizes the lists below
         mean = block.list_of("mean", float, required=True)
         cov_rows = block.get("covariance", list, required=True)
         block.reject_unknown()
@@ -200,13 +212,8 @@ def _parse_covariates(block: _Block) -> CovariateDistribution:
             cov.append([_checked(v, float, f"{key}[{j}]") for j, v in enumerate(row)])
         if len(cov) != dimension:
             raise ConfigError("covariates.covariance", f"expected {dimension} rows, got {len(cov)}")
-        try:
-            dist = MultivariateNormalCovariates(mean=np.array(mean), cov=np.array(cov))
-            np.linalg.cholesky(dist.cov)  # the factor sample() draws through
-        except ValidationError as exc:
-            raise ConfigError("covariates.covariance", str(exc)) from None
-        except np.linalg.LinAlgError:
-            raise ConfigError("covariates.covariance", "must be positive definite") from None
+        dist = MultivariateNormalCovariates(mean=np.array(mean), cov=np.array(cov))
+        dist.cholesky()
         return dist
     if kind == "uniform":
         block.reject_unknown()
@@ -275,26 +282,10 @@ def _parse_model_set(
     return model_set
 
 
-def _check_sizes(
-    model_set: ModelSet, r0: int, r: "int | None", r_grid: "list[int] | None"
-) -> None:
-    """Reject subsample sizes that break ``r >= r0 >= d_max + 1`` before
-    any data is generated or loaded; ``two_stage`` checks the same
-    condition for library callers.  ``r_grid`` is already ascending."""
-    _at_least(r0, model_set.max_params + 1, "r0", _LARGEST)
-    if r is not None and r < r0:
-        raise ConfigError("r", f"must be at least r0 = {r0}, got {r}")
-    if r_grid and r_grid[0] < r0:
-        raise ConfigError("r_grid", f"sizes must be at least r0 = {r0}, got {r_grid[0]}")
-
-
-def _parse_simulate(root: _Block, family: Family, criterion: Criterion, eps: float, seed: int) -> ScenarioConfig:
+def _parse_simulate(root: _Block, common: dict) -> ScenarioConfig:
     n_population = root.get("population", int, required=True)
-    replicates = _at_least(root.get("replicates", int, required=True), 1, "replicates")
-    r0 = root.get("r0", int, required=True)
+    replicates = root.get("replicates", int, required=True)
     r_grid = root.list_of("r_grid", int, required=True)
-    if any(b <= a for a, b in zip(r_grid, r_grid[1:])):
-        raise ConfigError("r_grid", f"must be strictly ascending, got {r_grid}")
 
     cov_block = root.block("covariates", required=True)
     covariates = _parse_covariates(cov_block)
@@ -304,41 +295,22 @@ def _parse_simulate(root: _Block, family: Family, criterion: Criterion, eps: flo
     model_set = _parse_model_set(
         model_block, n_main, tuple(range(n_main)), "covariates.dimension"
     )
-    _check_sizes(model_set, r0, None, r_grid)
-    _at_least(n_population, model_set.max_params + 1, "population", _LARGEST)
 
     dg_block = root.block("data_generating", required=True)
     listed = dg_block.list_of("quadratic_terms", int, default=[])
     quad = _as_zero_based(listed, n_main, "data_generating.quadratic_terms")
     theta = dg_block.list_of("theta", float, required=True)
     dg_block.reject_unknown()
-    bad = set(quad) - set(model_set.full_spec.quadratic_terms)
-    if bad:
-        raise ConfigError(
-            "data_generating.quadratic_terms",
-            f"positions {sorted(i + 1 for i in bad)} are not in the model set's quadratic_over",
-        )
-    dg_model = ModelSpec(main_effects=tuple(range(n_main)), quadratic_terms=quad)
-    if len(theta) != dg_model.n_params:
-        raise ConfigError(
-            "data_generating.theta",
-            f"expected {dg_model.n_params} values for intercept + {n_main} main "
-            f"effects + {len(quad)} quadratic terms, got {len(theta)}",
-        )
     root.reject_unknown()
     return ScenarioConfig(
-        family=family,
         covariates=covariates,
-        data_generating_model=dg_model,
+        data_generating_model=ModelSpec(main_effects=tuple(range(n_main)), quadratic_terms=quad),
         true_theta=np.array(theta),
         model_set=model_set,
         n_population=n_population,
-        r0=r0,
-        r_grid=tuple(r_grid),
+        r_grid=r_grid,
         n_replicates=replicates,
-        eps=eps,
-        master_seed=seed,
-        criterion=criterion,
+        **common,
     )
 
 
@@ -379,9 +351,7 @@ def _parse_dataset(block: _Block) -> DatasetDescriptor:
     return DatasetDescriptor(path=path, response=response, covariates=columns)
 
 
-def _parse_real_data(
-    mode: str, root: _Block, family: Family, criterion: Criterion, eps: float, seed: int
-) -> RealDataConfig:
+def _parse_real_data(mode: str, root: _Block, common: dict) -> RealDataConfig:
     dataset = _parse_dataset(root.block("dataset", required=True))
     names = dataset.covariate_names
     model_block = root.block("model_set")
@@ -392,29 +362,14 @@ def _parse_real_data(
         "dataset.continuous",
         covariate_names=names,
     )
-    non_continuous = set(model_set.full_spec.quadratic_terms) - set(dataset.continuous_indices)
-    if non_continuous:
-        raise ConfigError(
-            "model_set.quadratic_over",
-            f"covariates {[names[i] for i in sorted(non_continuous)]} are not continuous",
-        )
-
-    r0 = root.get("r0", int, required=True)
     r = root.get("r", int, required=True) if mode == "subsample" else None
-    r_grid = root.list_of("r_grid", int, required=True) if mode == "ssmse" else None
-    replicates = None
-    if mode == "ssmse":
-        replicates = _at_least(root.get("replicates", int, required=True), 1, "replicates")
-    if r_grid is not None and any(b <= a for a, b in zip(r_grid, r_grid[1:])):
-        raise ConfigError("r_grid", f"must be strictly ascending, got {r_grid}")
-    _check_sizes(model_set, r0, r, r_grid)
+    r_grid = tuple(root.list_of("r_grid", int, required=True)) if mode == "ssmse" else None
+    replicates = root.get("replicates", int, required=True) if mode == "ssmse" else None
 
     root.seen.add("sampling_model")
     value = root.data.get("sampling_model", "model-robust")
     sampling_model: int | None = None
     if isinstance(value, int) and not isinstance(value, bool):
-        if not (1 <= value <= len(model_set)):
-            raise ConfigError("sampling_model", f"model index {value} outside 1..{len(model_set)}")
         sampling_model = value - 1
     elif value != "model-robust":
         raise ConfigError(
@@ -424,22 +379,19 @@ def _parse_real_data(
     root.reject_unknown()
     return RealDataConfig(
         mode=mode,
-        family=family,
         dataset=dataset,
         model_set=model_set,
-        criterion=criterion,
-        eps=eps,
-        master_seed=seed,
-        r0=r0,
         r=r,
-        r_grid=None if r_grid is None else tuple(r_grid),
+        r_grid=r_grid,
         n_replicates=replicates,
         sampling_model=sampling_model,
+        **common,
     )
 
 
 def parse_config(path: "str | Path") -> "ScenarioConfig | RealDataConfig":
-    """Parse and validate a run configuration file."""
+    """Parse a run configuration file into the config it describes; the
+    config's constructor checks the values."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(str(path), "config file not found")
@@ -453,15 +405,13 @@ def parse_config(path: "str | Path") -> "ScenarioConfig | RealDataConfig":
     mode = root.get("mode", str, required=True)
     if mode not in MODES:
         raise ConfigError("mode", f"expected one of {MODES}, got {mode!r}")
-    family = get_family(root.get("family", str, required=True))
-    criterion = _parse_criterion(root)
-    eps = root.get("eps", float, default=DEFAULT_EPS)
-    if eps <= 0:
-        raise ConfigError("eps", f"must be positive, got {eps}")
-    seed = root.get("seed", int, default=0)
-    if seed < 0:
-        raise ConfigError("seed", f"must be non-negative, got {seed}")
-
+    common = dict(  # the keys every mode reads
+        family=get_family(root.get("family", str, required=True)),
+        criterion=_parse_criterion(root),
+        eps=root.get("eps", float, default=DEFAULT_EPS),
+        master_seed=root.get("seed", int, default=0),
+        r0=root.get("r0", int, required=True),
+    )
     if mode == "simulate":
-        return _parse_simulate(root, family, criterion, eps, seed)
-    return _parse_real_data(mode, root, family, criterion, eps, seed)
+        return _parse_simulate(root, common)
+    return _parse_real_data(mode, root, common)

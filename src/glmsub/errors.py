@@ -18,7 +18,9 @@ class ValidationError(GlmsubError, ValueError):
 
 
 class ConfigError(ValidationError):
-    """Configuration file error, carrying the offending key path."""
+    """Configuration error, carrying the offending YAML key path.  Raised
+    by ``parse_config`` and by the config dataclasses it builds, so a run
+    config constructed in code fails with the same key."""
 
     def __init__(self, key: str, message: str):
         self.key = key

@@ -31,6 +31,7 @@ from typing import Union
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateResponseError,
     FitError,
     NumericOverflowError,
@@ -64,6 +65,18 @@ __all__ = [
 # ---------------------------------------------------------------------
 
 
+def _at_least(value, low, key: str, why: str = ""):
+    """``value``, after checking that it is at least ``low``."""
+    if value < low:
+        raise ConfigError(key, f"must be at least {low}{why}, got {value}")
+    return value
+
+
+def _check_dimension(dimension: int) -> None:
+    """Every covariate distribution has at least one covariate."""
+    _at_least(dimension, 1, "covariates.dimension")
+
+
 @dataclass(frozen=True)
 class ExponentialCovariates:
     """i.i.d. exponential covariates with the given rate (mean 1/rate)."""
@@ -72,10 +85,9 @@ class ExponentialCovariates:
     dimension: int
 
     def __post_init__(self):
+        _check_dimension(self.dimension)
         if self.rate <= 0:
-            raise ValidationError(f"rate must be positive, got {self.rate}")
-        if self.dimension < 1:
-            raise ValidationError("dimension must be at least 1")
+            raise ConfigError("covariates.rate", f"must be positive, got {self.rate}")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.exponential(scale=1.0 / self.rate, size=(n, self.dimension))
@@ -94,24 +106,29 @@ class MultivariateNormalCovariates:
         cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+        _check_dimension(mean.size)
         if cov.shape != (mean.size, mean.size):
-            raise ValidationError(
-                f"covariance shape {cov.shape} does not match mean length {mean.size}"
+            raise ConfigError(
+                "covariates.covariance",
+                f"shape {cov.shape} does not match mean length {mean.size}",
             )
         if not np.allclose(cov, cov.T, rtol=0, atol=1e-12):
-            raise ValidationError("covariance matrix must be symmetric")
+            raise ConfigError("covariates.covariance", "must be symmetric")
 
     @property
     def dimension(self) -> int:
         return self.mean.size
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def cholesky(self) -> np.ndarray:
+        """The lower Cholesky factor that :meth:`sample` draws through;
+        raises unless the covariance is positive definite."""
         try:
-            chol = np.linalg.cholesky(self.cov)
-        except np.linalg.LinAlgError as exc:
-            raise ValidationError(
-                "covariance matrix is not positive definite"
-            ) from exc
+            return np.linalg.cholesky(self.cov)
+        except np.linalg.LinAlgError:
+            raise ConfigError("covariates.covariance", "must be positive definite") from None
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        chol = self.cholesky()
         z = rng.standard_normal((n, self.dimension))
         return self.mean + z @ chol.T
 
@@ -123,8 +140,7 @@ class UniformCovariates:
     dimension: int
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValidationError("dimension must be at least 1")
+        _check_dimension(self.dimension)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.random((n, self.dimension))
@@ -198,6 +214,29 @@ def model_information(fit: FitResult) -> float:
 # ---------------------------------------------------------------------
 
 
+_LARGEST = " (largest model size + 1)"
+
+
+def _check_run(config, r: "int | None" = None) -> None:
+    """The rules every run config shares: eps > 0, seed >= 0, replicates
+    >= 1, a non-empty strictly ascending ``r_grid``, ``r0 >= d_max + 1``
+    and every stage-2 size (``r`` or each ``r_grid`` entry) >= ``r0``."""
+    if not config.eps > 0:
+        raise ConfigError("eps", f"must be positive, got {config.eps}")
+    if config.master_seed < 0:
+        raise ConfigError("seed", f"must be non-negative, got {config.master_seed}")
+    if config.n_replicates is not None:
+        _at_least(config.n_replicates, 1, "replicates")
+    grid, r0 = config.r_grid, config.r0
+    if grid is not None and (not grid or any(b <= a for a, b in zip(grid, grid[1:]))):
+        raise ConfigError("r_grid", f"must be non-empty and strictly ascending, got {list(grid)}")
+    _at_least(r0, config.model_set.max_params + 1, "r0", _LARGEST)
+    if r is not None and r < r0:
+        raise ConfigError("r", f"must be at least r0 = {r0}, got {r}")
+    if grid and grid[0] < r0:
+        raise ConfigError("r_grid", f"sizes must be at least r0 = {r0}, got {grid[0]}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full description of one simulation study."""
@@ -219,25 +258,24 @@ class ScenarioConfig:
         object.__setattr__(self, "true_theta", np.asarray(self.true_theta, dtype=float).ravel())
         object.__setattr__(self, "r_grid", tuple(int(r) for r in self.r_grid))
         object.__setattr__(self, "criterion", Criterion.optimality(self.criterion))
-        if self.true_theta.shape[0] != self.data_generating_model.n_params:
-            raise ValidationError(
-                f"true theta has length {self.true_theta.shape[0]} but the "
-                f"data-generating model has "
-                f"{self.data_generating_model.n_params} parameters"
-            )
-        if len(self.r_grid) == 0 or any(
-            b <= a for a, b in zip(self.r_grid, self.r_grid[1:])
-        ):
-            raise ValidationError(f"r_grid must be strictly ascending, got {self.r_grid}")
-        if self.n_replicates < 1:
-            raise ValidationError("need at least one replicate")
-        if self.master_seed < 0:
-            raise ValidationError("master seed must be non-negative")
-        if self.eps <= 0:
-            raise ValidationError(f"eps must be positive, got {self.eps}")
+        _check_run(self)
+        _at_least(self.n_population, self.model_set.max_params + 1, "population", _LARGEST)
         # The data-generating model must be one of the candidates so the
         # 'correctly specified' strategy exists.
-        self.model_set.index_of(self.data_generating_model)
+        dg = self.data_generating_model
+        if dg not in self.model_set.specs:
+            raise ConfigError(
+                "data_generating.quadratic_terms",
+                "the data-generating model is not a candidate: its squared terms "
+                f"{[i + 1 for i in dg.quadratic_terms]} must be in the model set's quadratic_over",
+            )
+        if self.true_theta.shape[0] != dg.n_params:
+            raise ConfigError(
+                "data_generating.theta",
+                f"expected {dg.n_params} values for intercept + {len(dg.main_effects)} "
+                f"main effects + {len(dg.quadratic_terms)} quadratic terms, "
+                f"got {self.true_theta.shape[0]}",
+            )
 
     @property
     def dg_index(self) -> int:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -120,6 +121,20 @@ class TestAtomicWrite:
         target = tmp_path / "out.txt"
         atomic_write(target, (f"{i}\n" for i in range(3)))
         assert target.read_text(encoding="utf-8") == "0\n1\n2\n"
+
+    def test_outputs_get_the_umask_mode(self, tmp_path):
+        # A CSV and its sidecar get 0o666 less the umask, as open() gives.
+        csv_path = make_dataset_csv(tmp_path / "d.csv")
+        config = write(tmp_path, real_yaml(csv_path, extra="r: 100\n"))
+        out, probs_out = tmp_path / "est.csv", tmp_path / "probs.csv"
+        argv = ["subsample", str(config), "--out", str(out), "--write-probs", str(probs_out)]
+        old = os.umask(0o027)
+        try:
+            assert main(argv) == 0
+        finally:
+            os.umask(old)
+        for path in (out, probs_out, tmp_path / "est.csv.meta.json", tmp_path / "probs.csv.meta.json"):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o640, path.name
 
     def test_failing_chunks_keep_old_target(self, tmp_path):
         target = tmp_path / "out.txt"
@@ -429,6 +444,41 @@ class TestExitCodes:
         assert err.startswith("glmsub: error: a worker process died: ")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "subsample", "probabilities", "ssmse"])
+    def test_negative_seed_flag_names_the_key(self, tmp_path, monkeypatch, capsys, command):
+        # --seed is checked like seed: in the config, before any data is
+        # generated or loaded.
+        def unreachable(*args, **kwargs):
+            pytest.fail("ran past the config check")
+
+        monkeypatch.setattr(glmsub.cli, "run_study", unreachable)
+        monkeypatch.setattr(glmsub.cli, "load_csv", unreachable)
+        extra = {"subsample": "r: 100\n", "ssmse": "r_grid: [100]\nreplicates: 1\n"}
+        if command == "simulate":
+            text = SIM_YAML
+        else:
+            text = real_yaml(make_dataset_csv(tmp_path / "d.csv"), command, extra.get(command, ""))
+        config = write(tmp_path, text)
+        out = tmp_path / "out" / "o.csv"
+        assert main([command, str(config), "--seed", "-1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("glmsub: error: seed: must be non-negative, got -1")
+        assert "Traceback" not in err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "ssmse"])
+    def test_empty_r_grid_names_the_key(self, tmp_path, capsys, command):
+        if command == "simulate":
+            text = SIM_YAML.replace("r_grid: [50]", "r_grid: []")
+        else:
+            csv_path = make_dataset_csv(tmp_path / "d.csv")
+            text = real_yaml(csv_path, command, "r_grid: []\nreplicates: 1\n")
+        config = write(tmp_path, text)
+        out = tmp_path / "out" / "o.csv"
+        assert main([command, str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("glmsub: error: r_grid: must be non-empty")
+        assert not out.parent.exists()
 
     def test_bad_usage(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -199,12 +199,16 @@ class TestSimulateConfig:
             ("[[1.5, 0.0], [0.0, 1.5]]", "[[1.0, 0.5], [0.0, 1.0]]", "covariates.covariance"),
             ("seed: 20260810", "seed: 20260810\neps: 0", "eps"),
             ("seed: 20260810", "seed: -1", "seed"),
+            ("[100, 200]", "[]", "r_grid"),
+            (NORMAL, "distribution: exponential\n  dimension: 0\n  rate: 1.0", "covariates.dimension"),
+            (NORMAL, "distribution: uniform\n  dimension: 0", "covariates.dimension"),
         ],
         ids=[
             "population-negative", "population-below-model-size", "replicates-negative",
             "replicates-zero", "dimension-zero", "rate-zero", "rate-negative",
             "covariance-not-positive-definite", "covariance-not-symmetric", "eps-zero",
-            "seed-negative",
+            "seed-negative", "r-grid-empty", "exponential-dimension-zero",
+            "uniform-dimension-zero",
         ],
     )
     def test_out_of_range_values_name_their_key(self, tmp_path, old, new, key):
@@ -300,6 +304,8 @@ class TestRealDataConfig:
             (ssmse, "r0: 200", "r0: 7", "r0"),
             (REAL_YAML, "r: 500", "r: 199", "r"),
             (ssmse, "[300, 500]", "[150, 500]", "r_grid"),
+            (ssmse, "[300, 500]", "[500, 300]", "r_grid"),
+            (ssmse, "[300, 500]", "[]", "r_grid"),
         ):
             with pytest.raises(ConfigError) as excinfo:
                 parse_config(write(tmp_path, text.replace(old, new)))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import glmsub.realdata
 import glmsub.simulate
 from glmsub import (
+    ConfigError,
     CovariateColumn,
     Criterion,
     DatasetDescriptor,
@@ -81,6 +82,24 @@ class TestGenCovariates:
     def test_bad_rate(self):
         with pytest.raises(ValidationError):
             ExponentialCovariates(rate=0.0, dimension=1)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ExponentialCovariates(rate=1.0, dimension=0),
+            lambda: UniformCovariates(dimension=0),
+            lambda: MultivariateNormalCovariates(mean=np.zeros(0), cov=np.zeros((0, 0))),
+        ],
+        ids=["exponential", "uniform", "normal"],
+    )
+    def test_dimension_below_one(self, make):
+        with pytest.raises(ConfigError) as excinfo:
+            make()
+        assert excinfo.value.key == "covariates.dimension"
+
+    def test_zero_rows_rejected(self, rng):
+        with pytest.raises(ValidationError, match="need n >= 1, got 0"):
+            gen_covariates(UniformCovariates(dimension=2), 0, rng)
 
 
 class TestGenResponse:
@@ -221,6 +240,44 @@ def tiny_real_study():
     return real, raw, y
 
 
+class TestRealDataConfig:
+    @pytest.mark.parametrize(
+        "field, value, key",
+        [
+            ("n_replicates", 0, "replicates"),
+            ("master_seed", -1, "seed"),
+            ("eps", -1e-6, "eps"),
+            ("r_grid", (), "r_grid"),
+            ("r_grid", (80, 60), "r_grid"),
+            ("r0", 5, "r0"),
+            ("r_grid", (39,), "r_grid"),
+            ("sampling_model", 4, "sampling_model"),
+            ("sampling_model", -1, "sampling_model"),
+            ("r", 39, "r"),
+        ],
+        ids=[
+            "replicates-zero", "seed-negative", "eps-negative", "r-grid-empty",
+            "r-grid-descending", "r0-below-model-size", "r-grid-below-r0",
+            "sampling-model-above", "sampling-model-below", "r-below-r0",
+        ],
+    )
+    def test_run_rules_name_their_key(self, field, value, key):
+        # The same rules as ScenarioConfig, from the same function.
+        real, _, _ = tiny_real_study()
+        with pytest.raises(ConfigError) as excinfo:
+            dataclasses.replace(real, **{field: value})
+        assert excinfo.value.key == key
+
+    def test_squared_covariates_must_be_continuous(self):
+        real, _, _ = tiny_real_study()
+        dataset = dataclasses.replace(
+            real.dataset, covariates=(CovariateColumn("a"), CovariateColumn("b", continuous=False))
+        )
+        with pytest.raises(ConfigError, match=r"\['b'\] are not continuous") as excinfo:
+            dataclasses.replace(real, dataset=dataset)
+        assert excinfo.value.key == "model_set.quadratic_over"
+
+
 class TestScenarioConfig:
     def test_theta_length_checked(self):
         with pytest.raises(ValidationError):
@@ -253,6 +310,29 @@ class TestScenarioConfig:
                 r_grid=(40,),
                 n_replicates=1,
             )
+
+    @pytest.mark.parametrize(
+        "field, value, key",
+        [
+            ("n_replicates", 0, "replicates"),
+            ("master_seed", -1, "seed"),
+            ("eps", 0.0, "eps"),
+            ("r_grid", (), "r_grid"),
+            ("r_grid", (60, 60), "r_grid"),
+            ("r0", 5, "r0"),
+            ("r_grid", (39,), "r_grid"),
+            ("n_population", 5, "population"),
+        ],
+        ids=[
+            "replicates-zero", "seed-negative", "eps-zero", "r-grid-empty",
+            "r-grid-repeated", "r0-below-model-size", "r-grid-below-r0", "population-small",
+        ],
+    )
+    def test_run_rules_name_their_key(self, field, value, key):
+        # Four candidates, the largest with 5 parameters: r0 >= 6.
+        with pytest.raises(ConfigError) as excinfo:
+            dataclasses.replace(tiny_config(), **{field: value})
+        assert excinfo.value.key == key
 
     def test_scenario_labels(self):
         config = tiny_config()

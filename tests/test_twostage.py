@@ -117,6 +117,14 @@ class TestTwoStage:
         with pytest.raises(ValidationError):
             pilot_probabilities(logistic, models, raw, y, 5, rng)
 
+    def test_data_preconditions(self, logistic, rng):
+        raw, y = logistic_population(rng)
+        models = enumerate_quadratic_models(2, (0, 1))  # d_max = 5
+        with pytest.raises(ValidationError, match="3000 rows but response has 2999"):
+            two_stage(logistic, models, raw, y[:-1], 60, 150, rng)
+        with pytest.raises(ValidationError, match="dataset has only 5 rows"):
+            two_stage(logistic, models, raw[:5], y[:5], 6, 6, rng)
+
     def test_bad_sampling_model_index(self, logistic, rng):
         raw, y = logistic_population(rng)
         models = enumerate_quadratic_models(2, ())
