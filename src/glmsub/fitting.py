@@ -22,14 +22,15 @@ population of N rows,
 Every candidate model is fitted on the same rows, so
 :func:`fit_weighted_mles` fits them all in one Newton loop over the
 sample's union design, each model a column index into it.  The parameters
-form a ``(Q, D)`` block that is zero outside each model's columns.  The
-loop walks the rows in feature-major blocks ``xt`` (D x B) of
-``_BLOCK_ROWS`` rows: one matmul gives the linear predictors of every
-still-running model, the mean is evaluated once for all of them, and
-their weighted Gram matrices come from one matmul of the block's pair
-products ``x_j x_k`` (j <= k) against the weight matrix.  A sample whose
-design is a :class:`LazyDesign` has each block built from its raw
-covariates, so the full-data fits hold no N x D array.  A model leaves
+form a ``(Q, D)`` block that is zero outside each model's columns.  Every
+pass over N rows, here and in the stage-2 probabilities (whose full-data
+information is :func:`_information`), walks the feature-major blocks
+``xt`` (D x B) of ``_BLOCK_ROWS`` rows that :func:`_row_blocks` yields; a
+:class:`LazyDesign` has each built from its raw covariates, so no pass
+holds an N x D array.  Per block one matmul gives the linear predictors
+of every still-running model, the mean is evaluated once for all of them,
+and their weighted Gram matrices come from one matmul of the block's pair
+products ``x_j x_k`` (j <= k) against the weight matrix.  A model leaves
 the loop when it converges, after the same number of iterations as it
 would alone and with results equal up to rounding.  Every caller treats
 one model's failure as the failure of the row set, so the first iteration
@@ -51,7 +52,7 @@ from .errors import (
     ValidationError,
 )
 from .families import Family
-from .models import LazyDesign, _design_block
+from .models import LazyDesign, _feature_rows
 
 __all__ = [
     "WeightedSample",
@@ -75,6 +76,19 @@ _RCOND = 1e-12
 # mMSE probabilities at N = 1e6, Q = 8 on a 2-vCPU VM: 0.71 s at 8k rows,
 # 0.77 s at 16k, 1.05 s at 32k and 1.32 s at 64k.
 _BLOCK_ROWS = 8192
+
+
+def _row_blocks(design: "np.ndarray | LazyDesign"):
+    """Yield ``(rows, xt)`` for each ``_BLOCK_ROWS`` block of an N x d
+    design array or a :class:`LazyDesign`: the slice of its rows and the
+    block as a C-contiguous feature-major ``(d, B)`` array.  The block may
+    share memory with an array design, so callers do not write to it."""
+    for start in range(0, design.shape[0], _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        if isinstance(design, LazyDesign):
+            yield rows, _feature_rows(design.spec, design.raw, rows)
+        else:
+            yield rows, np.ascontiguousarray(design[rows].T)
 
 
 def _singular(stack: np.ndarray) -> np.ndarray:
@@ -258,20 +272,16 @@ def fit_weighted_mle(
     return fit_weighted_mles(family, sample, columns, population_size, tol, max_iter)[0]
 
 
-def _pair_block(design, rows, used, buffer) -> tuple[np.ndarray, np.ndarray]:
-    """A row block of the design as feature-major columns ``xt`` (D x B),
-    keeping the columns ``used`` (all when None), and its pair products:
-    rows ``x_j * x_k`` for j <= k in ``np.triu_indices`` order, then a row
-    of zeros.  The packed Gram matrices of the weight rows ``W`` (A x B)
-    are ``W @ pairs.T``, and their last column is zero.  The products are
-    written into ``buffer`` (P + 1 rows, at least B columns).
+def _pair_block(xt: np.ndarray, buffer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A row block ``xt`` (D x B) of :func:`_row_blocks` with its pair
+    products: rows ``x_j * x_k`` for j <= k in ``np.triu_indices`` order,
+    then a row of zeros.  The packed Gram matrices of the weight rows ``W``
+    (A x B) are ``W @ pairs.T``, and their last column is zero.  The
+    products are written into ``buffer`` (P + 1 rows, at least B columns).
 
     Models run along the first axis of every (A, B) array, so elementwise
     work on them loops over the rows of the block, not over the models.
     """
-    xt = _design_block(design, rows)
-    if used is not None:
-        xt = xt[used]
     dim = xt.shape[0]
     pairs = buffer[:, : xt.shape[1]]
     start = 0
@@ -317,9 +327,9 @@ def _block_terms(family: Family, block, y, p, theta, start: int, at_optimum):
     return scores, w @ pairs.T
 
 
-def _block_sums(family: Family, block_of, y, probs, theta, blocks, at_optimum):
+def _block_sums(family: Family, walk, y, probs, theta, at_optimum):
     """One pass over the row blocks at the ``(A, D)`` parameter block;
-    ``block_of(rows)`` gives a block's :func:`_pair_block`.
+    ``walk()`` yields each block's rows and :func:`_pair_block`.
 
     In a Newton pass, returns the scores ``(y - mu) / phi @ X`` (A x D) and
     the packed Grams of ``variance(mu) / phi`` (A x P).  At the optimum the
@@ -329,9 +339,9 @@ def _block_sums(family: Family, block_of, y, probs, theta, blocks, at_optimum):
     """
     scores = None if at_optimum else 0.0
     grams = 0.0
-    for rows in blocks:
+    for rows, block in walk():
         block_scores, block_grams = _block_terms(
-            family, block_of(rows), y[rows], probs[rows], theta, rows.start, at_optimum
+            family, block, y[rows], probs[rows], theta, rows.start, at_optimum
         )
         if not at_optimum:
             scores = scores + block_scores
@@ -345,36 +355,28 @@ def _column_layout(n_params: int, columns: tuple) -> tuple:
     once per distinct sets (tuples of ints) of a design with ``n_params``
     columns.
 
-    The columns no model uses are dropped (``used`` keeps the others, or
-    is None when every column is used).  Model k's entries of the
-    ``(Q, D)`` parameter block are then ``present[k]``, at positions
-    ``columns[k]``; where some model lacks a column, its matrices are
-    padded.  ``gather[k]`` picks model k's D x D matrix out of packed
-    Grams: the pair row of each entry, or the trailing zero row outside
-    its columns.  ``extract[k]`` indexes model k's own d x d block of a
-    D x D matrix.  Every array is read-only, as all callers share it.
+    Model k's entries of the ``(Q, D)`` parameter block are
+    ``present[k]``, at positions ``columns[k]``; where a model lacks a
+    column, its matrices are padded.  ``gather[k]`` picks model k's D x D
+    matrix out of packed Grams: the pair row of each entry, or the
+    trailing zero row outside its columns.  ``extract[k]`` indexes model
+    k's own d x d block of a D x D matrix.  Every array is read-only, as
+    all callers share it.
     """
-    columns = [np.array(cols, dtype=np.intp) for cols in columns]
+    columns = tuple(np.array(cols, dtype=np.intp) for cols in columns)
     present = np.zeros((len(columns), n_params), dtype=bool)
     for k, cols in enumerate(columns):
         present[k, cols] = True
         if present[k].sum() != cols.size:
             raise ValidationError(f"model {k} repeats a column: {cols.tolist()}")
-    used = present.any(axis=0)
-    position = np.cumsum(used) - 1
-    columns = tuple(position[cols] for cols in columns)
-    present = present[:, used]
-    dim = present.shape[1]
-    i = np.arange(dim)
+    i = np.arange(n_params)
     low, high = np.minimum.outer(i, i), np.maximum.outer(i, i)
-    pair_of = low * dim - low * (low - 1) // 2 + high - low
-    gather = np.where(present[:, :, None] & present[:, None, :], pair_of, dim * (dim + 1) // 2)
+    pair_of = low * n_params - low * (low - 1) // 2 + high - low
+    gather = np.where(present[:, :, None] & present[:, None, :], pair_of, pair_of.max() + 1)
     extract = tuple(np.ix_(cols, cols) for cols in columns)
-    used = None if used.all() else used
-    for array in (used, present, gather, *columns, *(a for ix in extract for a in ix)):
-        if array is not None:
-            array.flags.writeable = False
-    return used, columns, present, gather, extract
+    for array in (present, gather, *columns, *(a for ix in extract for a in ix)):
+        array.flags.writeable = False
+    return columns, present, gather, extract
 
 
 def fit_weighted_mles(
@@ -414,7 +416,7 @@ def fit_weighted_mles(
     key = tuple(tuple(np.asarray(cols, dtype=np.intp).tolist()) for cols in columns)
     if not key:
         raise ValidationError("no models to fit")
-    used, columns, present, gather, extract = _column_layout(sample.n_params, key)
+    columns, present, gather, extract = _column_layout(sample.n_params, key)
     n_models, dim = present.shape
     sparse = not present.all()
 
@@ -426,17 +428,15 @@ def fit_weighted_mles(
             f"need at least {oversized[0]} rows to fit {oversized[0]} parameters, got {n}"
         )
 
-    design, y, probs = sample.design, sample.response, sample.probs
-    blocks = [slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS)]
+    y, probs = sample.response, sample.probs
     # Every block's pair products go to one buffer: made afresh (3 MB per
     # block at D = 9), they can cost a page fault per page whenever the
     # allocator hands the freed memory back to the system.
     buffer = np.empty((dim * (dim + 1) // 2 + 1, min(n, _BLOCK_ROWS)))
-    if len(blocks) == 1:  # every pass reuses the one block
-        cached = _pair_block(design, blocks[0], used, buffer)
-        block_of = lambda rows: cached
-    else:
-        block_of = lambda rows: _pair_block(design, rows, used, buffer)
+    walk = lambda: ((rows, _pair_block(xt, buffer)) for rows, xt in _row_blocks(sample.design))
+    if n <= _BLOCK_ROWS:  # every pass reuses the one block
+        cached = list(walk())
+        walk = lambda: cached
 
     theta = np.zeros((n_models, dim))
     iterations = np.zeros(n_models, dtype=int)
@@ -450,7 +450,7 @@ def fit_weighted_mles(
             absent = ~present[active]
             picks = np.arange(active.size)[:, None, None], gather[active]
         try:
-            rhs, grams = _block_sums(family, block_of, y, probs, th, blocks, at_optimum=False)
+            rhs, grams = _block_sums(family, walk, y, probs, th, at_optimum=False)
         except NumericOverflowError as exc:
             a = exc.model
             raise NonConvergenceError(
@@ -494,7 +494,7 @@ def fit_weighted_mles(
             iterations=max_iter,
         )
 
-    _, grams = _block_sums(family, block_of, y, probs, theta, blocks, at_optimum=True)
+    _, grams = _block_sums(family, walk, y, probs, theta, at_optimum=True)
     big_n = n if population_size is None else int(population_size)
     model = np.arange(n_models)[:, None, None]
     info = grams[model, gather] / (big_n * n)
@@ -517,9 +517,20 @@ def fit_weighted_mles(
     )
 
 
+def _information(family: Family, theta: np.ndarray, design, means: np.ndarray) -> np.ndarray:
+    """``(1/N) sum_i variance(mean(eta_i)) x_i x_i^T`` over the row blocks
+    of ``design`` at ``theta`` (floats, one per column); each row's mean is
+    written into the N-vector ``means``."""
+    info = 0.0
+    for rows, xt in _row_blocks(design):
+        means[rows] = mu = _block_mean(family, theta @ xt, rows.start)
+        info += _gram(xt, family.variance(mu), design.shape[0])
+    return info
+
+
 def full_information(family: Family, theta: np.ndarray, design: np.ndarray) -> np.ndarray:
     """Observed information of the full data, ``(1/N) sum_i
     variance(mean(eta_i)) x_i x_i^T``, at the given parameter value."""
     design = np.atleast_2d(np.asarray(design, dtype=float))
-    mu = family.mean(_linear_predictor(theta, design))
-    return _gram(design.T, family.variance(mu), design.shape[0])
+    theta = _checked_theta(theta, design.shape[1])
+    return _information(family, theta, design, np.empty(design.shape[0]))

@@ -9,9 +9,9 @@ Every design is built by one private builder that reads the raw columns
 of a row block straight into a feature-major ``(d, B)`` array, the
 transpose of the block's design, without stacking columns or copying a
 transpose.  The kernels that walk all N rows (the stage-2 probabilities
-and the full-data fits) take their blocks from a :class:`LazyDesign`, so
-they never hold an N x d array; :func:`build_design` is the same build
-over all rows, returned row-major.
+and the full-data fits) take their blocks from a :class:`LazyDesign`
+through ``fitting._row_blocks``, so they never hold an N x d array;
+:func:`build_design` is the same build over all rows, returned row-major.
 """
 
 from __future__ import annotations
@@ -129,15 +129,6 @@ class LazyDesign:
 
     def __getitem__(self, rows) -> np.ndarray:
         return build_design(self.spec, self.raw[rows])
-
-
-def _design_block(design: "np.ndarray | LazyDesign", rows) -> np.ndarray:
-    """Rows ``rows`` of an N x d design array or a :class:`LazyDesign` as
-    a C-contiguous ``(d, B)`` block.  The block may share memory with an
-    array design, so callers do not write to it."""
-    if isinstance(design, LazyDesign):
-        return _feature_rows(design.spec, design.raw, rows)
-    return np.ascontiguousarray(design[rows].T)
 
 
 def validate_alpha(alpha) -> np.ndarray:

@@ -21,14 +21,14 @@ kernel (so Q = 1 gives the single-model vector bit for bit).  The eps
 floor keeps every probability strictly positive so that no row is
 unreachable.
 
-The kernel walks the N rows in blocks of ``_BLOCK_ROWS``, each a
-feature-major ``(d, B)`` array ``xt``: ``eta = theta @ xt``, J_X sums
-``(xt * v) @ xt.T`` over the blocks, and the norms are column sums of
-squares of ``J_X^-1 @ xt`` (mMSE) or of ``xt`` (mVc).  For mMSE a first
-pass stores each row's mean and accumulates J_X, a second scores the
-rows; mVc needs one pass.  Memory therefore grows with N only through
-N-vectors, never through an N x d array: a :class:`LazyDesign` builds
-each block straight from the raw covariates.
+The kernel walks the N rows in the feature-major ``(d, B)`` blocks
+``xt`` of ``fitting._row_blocks``: ``eta = theta @ xt``, and the norms
+are column sums of squares of ``J_X^-1 @ xt`` (mMSE) or of ``xt`` (mVc).
+For mMSE a first pass, ``fitting._information``, stores each row's mean
+and accumulates J_X, a second scores the rows; mVc needs one pass.
+Memory therefore grows with N only through N-vectors, never through an
+N x d array: a :class:`LazyDesign` builds each block straight from the
+raw covariates.
 """
 
 from __future__ import annotations
@@ -41,14 +41,14 @@ import numpy as np
 from .errors import DegenerateResponseError, ValidationError
 from .families import Family, Logistic
 from .fitting import (
-    _BLOCK_ROWS,
     _block_mean,
     _checked_inverse,
     _checked_theta,
-    _gram,
+    _information,
     _linear_predictor,
+    _row_blocks,
 )
-from .models import LazyDesign, ModelSet, _design_block
+from .models import LazyDesign, ModelSet
 
 __all__ = [
     "Criterion",
@@ -159,27 +159,21 @@ def _scores(
     :class:`LazyDesign`), computed on feature-major row blocks ``xt``
     (d x B).  Each row's mean is evaluated once: mMSE keeps it in the
     output vector between its two passes."""
-    n = design.shape[0]
     theta = _checked_theta(theta, design.shape[1])
-    blocks = [slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS)]
-    out = np.empty(n)
-    inv = None
+    out = np.empty(design.shape[0])
     if criterion is Criterion.MMSE:
-        info = 0.0
-        for rows in blocks:
-            xt = _design_block(design, rows)
-            out[rows] = mu = _block_mean(family, theta @ xt, rows.start)
-            info += _gram(xt, family.variance(mu), n)
         inv = _checked_inverse(
-            info, "full-data information matrix is singular; cannot form mMSE probabilities"
+            _information(family, theta, design, out),
+            "full-data information matrix is singular; cannot form mMSE probabilities",
         )
-    for rows in blocks:
-        xt = _design_block(design, rows)
-        if inv is None:
-            mu = _block_mean(family, theta @ xt, rows.start)
-        else:
-            mu = out[rows]
-            xt = inv @ xt  # column i is J^-1 x_i
+        # Column i of ``inv @ xt`` is J^-1 x_i.
+        blocks = ((rows, out[rows], inv @ xt) for rows, xt in _row_blocks(design))
+    else:
+        blocks = (
+            (rows, _block_mean(family, theta @ xt, rows.start), xt)
+            for rows, xt in _row_blocks(design)
+        )
+    for rows, mu, xt in blocks:
         norms = np.sqrt(np.einsum("ij,ij->j", xt, xt))
         out[rows] = _floor(y[rows], mu, eps) * norms
     out /= out.sum()

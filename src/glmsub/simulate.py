@@ -86,8 +86,8 @@ class ExponentialCovariates:
 
     def __post_init__(self):
         _check_dimension(self.dimension)
-        if self.rate <= 0:
-            raise ConfigError("covariates.rate", f"must be positive, got {self.rate}")
+        if not 0 < self.rate < np.inf:  # NaN fails too
+            raise ConfigError("covariates.rate", f"must be finite and positive, got {self.rate}")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.exponential(scale=1.0 / self.rate, size=(n, self.dimension))
@@ -112,6 +112,9 @@ class MultivariateNormalCovariates:
                 "covariates.covariance",
                 f"shape {cov.shape} does not match mean length {mean.size}",
             )
+        for key, values in (("covariates.mean", mean), ("covariates.covariance", cov)):
+            if not np.isfinite(values).all():
+                raise ConfigError(key, f"must be finite, got {values.tolist()}")
         if not np.allclose(cov, cov.T, rtol=0, atol=1e-12):
             raise ConfigError("covariates.covariance", "must be symmetric")
 

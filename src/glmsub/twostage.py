@@ -14,14 +14,15 @@ candidate models are fitted on the final combined sample.
 ``random_sampling_baseline`` skips the optimality step and reuses the
 stage-1 probabilities for stage 2.
 
-Every fit of a row set is one call of :func:`fit_weighted_mles` on the
-rows' union design (a :class:`LazyDesign` of their raw covariates, built
-feature-major by the fit), which runs one Newton loop for all the models
-fitted on them: the Q candidates on the combined sample, and the models
-that shape the stage-2 probabilities on the stage-1 pilot rows.  The
-Newton settings are fixed at that function's defaults, and a stage-1 draw
-whose pilot fit fails (any model's) is redrawn up to
-``DEFAULT_STAGE1_ATTEMPTS`` times before :class:`StageOneError`.
+Every fit of a row set is one call of :func:`fit_weighted_mles` on a
+:class:`LazyDesign` of the rows' raw covariates, which runs one Newton
+loop for all the models fitted on them: the Q candidates on the combined
+sample's union design, and on the stage-1 pilot rows the models that
+shape the stage-2 probabilities (the union design, or under
+``sampling_model=q`` that model's own design).  The Newton settings are
+fixed at that function's defaults, and a stage-1 draw whose pilot fit
+fails (any model's) is redrawn up to ``DEFAULT_STAGE1_ATTEMPTS`` times
+before :class:`StageOneError`.
 """
 
 from __future__ import annotations
@@ -147,15 +148,14 @@ def _stage1_and_probabilities(
     ``DEFAULT_STAGE1_ATTEMPTS`` fresh draws).  Returns (initial
     probabilities, stage-1 row indices, stage-2 probabilities)."""
     init_probs = initial_probabilities(family, y)
-    pilot_columns = (
-        models.columns if sampling_model is None else [models.columns[sampling_model]]
-    )
+    pilot_spec, pilot_columns = models.full_spec, models.columns
+    if sampling_model is not None:
+        pilot_spec = models.specs[sampling_model]
+        pilot_columns = [np.arange(pilot_spec.n_params)]
     last_error: Exception | None = None
     for _ in range(DEFAULT_STAGE1_ATTEMPTS):
         idx1 = draw_with_replacement(init_probs, r0, rng)
-        sample = WeightedSample(
-            LazyDesign(models.full_spec, raw[idx1]), y[idx1], init_probs.probs[idx1]
-        )
+        sample = WeightedSample(LazyDesign(pilot_spec, raw[idx1]), y[idx1], init_probs.probs[idx1])
         try:
             pilots = [fit.theta for fit in fit_weighted_mles(family, sample, pilot_columns)]
             break
@@ -167,8 +167,7 @@ def _stage1_and_probabilities(
     if sampling_model is None:
         stage2 = phi_model_robust(criterion, family, models, pilots, raw, y, eps)
     else:
-        design_q = LazyDesign(models.specs[sampling_model], raw)
-        stage2 = phi_single(criterion, family, pilots[0], design_q, y, eps)
+        stage2 = phi_single(criterion, family, pilots[0], LazyDesign(pilot_spec, raw), y, eps)
     return init_probs, idx1, stage2
 
 

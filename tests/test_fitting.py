@@ -11,6 +11,7 @@ from glmsub import (
     Logistic,
     NonConvergenceError,
     NumericOverflowError,
+    Poisson,
     SingularInformationError,
     ValidationError,
     WeightedSample,
@@ -41,6 +42,21 @@ class CountingLogistic(Logistic):
 
     def mean(self, eta):
         self.mean_calls += 1
+        return super().mean(eta)
+
+
+class LateOverflowPoisson(Poisson):
+    """Poisson family whose ``at``-th mean evaluation sets ``eta`` to 800
+    at flat index ``index`` of its block, as if the last Newton step had
+    pushed that row past ``exp(709.78)``."""
+
+    def __init__(self, at, index):
+        self.mean_calls, self.at, self.index = 0, at, index
+
+    def mean(self, eta):
+        self.mean_calls += 1
+        if self.mean_calls == self.at:
+            eta.flat[self.index] = 800.0
         return super().mean(eta)
 
 
@@ -298,7 +314,8 @@ class TestBatchedFits:
     def test_lazy_design_fits_as_its_array(self, poisson, rng, monkeypatch, block_rows):
         # A LazyDesign sample builds each row block from the raw covariates.
         # Its fits are those of the array sample bit for bit, for all the
-        # models and for one model alone (the unused columns dropped).
+        # models and for one model alone.  That one model is also fitted as
+        # on its own columns: the union columns it does not use are padded.
         models = enumerate_quadratic_models(3, [0, 1, 2])
         raw = rng.normal(0.0, 0.7, size=(100, 3))
         y = rng.poisson(np.exp(0.3 + raw @ np.array([0.5, -0.4, 0.3]))).astype(float)
@@ -314,6 +331,10 @@ class TestBatchedFits:
                 assert a.iterations == b.iterations
                 for name in ("theta", "info_JX", "vc", "variance"):
                     assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        alone = lone_fit(poisson, array, models.columns[5], population_size=1000)
+        assert fits[0].iterations == alone.iterations
+        for name in ("theta", "info_JX", "vc", "variance"):
+            np.testing.assert_allclose(getattr(fits[0], name), getattr(alone, name), rtol=1e-10)
         theta = fit_weighted_mle(poisson, array).theta
         assert weighted_loglik(poisson, theta, lazy) == weighted_loglik(poisson, theta, array)
         for a, b in zip(score_and_hessian(poisson, theta, lazy), score_and_hessian(poisson, theta, array)):
@@ -527,6 +548,21 @@ class TestBatchedFits:
         assert str(batched).split("(eta=")[0] == str(alone).split("(eta=")[0]
         assert batched.iterations == alone.iterations == 1
         np.testing.assert_allclose(batched.theta, alone.theta, rtol=1e-10)
+
+    def test_overflow_in_the_pass_at_the_optimum_names_its_row(self, poisson, rng, monkeypatch):
+        # A last step under the tolerance does not push a real mean past
+        # exp(709.78), so the family overflows the pass at the optimum
+        # itself: at data row 20, in the second of its three row blocks.
+        monkeypatch.setattr(glmsub.fitting, "_BLOCK_ROWS", 16)
+        x, y = make_poisson_data(40, [0.3, -0.2], rng)
+        sample = uniform_sample(x, y.astype(float))
+        iterations = fit_weighted_mle(poisson, sample).iterations
+        family = LateOverflowPoisson(at=3 * iterations + 2, index=4)
+        with pytest.raises(NumericOverflowError) as excinfo:
+            fit_weighted_mle(family, sample)
+        assert str(excinfo.value) == "poisson mean overflowed at row 20 (eta=800.0)"
+        assert (excinfo.value.index, excinfo.value.model) == (20, 0)
+        assert family.mean_calls == 3 * iterations + 2
 
 
 class TestFullInformation:

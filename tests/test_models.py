@@ -13,7 +13,8 @@ from glmsub import (
     enumerate_quadratic_models,
     validate_alpha,
 )
-from glmsub.models import _design_block, _feature_rows
+from glmsub.fitting import _row_blocks
+from glmsub.models import _feature_rows
 
 
 class TestModelSpec:
@@ -110,11 +111,37 @@ class TestFeatureRows:
         lazy = LazyDesign(spec, raw)
         assert lazy.shape == (30, 5)
         assert lazy[3:9].tobytes() == design[3:9].tobytes()
-        assert _design_block(lazy, slice(3, 9)).tobytes() == _design_block(design, slice(3, 9)).tobytes()
 
     def test_lazy_design_checks_covariates(self):
         with pytest.raises(ValidationError, match="covariate index 2"):
             LazyDesign(ModelSpec(main_effects=(0, 2)), np.ones((3, 2)))
+
+
+class TestRowBlocks:
+    """``fitting._row_blocks`` is the one walker of every N-row pass."""
+
+    B = 16
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
+    def test_blocks_cover_the_rows_once_in_order(self, n, rng, monkeypatch):
+        monkeypatch.setattr(glmsub.fitting, "_BLOCK_ROWS", self.B)
+        raw = rng.normal(size=(n, 3))
+        spec = ModelSpec(main_effects=(2, 0), quadratic_terms=(0,))
+        design = build_design(spec, raw)
+        blocks = list(_row_blocks(design))
+        lazy_blocks = list(_row_blocks(LazyDesign(spec, raw)))
+        assert len(blocks) == len(lazy_blocks)
+        stop = 0
+        for (rows, xt), (lazy_rows, lazy_xt) in zip(blocks, lazy_blocks):
+            start, end, step = rows.indices(n)
+            assert (start, step) == (stop, 1) and end - start == min(self.B, n - start)
+            assert lazy_rows.indices(n) == (start, end, step)
+            stop = end
+            expected = np.ascontiguousarray(design[start:end].T)
+            for block in (xt, lazy_xt):
+                assert block.flags.c_contiguous and block.shape == expected.shape
+                assert block.tobytes() == expected.tobytes()
+        assert stop == n
 
 
 class TestValidateAlpha:

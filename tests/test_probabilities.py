@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import glmsub.fitting
 import glmsub.probabilities as probabilities
 from glmsub import (
     Criterion,
@@ -21,6 +22,7 @@ from glmsub import (
     phi_model_robust,
     phi_single,
 )
+from glmsub.fitting import _row_blocks
 
 from conftest import make_logistic_data, make_poisson_data
 from oracles import phi_model_robust_oracle, phi_oracle
@@ -232,13 +234,16 @@ SMALL_BLOCK = 16
 
 
 class TestBlockedKernel:
-    """The scoring passes walk the rows in blocks of ``_BLOCK_ROWS``; a
-    small block makes every edge (a partial, exactly one, one-past and
+    """The scoring passes walk the rows in blocks of ``fitting._BLOCK_ROWS``;
+    a small block makes every edge (a partial, exactly one, one-past and
     several blocks) cheap to reach."""
 
     @pytest.fixture
     def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(probabilities, "_BLOCK_ROWS", SMALL_BLOCK)
+        monkeypatch.setattr(glmsub.fitting, "_BLOCK_ROWS", SMALL_BLOCK)
+        # Should the walker stop reading the patched constant, the blocked
+        # tests would quietly run one block each.
+        assert len(list(_row_blocks(np.ones((SMALL_BLOCK + 1, 1))))) == 2
 
     @pytest.mark.parametrize("n", [1, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 2 * SMALL_BLOCK + 3])
     @pytest.mark.parametrize("criterion", ["mMSE", "mVc"])
@@ -272,7 +277,7 @@ class TestBlockedKernel:
         np.testing.assert_allclose(robust.probs, expected, rtol=0, atol=1e-12)
 
     def test_default_block_size_matches_oracle(self, logistic, rng):
-        n = 2 * probabilities._BLOCK_ROWS + 3
+        n = 2 * glmsub.fitting._BLOCK_ROWS + 3
         x, y = make_logistic_data(n, [0.3, -0.4], rng)
         theta = np.array([0.2, -0.3])
         pv = phi_single("mMSE", logistic, theta, x, y)

@@ -97,6 +97,33 @@ class TestGenCovariates:
             make()
         assert excinfo.value.key == "covariates.dimension"
 
+    @pytest.mark.parametrize(
+        "make, key",
+        [
+            (lambda: ExponentialCovariates(rate=math.nan, dimension=1), "covariates.rate"),
+            (lambda: ExponentialCovariates(rate=math.inf, dimension=1), "covariates.rate"),
+            (
+                lambda: MultivariateNormalCovariates(mean=[0.0, math.nan], cov=np.eye(2)),
+                "covariates.mean",
+            ),
+            (
+                lambda: MultivariateNormalCovariates(mean=[0.0, math.inf], cov=np.eye(2)),
+                "covariates.mean",
+            ),
+            (
+                lambda: MultivariateNormalCovariates(mean=np.zeros(2), cov=np.diag([1.0, math.nan])),
+                "covariates.covariance",
+            ),
+        ],
+        ids=["rate-nan", "rate-inf", "mean-nan", "mean-inf", "covariance-nan"],
+    )
+    def test_non_finite_parameters_name_their_key(self, make, key):
+        # A NaN rate or mean would make NaN covariates, an infinite rate
+        # all-zero ones, and a NaN covariance is not "asymmetric".
+        with pytest.raises(ConfigError, match="must be finite") as excinfo:
+            make()
+        assert excinfo.value.key == key
+
     def test_zero_rows_rejected(self, rng):
         with pytest.raises(ValidationError, match="need n >= 1, got 0"):
             gen_covariates(UniformCovariates(dimension=2), 0, rng)

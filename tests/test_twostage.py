@@ -3,14 +3,18 @@ import pytest
 
 from glmsub import (
     Criterion,
+    ModelSet,
+    ModelSpec,
     StageOneError,
     ValidationError,
     WeightedSample,
     build_design,
+    draw_with_replacement,
     enumerate_quadratic_models,
     fit_weighted_mle,
     fit_weighted_mles,
     initial_probabilities,
+    phi_single,
     pilot_probabilities,
     random_sampling_baseline,
     two_stage,
@@ -206,6 +210,24 @@ class TestPilotProbabilities:
             logistic, models, raw, y, 40, 80, np.random.default_rng(3), criterion="mMSE"
         )
         np.testing.assert_array_equal(pv.probs, full.stage2_probs.probs)
+
+    @pytest.mark.parametrize("q", [0, 1])
+    @pytest.mark.parametrize("criterion", ["mMSE", "mVc"])
+    def test_sampling_model_pilot_is_its_lone_fit(self, poisson, rng, q, criterion):
+        # Model 0's terms are not in union order.  Either model's pilot is
+        # the lone fit on its own design of the stage-1 rows.
+        raw, y = poisson_population(rng)
+        models = ModelSet([ModelSpec((1, 0), (0,)), ModelSpec((0, 1), (1,))])
+        pv = pilot_probabilities(
+            poisson, models, raw, y, 40, np.random.default_rng(5), criterion, sampling_model=q
+        )
+        init = initial_probabilities(poisson, y)
+        idx1 = draw_with_replacement(init, 40, np.random.default_rng(5))
+        spec = models.specs[q]
+        sample = WeightedSample(build_design(spec, raw[idx1]), y[idx1], init.probs[idx1])
+        pilot = fit_weighted_mle(poisson, sample).theta
+        expected = phi_single(criterion, poisson, pilot, build_design(spec, raw), y)
+        assert pv.probs.tobytes() == expected.probs.tobytes()
 
 
 class TestDirectionalImprovement:
