@@ -40,7 +40,6 @@ model would raise; :func:`fit_weighted_mle` is the one-model call.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -349,21 +348,18 @@ def _block_sums(family: Family, walk, y, probs, theta, at_optimum):
     return scores, grams
 
 
-@functools.lru_cache(maxsize=256)
-def _column_layout(n_params: int, columns: tuple) -> tuple:
+def _column_layout(n_params: int, columns) -> tuple:
     """What :func:`fit_weighted_mles` derives from the column sets alone,
-    once per distinct sets (tuples of ints) of a design with ``n_params``
-    columns.
+    for a design with ``n_params`` columns.
 
     Model k's entries of the ``(Q, D)`` parameter block are
     ``present[k]``, at positions ``columns[k]``; where a model lacks a
     column, its matrices are padded.  ``gather[k]`` picks model k's D x D
     matrix out of packed Grams: the pair row of each entry, or the
     trailing zero row outside its columns.  ``extract[k]`` indexes model
-    k's own d x d block of a D x D matrix.  Every array is read-only, as
-    all callers share it.
+    k's own d x d block of a D x D matrix.
     """
-    columns = tuple(np.array(cols, dtype=np.intp) for cols in columns)
+    columns = tuple(np.asarray(cols, dtype=np.intp) for cols in columns)
     present = np.zeros((len(columns), n_params), dtype=bool)
     for k, cols in enumerate(columns):
         present[k, cols] = True
@@ -374,8 +370,6 @@ def _column_layout(n_params: int, columns: tuple) -> tuple:
     pair_of = low * n_params - low * (low - 1) // 2 + high - low
     gather = np.where(present[:, :, None] & present[:, None, :], pair_of, pair_of.max() + 1)
     extract = tuple(np.ix_(cols, cols) for cols in columns)
-    for array in (present, gather, *columns, *(a for ix in extract for a in ix)):
-        array.flags.writeable = False
     return columns, present, gather, extract
 
 
@@ -413,12 +407,10 @@ def fit_weighted_mles(
         block's mean reports first.  The other models' fits are dropped.
     """
     n = sample.n_rows
-    key = tuple(tuple(np.asarray(cols, dtype=np.intp).tolist()) for cols in columns)
-    if not key:
-        raise ValidationError("no models to fit")
-    columns, present, gather, extract = _column_layout(sample.n_params, key)
+    columns, present, gather, extract = _column_layout(sample.n_params, columns)
     n_models, dim = present.shape
-    sparse = not present.all()
+    if not n_models:
+        raise ValidationError("no models to fit")
 
     oversized = [cols.size for cols in columns if cols.size > n]
     if columns[0].size <= n:  # else model 0 fails on its size first
@@ -458,10 +450,8 @@ def fit_weighted_mles(
                 theta=th[a, columns[active[a]]],
                 iterations=t,
             ) from exc
-        hess = grams[picks]
-        if sparse:
-            _pad_absent(hess, absent)
-            rhs = np.where(absent, 0.0, rhs)
+        hess = _pad_absent(grams[picks], absent)
+        rhs = np.where(absent, 0.0, rhs)
         singular = _singular(hess)
         hess[singular] = np.eye(dim)  # keep the stacked solve clear of them
         step = np.linalg.solve(hess, rhs[..., None])[..., 0]
@@ -499,10 +489,10 @@ def fit_weighted_mles(
     model = np.arange(n_models)[:, None, None]
     info = grams[model, gather] / (big_n * n)
     vc = grams[n_models + model, gather] / (big_n**2 * n**2)
-    padded = _pad_absent(info.copy(), ~present) if sparse else info
-    if _singular(padded).any():
+    _pad_absent(info, ~present)  # outside the blocks that the results take
+    if _singular(info).any():
         raise SingularInformationError("information matrix is singular at the optimum")
-    info_inv = np.linalg.inv(padded)
+    info_inv = np.linalg.inv(info)
     variance = info_inv @ vc @ info_inv
     variance = 0.5 * (variance + variance.transpose(0, 2, 1))
     return tuple(
@@ -533,4 +523,6 @@ def full_information(family: Family, theta: np.ndarray, design: np.ndarray) -> n
     variance(mean(eta_i)) x_i x_i^T``, at the given parameter value."""
     design = np.atleast_2d(np.asarray(design, dtype=float))
     theta = _checked_theta(theta, design.shape[1])
+    if design.shape[0] == 0:
+        raise ValidationError("the full-data information needs at least one row")
     return _information(family, theta, design, np.empty(design.shape[0]))

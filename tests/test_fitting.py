@@ -593,6 +593,10 @@ class TestFullInformation:
         with pytest.raises(ValidationError):
             full_information(logistic, np.zeros(3), np.ones((5, 2)))
 
+    def test_zero_rows_are_rejected(self, logistic):
+        with pytest.raises(ValidationError, match="at least one row"):
+            full_information(logistic, np.zeros(2), np.ones((0, 2)))
+
 
 class TestMeanEvaluations:
     # The score, Hessian, information and residuals at one theta all come
