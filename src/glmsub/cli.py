@@ -11,7 +11,9 @@ Subcommands (each takes a YAML config, see :mod:`glmsub.config`):
   dataset, write summed-SMSE records
 
 Common flags: ``--seed`` overrides the config seed, ``--out`` sets the
-output path, ``--threads`` bounds parallelism without changing results.
+output path.  ``--threads`` bounds the worker processes of ``simulate`` and
+``ssmse`` without changing results: it defaults to the usable CPUs, workers
+are forked on Linux only, and ``--threads 1`` keeps one process.
 Outputs are written atomically (temp file + rename) and every CSV gets a
 ``<name>.meta.json`` sidecar echoing the config, the master seed and the
 tool version; ``subsample`` adds ``newton_iterations``, one count per
@@ -58,7 +60,7 @@ from .errors import (
     ValidationError,
 )
 from .realdata import run_ssmse_study, run_subsample
-from .simulate import MetricsRecord, ScenarioConfig, model_information, run_study
+from .simulate import MetricsRecord, ScenarioConfig, _cpu_budget, model_information, run_study
 from .twostage import pilot_probabilities
 
 __all__ = ["main", "write_metrics_csv", "read_metrics_csv", "atomic_write"]
@@ -104,20 +106,14 @@ def atomic_write(
         raise
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)  # shortest exact round-trip representation
-    return str(value)
-
-
 def write_metrics_csv(records: "list[MetricsRecord]", path: "str | Path") -> None:
     rows = [
         [
             rec.scenario,
             rec.estimating_model,
             rec.r,
-            _format_value(rec.smse),
-            _format_value(rec.mean_model_info),
+            repr(rec.smse),  # shortest exact round-trip representation
+            repr(rec.mean_model_info),
             rec.n_failed,
         ]
         for rec in records
@@ -222,7 +218,7 @@ def _row_helper(path: Path, probs: np.ndarray):
         n < _SPLIT_ROWS
         or not sys.executable
         or not sys.platform.startswith("linux")
-        or len(os.sched_getaffinity(0)) < 2
+        or _cpu_budget() < 2
     ):
         yield n, None
         return
@@ -348,7 +344,7 @@ def _cmd_ssmse(args) -> int:
     records = run_ssmse_study(config, raw, y, threads=args.threads)
     out = _default_out(Path(args.config), "ssmse", args.out)
     rows = [
-        [rec.scenario, rec.r, _format_value(rec.ssmse), rec.n_failed]
+        [rec.scenario, rec.r, repr(rec.ssmse), rec.n_failed]
         for rec in records
     ]
     atomic_write(out, _csv_text(["scenario", "r", "ssmse", "failures"], rows))
@@ -373,9 +369,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--threads",
                 type=int,
-                default=1,
-                help="worker processes for replicates (results are identical "
-                "for any value)",
+                default=_cpu_budget(),
+                help="worker processes, forked on Linux only (default: the usable "
+                "CPUs; 1 keeps one process; results are identical for any value)",
             )
 
     p = sub.add_parser("simulate", help="run the Monte Carlo simulation study")

@@ -8,9 +8,16 @@ the study runner treat any ``FitError`` in stage 1 as retryable.
 
 from __future__ import annotations
 
+import copyreg
+
 
 class GlmsubError(Exception):
     """Base class for all glmsub errors."""
+
+    def __reduce__(self):
+        # Skips __init__, whose signature differs from args in some subclasses,
+        # so that a forked worker's error reaches the caller unchanged.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ValidationError(GlmsubError, ValueError):

@@ -12,6 +12,7 @@ is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -74,14 +75,14 @@ def run_ssmse_study(
     Every strategy (random, per-model optimal, model-robust) is run
     ``replicates`` times at each subsample size; each run fits all Q
     candidate models and the record aggregates the summed SMSE against
-    the full-data MLEs.  Output is deterministic in the master seed and
-    independent of ``threads``.
+    the full-data MLEs, which the runner fits as one more task, in a worker
+    beside the replicates when ``threads`` allows.  Output is deterministic
+    in the master seed and independent of ``threads``.
     """
-    mles = full_data_mles(config.family, config.model_set, raw, y)
+    full_fit = partial(full_data_mles, config.family, config.model_set, raw, y)
+    cells, mles = run_strategies(config, (raw, y), _model_estimates, threads, full_fit)
     records = []
-    for label, r, good, n_failed in run_strategies(
-        config, (raw, y), _model_estimates, threads
-    ):
+    for label, r, good, n_failed in cells:
         if good:
             total = ssmse([np.array(block) for block in zip(*good)], mles)
         else:

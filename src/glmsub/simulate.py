@@ -25,7 +25,9 @@ count.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Union
 
 import numpy as np
@@ -307,23 +309,91 @@ def scenario_labels(models: ModelSet) -> tuple[str, ...]:
     return ("random",) + tuple(f"optimal-{k + 1}" for k in range(q)) + ("model-robust",)
 
 
-# Worker state for process pools: the study, its fixed dataset (if any) and
-# the per-run summary are installed once per worker instead of being pickled
-# into every task.
-_WORKER: dict = {}
+def _cpu_budget() -> int:
+    """The CPUs this process may run on: its affinity count, which
+    ``taskset`` and cpusets narrow, or ``os.cpu_count()`` off Linux."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _init_worker(config, data, summarize) -> None:
-    _WORKER.update(config=config, data=data, summarize=summarize)
+def _work(tasks, sink) -> None:
+    """Run ``tasks`` in a forked worker with one OpenBLAS thread, pickle
+    ``("ok", results)`` or ``("err", exception)`` into ``sink``, and leave."""
+    code = 1
+    try:
+        import ctypes
+        import pickle
+
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line}
+        for path in sorted(paths):  # an OpenBLAS without this setter is left as it is
+            setter = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+        try:
+            out = ("ok", [task() for task in tasks])
+        except BaseException as exc:
+            out = ("err", exc)
+        pickle.dump(out, sink)
+        sink.flush()
+        code = 0
+    finally:
+        os._exit(code)
 
 
-def _run_replicate(m: int) -> dict:
+def _fork_map(tasks: list, threads: int) -> list:
+    """``[task() for task in tasks]``, in W = min(threads, tasks, CPU budget)
+    forked workers on Linux when W > 1, worker w taking tasks w, w + W, ...
+
+    The caller runs no task meanwhile.  A worker's exception is raised here,
+    and a worker that dies raises :class:`ChildProcessError` (an OSError, so
+    the CLI reports it as a runtime failure).  No worker outlives the call.
+    Forked, not spawned, to skip a fresh import; OpenBLAS stops its threads
+    before a fork and starts them again on demand.
+    """
+    workers = min(threads, len(tasks), _cpu_budget())
+    if workers <= 1 or not sys.platform.startswith("linux"):
+        return [task() for task in tasks]
+    import pickle
+    import signal
+
+    pids, pipes, results = [], [], [None] * len(tasks)
+    try:
+        for w in range(workers):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            with open(write_end, "wb") as sink:
+                if (pid := os.fork()) == 0:
+                    _work(tasks[w::workers], sink)
+                pids.append(pid)
+        for w, pipe in enumerate(pipes):
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[w], 0)[1])
+            pids[w] = None
+            if code:
+                how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+                raise ChildProcessError(f"a worker process died: {how}")
+            kind, value = pickle.loads(data)
+            if kind == "err":
+                raise value
+            results[w::workers] = value
+        return results
+    finally:
+        for pid in pids:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+
+def _run_replicate(config, data, summarize, m: int) -> dict:
     """All strategies at all subsample sizes for replicate ``m``.
 
     Returns ``{(scenario, r): summary | None}`` where None marks a failed
     run (non-convergent pilot after retries, etc.).
     """
-    config, data, summarize = _WORKER["config"], _WORKER["data"], _WORKER["summarize"]
     if data is None:
         data_rng = _replicate_rng(config.master_seed, m, 0)
         raw = gen_covariates(config.covariates, config.n_population, data_rng)
@@ -360,51 +430,35 @@ def _run_replicate(m: int) -> dict:
     return out
 
 
-def run_strategies(config, data, summarize, threads: int = 1):
+def run_strategies(config, data, summarize, threads: int = 1, extra=None):
     """Run every strategy at every subsample size over all replicates.
 
     ``config`` is a :class:`ScenarioConfig` or a real-data ssmse config.
     ``data`` is None to regenerate the dataset of replicate m from the
     substream ``[seed, m, 0, 0]``, or a fixed ``(raw, y)`` pair.
-    ``summarize(config, result)`` is a module-level function reducing one
-    two-stage result to what the metric needs; it runs inside the failure
-    guard.  Yields ``(scenario, r, good summaries, n_failed)`` per cell.
+    ``summarize(config, result)`` reduces one two-stage result to what the
+    metric needs; it runs inside the failure guard.  ``extra``, when given,
+    is one more zero-argument task, run first or in a worker beside the
+    replicates.
+    Returns ``(cells, extra's result or None)``, with one cell
+    ``(scenario, r, good summaries, n_failed)`` per strategy and size.
 
-    ``threads`` bounds worker parallelism over replicates; the output is
-    identical for any value because each replicate consumes only its own
-    seed substreams.  A worker process that dies (killed, or out of
-    memory) raises :class:`ChildProcessError`.
+    ``threads`` bounds the worker processes of :func:`_fork_map`, each
+    with one BLAS thread; the output is identical for any value because
+    each replicate consumes only its own seed substreams.
     """
+    head = [] if extra is None else [extra]
     ms = range(config.n_replicates)
-    workers = min(threads, config.n_replicates, os.cpu_count() or 1)
-    try:
-        if workers > 1:
-            # Imported here: the pool pulls in multiprocessing, pickle and
-            # socket, which no single-process command needs.
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool
-
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_init_worker,
-                    initargs=(config, data, summarize),
-                ) as pool:
-                    replicates = list(pool.map(_run_replicate, ms))
-            except BrokenProcessPool as exc:
-                # An OSError, so the CLI reports it as a runtime failure.
-                raise ChildProcessError(f"a worker process died: {exc}") from exc
-        else:
-            _init_worker(config, data, summarize)
-            replicates = [_run_replicate(m) for m in ms]
-    finally:
-        _WORKER.clear()
-
+    tasks = [partial(_run_replicate, config, data, summarize, m) for m in ms]
+    results = _fork_map(head + tasks, threads)
+    replicates = results[len(head):]
+    cells = []
     for label in scenario_labels(config.model_set):
         for r in config.r_grid:
-            cells = [rep[(label, r)] for rep in replicates]
-            good = [c for c in cells if c is not None]
-            yield label, r, good, len(cells) - len(good)
+            summaries = [rep[(label, r)] for rep in replicates]
+            good = [c for c in summaries if c is not None]
+            cells.append((label, r, good, len(summaries) - len(good)))
+    return cells, (results[0] if head else None)
 
 
 def _estimate_and_info(config: ScenarioConfig, result) -> tuple:
@@ -417,9 +471,8 @@ def _estimate_and_info(config: ScenarioConfig, result) -> tuple:
 def run_study(config: ScenarioConfig, threads: int = 1) -> "list[MetricsRecord]":
     """Run the full study and aggregate per (scenario, subsample size)."""
     records = []
-    for label, r, good, n_failed in run_strategies(
-        config, None, _estimate_and_info, threads
-    ):
+    cells, _ = run_strategies(config, None, _estimate_and_info, threads)
+    for label, r, good, n_failed in cells:
         if good:
             value = smse(np.array([c[0] for c in good]), config.true_theta)
             mean_info = float(np.mean([c[1] for c in good]))

@@ -66,13 +66,22 @@ dataset:
 
 
 _run_replicate = glmsub.simulate._run_replicate
+_gen_response = glmsub.simulate.gen_response
 
 
-def _replicate_1_kills_its_worker(m):
+def _replicate_1_kills_its_worker(config, data, summarize, m):
     """Replicate 1's worker process exits at once, as a killed one does."""
     if m == 1:
         os._exit(3)
-    return _run_replicate(m)
+    return _run_replicate(config, data, summarize, m)
+
+
+def _replicate_1_overflows(family, theta, design, rng):
+    """The responses of replicate 1 (data substream ``[seed, 1, 0, 0]``)
+    overflow."""
+    if rng.bit_generator.seed_seq.entropy[1] == 1:
+        raise NumericOverflowError("Poisson response mean is non-finite")
+    return _gen_response(family, theta, design, rng)
 
 
 def csv_writer_bytes(probs):
@@ -433,10 +442,10 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("glmsub: error: ")
 
     def test_dead_worker_is_runtime(self, tmp_path, monkeypatch, capsys):
-        # The pool sends its workers the task function by name, so they run
-        # the patched replicate; one of the two workers dies.
+        # Two workers take the replicates in strides, so replicate 1 runs in
+        # the second worker, never in this process; that worker dies.
         monkeypatch.setattr(glmsub.simulate, "_run_replicate", _replicate_1_kills_its_worker)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: 2)
         config = write(tmp_path, SIM_YAML)
         out = tmp_path / "m.csv"
         assert main(["simulate", str(config), "--out", str(out), "--threads", "2"]) == 2
@@ -444,6 +453,37 @@ class TestExitCodes:
         assert err.startswith("glmsub: error: a worker process died: ")
         assert "Traceback" not in err
         assert not out.exists()
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_error_is_the_serial_error(self, tmp_path, monkeypatch, capsys):
+        # An error raised in a worker reaches main as the same exception.
+        monkeypatch.setattr(glmsub.simulate, "gen_response", _replicate_1_overflows)
+        monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: 2)
+        config = write(tmp_path, SIM_YAML)
+        errs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"m{threads}.csv"
+            assert main(["simulate", str(config), "--out", str(out), "--threads", threads]) == 2
+            errs.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert errs[0] == errs[1] == "glmsub: error: Poisson response mean is non-finite\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_default_threads_fork_nothing_on_one_cpu(self, tmp_path, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        config = write(tmp_path, SIM_YAML)
+        assert main(["simulate", str(config), "--out", str(tmp_path / "m.csv")]) == 0
+        assert forks == []
 
     @pytest.mark.parametrize("command", ["simulate", "subsample", "probabilities", "ssmse"])
     def test_negative_seed_flag_names_the_key(self, tmp_path, monkeypatch, capsys, command):

@@ -1,4 +1,3 @@
-import concurrent.futures
 import dataclasses
 import math
 import os
@@ -400,35 +399,41 @@ class TestRunStudy:
         assert one == run_ssmse_study(real, raw, y, threads=2)
 
     def test_threads_clamped_to_replicates(self, monkeypatch):
-        # A fake pool that starts no process: it records the worker count
-        # and runs the initializer and the tasks in this process.
-        seen = {}
+        # The real os.fork, counted: the runner starts at most one worker
+        # per replicate whatever --threads and the CPU budget allow, and
+        # none at --threads 1.
+        forks = []
+        fork = os.fork
 
-        class InlineExecutor:
-            def __init__(self, max_workers, initializer, initargs):
-                seen["max_workers"] = max_workers
-                initializer(*initargs)
+        def counted_fork():
+            forks.append(1)
+            return fork()
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        # run_strategies imports the pool at call time, from this module.
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: 64)
         config = tiny_config(seed=5, replicates=3)
-        assert run_study(config, threads=10_000) == run_study(config, threads=1)
-        assert seen["max_workers"] <= 3
+        many = run_study(config, threads=10_000)
+        assert len(forks) <= 3
+        forks.clear()
+        assert run_study(config, threads=1) == many
+        assert forks == []
+
+    def test_worker_error_keeps_its_class_and_key(self, monkeypatch):
+        # Every replicate fails to draw its covariates; the worker's
+        # ConfigError, whose constructor takes two arguments, reaches the
+        # caller as the serial run raises it.
+        monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: 2)
+        not_pd = MultivariateNormalCovariates(mean=np.zeros(2), cov=np.array([[1.0, 2.0], [2.0, 1.0]]))
+        config = dataclasses.replace(tiny_config(), covariates=not_pd)
+        for threads in (1, 2):
+            with pytest.raises(ConfigError, match="positive definite") as info:
+                run_study(config, threads=threads)
+            assert info.value.key == "covariates.covariance"
 
     def test_cli_import_leaves_the_pool_out(self):
-        # Only --threads > 1 uses the process pool, and only a large
-        # probability file a helper process, so no command should pay for
-        # importing them (multiprocessing, pickle, socket; subprocess).
+        # The forked workers use no pool, and only a large probability
+        # file starts a helper process, so no command should pay for
+        # importing a pool (multiprocessing, socket) or subprocess.
         code = (
             "import sys, glmsub.cli; "
             "print('concurrent.futures' in sys.modules or 'subprocess' in sys.modules)"
