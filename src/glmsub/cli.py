@@ -22,10 +22,10 @@ model in model order, and a probability file's sidecar adds
 default output locations.
 
 A probability file of ``_SPLIT_ROWS`` rows or more is formatted by two
-processes when two or more CPUs are usable on Linux: one extra Python
-process, which imports only the standard library (:mod:`glmsub._rows`),
-formats the second half of the rows.  The bytes are the same either way;
-``taskset -c 0`` keeps the write to one process.
+processes when two or more CPUs are usable on Linux: a forked copy of the
+CLI process formats the second half of the rows while the CLI formats the
+first.  The bytes are the same either way; ``taskset -c 0`` keeps the
+write to one process.
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure (estimation,
 numeric overflow or I/O).
@@ -41,15 +41,16 @@ import os
 import sys
 import tempfile
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from . import __version__, _rows
+from . import __version__
 from .config import RealDataConfig, parse_config
 from .datasets import load_csv
 from .errors import (
@@ -60,7 +61,7 @@ from .errors import (
     ValidationError,
 )
 from .realdata import run_ssmse_study, run_subsample
-from .simulate import MetricsRecord, ScenarioConfig, _cpu_budget, model_information, run_study
+from .simulate import MetricsRecord, ScenarioConfig, _cpu_budget, _forked, model_information, run_study
 from .twostage import pilot_probabilities
 
 __all__ = ["main", "write_metrics_csv", "read_metrics_csv", "atomic_write"]
@@ -68,11 +69,16 @@ __all__ = ["main", "write_metrics_csv", "read_metrics_csv", "atomic_write"]
 METRICS_HEADER = ["scenario", "estimating_model", "r", "smse", "mean_model_info", "failures"]
 OUT_DIR_ENV = "GLMSUB_OUT_DIR"
 # Probability files of at least this many rows are formatted by two
-# processes, the second started with its half of the rows.  Its start-up
-# (16-18 ms) costs more than it saves below about 70k rows: on a 2-vCPU VM,
-# medians of 11 alternating writes went 140 -> 162 ms at 2^16 rows,
-# 179 -> 125 ms at 98,304, 241 -> 157 ms at 2^17 and 1.82 -> 1.09 s at 2^20.
+# processes.  Set when the second process was a fresh interpreter (16-18 ms
+# to start): on a 2-vCPU VM, medians of 11 alternating writes went
+# 140 -> 162 ms at 2^16 rows, 179 -> 125 ms at 98,304, 241 -> 157 ms at
+# 2^17 and 1.82 -> 1.09 s at 2^20.  A fork and its reaping take 4-5 ms, so
+# the break-even may now lie lower; it has not been measured again.
 _SPLIT_ROWS = 1 << 17
+# Probability rows formatted per write, so the text of all N rows never
+# exists at once.  Writing 1e6 rows grows the resident set by about 1.5 MB
+# at 8,192 rows and 10.4 MB at 65,536, in the same time.
+WRITE_ROWS = 8192
 
 
 def atomic_write(
@@ -181,20 +187,27 @@ def _csv_text(header: "list[str]", rows) -> str:
     return buf.getvalue()
 
 
-def _probability_lines(probs: np.ndarray) -> Iterator[str]:
-    # The header, then the rows of ``probs`` numbered from 0.
-    yield "row,probability\r\n"
-    for start in range(0, probs.shape[0], _rows.WRITE_ROWS):
-        yield _rows.rows_text(start, probs[start : start + _rows.WRITE_ROWS].tolist())
+def _rows_text(probs: np.ndarray, start: int = 0) -> Iterator[str]:
+    """The bytes csv.writer gives for the rows ``[i, repr(p)]`` of
+    ``probs``, numbered from ``start`` (no field needs quoting), in strings
+    of ``WRITE_ROWS`` rows."""
+    for k in range(0, probs.shape[0], WRITE_ROWS):
+        values = probs[k : k + WRITE_ROWS].tolist()
+        yield "".join(f"{i},{p!r}\r\n" for i, p in enumerate(values, start + k))
 
 
-def _append_part(proc, part: str, fd: int) -> None:
-    """Wait for the helper ``proc``, then append its file ``part`` to the
-    file descriptor ``fd`` inside the kernel."""
-    err = proc.stderr.read().decode("utf-8", "replace").strip()
-    if proc.wait() != 0:
-        last = err.splitlines()[-1] if err else "no message"
-        raise OSError(f"the row-formatting process exited {proc.returncode}: {last}")
+def _write_part(part: str, start: int, probs: np.ndarray) -> None:
+    """Write the rows of ``probs``, numbered from ``start``, to the file
+    ``part``."""
+    with open(part, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(_rows_text(probs, start))
+
+
+def _append_part(collect, part: str, fd: int) -> None:
+    """Wait for the worker that writes the file ``part`` (``collect`` of
+    :func:`glmsub.simulate._forked`), then append ``part`` to the file
+    descriptor ``fd`` inside the kernel."""
+    collect()
     with open(part, "rb") as src:
         while os.sendfile(fd, src.fileno(), None, 1 << 30):
             pass
@@ -202,62 +215,39 @@ def _append_part(proc, part: str, fd: int) -> None:
 
 @contextmanager
 def _row_helper(path: Path, probs: np.ndarray):
-    """Hand the upper rows of ``probs`` to a helper process running
-    :mod:`glmsub._rows`, which formats them into a part file beside ``path``
-    while the caller formats the rest.
+    """Hand the upper rows of ``probs`` to a forked worker, which formats
+    them into a part file beside ``path`` while the caller formats the rest.
 
     Yields ``(m, append)``: the caller writes rows ``[0, m)``, then
     ``append(fd)`` adds rows ``[m, N)`` to its file.  Yields ``(N, None)``,
-    and starts nothing, below ``_SPLIT_ROWS`` rows, with fewer than two
+    and forks nothing, below ``_SPLIT_ROWS`` rows, with fewer than two
     usable CPUs, off Linux (``os.sendfile`` appends to a regular file only
-    there), without ``sys.executable`` or when the process cannot start.
-    The part file is removed on every exit.
+    there) or when the fork fails.  The part file is removed on every exit.
     """
     n = probs.shape[0]
-    if (
-        n < _SPLIT_ROWS
-        or not sys.executable
-        or not sys.platform.startswith("linux")
-        or _cpu_budget() < 2
-    ):
+    if n < _SPLIT_ROWS or not sys.platform.startswith("linux") or _cpu_budget() < 2:
         yield n, None
         return
-    import subprocess
-
     m = n // 2
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, part = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".part")
     os.close(fd)
     try:
-        try:
-            proc = subprocess.Popen(
-                [sys.executable, "-I", "-S", _rows.__file__, str(m), str(n - m), part],
-                stdin=subprocess.PIPE,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.PIPE,
-            )
-        except OSError:
-            proc = None
-        if proc is None:
-            yield n, None
-            return
-        with proc:
+        with ExitStack() as stack:
             try:
-                with proc.stdin:
-                    proc.stdin.write(memoryview(probs[m:]))
-                yield m, partial(_append_part, proc, part)
-            except BaseException:
-                proc.kill()
-                raise
+                collect = stack.enter_context(_forked([[partial(_write_part, part, m, probs[m:])]]))
+            except OSError:
+                collect = None
+            yield (n, None) if collect is None else (m, partial(_append_part, collect, part))
     finally:
         os.unlink(part)
 
 
 def _write_probabilities(path: "str | Path", probs: np.ndarray) -> None:
     path = Path(path)
-    probs = np.ascontiguousarray(probs, dtype=np.float64)
+    probs = np.asarray(probs, dtype=np.float64)
     with _row_helper(path, probs) as (m, append):
-        atomic_write(path, _probability_lines(probs[:m]), append)
+        atomic_write(path, chain(["row,probability\r\n"], _rows_text(probs[:m])), append)
 
 
 def _load_config(args, mode: str) -> "ScenarioConfig | RealDataConfig":

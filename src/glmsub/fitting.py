@@ -221,11 +221,17 @@ def score_and_hessian(
     family: Family, theta: np.ndarray, sample: WeightedSample
 ) -> tuple[np.ndarray, np.ndarray]:
     """Score vector and (positive) Hessian of the weighted log-likelihood,
-    both unnormalized sums over the sample."""
-    x = sample.design[:]
-    mu = family.mean(_linear_predictor(theta, x))
-    g = x.T @ ((sample.response - mu) / sample.probs)
-    return g, _gram(x.T, family.variance(mu) / sample.probs, 1)
+    both unnormalized sums over the sample: one Newton pass of
+    :func:`fit_weighted_mles` at a one-model parameter block."""
+    dim = sample.n_params
+    theta = _checked_theta(theta, dim)
+    if sample.n_rows == 0:  # no block to sum over
+        return np.zeros(dim), np.zeros((dim, dim))
+    scores, grams = _block_sums(
+        family, _pair_walk(sample), sample.response, sample.probs, theta[None], at_optimum=False
+    )
+    gather = _column_layout(dim, [np.arange(dim)])[2][0]
+    return scores[0], grams[0, gather]
 
 
 def fit_weighted_mle(
@@ -289,6 +295,21 @@ def _pair_block(xt: np.ndarray, buffer: np.ndarray) -> tuple[np.ndarray, np.ndar
         start += dim - j
     pairs[start] = 0.0
     return xt, pairs
+
+
+def _pair_walk(sample: WeightedSample):
+    """The ``walk`` of :func:`_block_sums` over the sample's row blocks.
+    Every block's pair products go to one buffer: made afresh (3 MB per
+    block at D = 9), they can cost a page fault per page whenever the
+    allocator hands the freed memory back to the system.  A sample of one
+    block has it built once, for every pass."""
+    dim, n = sample.n_params, sample.n_rows
+    buffer = np.empty((dim * (dim + 1) // 2 + 1, min(n, _BLOCK_ROWS)))
+    walk = lambda: ((rows, _pair_block(xt, buffer)) for rows, xt in _row_blocks(sample.design))
+    if n > _BLOCK_ROWS:
+        return walk
+    cached = list(walk())
+    return lambda: cached
 
 
 def _pad_absent(stack: np.ndarray, absent: np.ndarray) -> np.ndarray:
@@ -421,15 +442,7 @@ def fit_weighted_mles(
         )
 
     y, probs = sample.response, sample.probs
-    # Every block's pair products go to one buffer: made afresh (3 MB per
-    # block at D = 9), they can cost a page fault per page whenever the
-    # allocator hands the freed memory back to the system.
-    buffer = np.empty((dim * (dim + 1) // 2 + 1, min(n, _BLOCK_ROWS)))
-    walk = lambda: ((rows, _pair_block(xt, buffer)) for rows, xt in _row_blocks(sample.design))
-    if n <= _BLOCK_ROWS:  # every pass reuses the one block
-        cached = list(walk())
-        walk = lambda: cached
-
+    walk = _pair_walk(sample)
     theta = np.zeros((n_models, dim))
     iterations = np.zeros(n_models, dtype=int)
     active = np.arange(n_models)

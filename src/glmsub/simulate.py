@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from typing import Union
@@ -342,43 +343,59 @@ def _work(tasks, sink) -> None:
         os._exit(code)
 
 
-def _fork_map(tasks: list, threads: int) -> list:
-    """``[task() for task in tasks]``, in W = min(threads, tasks, CPU budget)
-    forked workers on Linux when W > 1, worker w taking tasks w, w + W, ...
+@contextmanager
+def _forked(groups: list):
+    """Fork one worker for each list of tasks in ``groups``; worker w runs
+    the tasks of ``groups[w]`` in :func:`_work`.  An OSError of the fork is
+    raised on entry, after the workers already started are stopped.
 
-    The caller runs no task meanwhile.  A worker's exception is raised here,
-    and a worker that dies raises :class:`ChildProcessError` (an OSError, so
-    the CLI reports it as a runtime failure).  No worker outlives the call.
-    Forked, not spawned, to skip a fresh import; OpenBLAS stops its threads
-    before a fork and starts them again on demand.
+    Yields ``collect()``, which waits for every worker and returns their
+    result lists in worker order.  It reads the pipes as the workers
+    finish, so the first worker to fail is reported at once: a worker's
+    exception is raised here, and a worker that dies raises
+    :class:`ChildProcessError` (an OSError, so the CLI reports it as a
+    runtime failure).  No worker outlives the block.  Forked, not spawned,
+    to skip a fresh import; OpenBLAS stops its threads before a fork and
+    starts them again on demand.
     """
-    workers = min(threads, len(tasks), _cpu_budget())
-    if workers <= 1 or not sys.platform.startswith("linux"):
-        return [task() for task in tasks]
     import pickle
+    import selectors
     import signal
 
-    pids, pipes, results = [], [], [None] * len(tasks)
+    pids, pipes = [], []
+
+    def collect() -> list:
+        results, chunks = [None] * len(pids), [[] for _ in pids]
+        with selectors.DefaultSelector() as selector:
+            for w, pipe in enumerate(pipes):
+                selector.register(pipe, selectors.EVENT_READ, w)
+            while selector.get_map():
+                for key, _ in selector.select():
+                    w = key.data
+                    if data := key.fileobj.read(1 << 16):
+                        chunks[w].append(data)
+                        continue
+                    selector.unregister(key.fileobj)
+                    code = os.waitstatus_to_exitcode(os.waitpid(pids[w], 0)[1])
+                    pids[w] = None
+                    if code:
+                        how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+                        raise ChildProcessError(f"a worker process died: {how}")
+                    kind, value = pickle.loads(b"".join(chunks[w]))
+                    if kind == "err":
+                        raise value
+                    results[w] = value
+        return results
+
     try:
-        for w in range(workers):
+        for tasks in groups:
             read_end, write_end = os.pipe()
-            pipes.append(open(read_end, "rb"))
+            pipes.append(open(read_end, "rb", buffering=0))
             with open(write_end, "wb") as sink:
                 if (pid := os.fork()) == 0:
-                    _work(tasks[w::workers], sink)
+                    _work(tasks, sink)
                 pids.append(pid)
-        for w, pipe in enumerate(pipes):
-            data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pids[w], 0)[1])
-            pids[w] = None
-            if code:
-                how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-                raise ChildProcessError(f"a worker process died: {how}")
-            kind, value = pickle.loads(data)
-            if kind == "err":
-                raise value
-            results[w::workers] = value
-        return results
+        yield collect
     finally:
         for pid in pids:
             if pid is not None:
@@ -386,6 +403,21 @@ def _fork_map(tasks: list, threads: int) -> list:
                 os.waitpid(pid, 0)
         for pipe in pipes:
             pipe.close()
+
+
+def _fork_map(tasks: list, threads: int) -> list:
+    """``[task() for task in tasks]``, in W = min(threads, tasks, CPU budget)
+    workers of :func:`_forked` on Linux when W > 1, worker w taking tasks
+    w, w + W, ...  The caller runs no task meanwhile.
+    """
+    workers = min(threads, len(tasks), _cpu_budget())
+    if workers <= 1 or not sys.platform.startswith("linux"):
+        return [task() for task in tasks]
+    results = [None] * len(tasks)
+    with _forked([tasks[w::workers] for w in range(workers)]) as collect:
+        for w, values in enumerate(collect()):
+            results[w::workers] = values
+    return results
 
 
 def _run_replicate(config, data, summarize, m: int) -> dict:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,20 @@ from glmsub import Logistic, Poisson
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The calls of os.fork, each of which forks."""
+    calls = []
+    fork = os.fork
+
+    def counted_fork():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return calls
 
 
 @pytest.fixture

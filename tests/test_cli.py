@@ -2,14 +2,12 @@ import csv
 import io
 import json
 import os
+import signal
 import stat
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import glmsub._rows
 import glmsub.cli
 import glmsub.simulate
 from glmsub import MetricsRecord, NumericOverflowError, read_metrics_csv
@@ -291,7 +289,7 @@ class TestProbabilitiesCommand:
     def test_streamed_writer_bytes_across_chunks(self, tmp_path):
         # One row past a whole chunk: the second chunk starts its row
         # numbers where the first stopped.
-        n = glmsub._rows.WRITE_ROWS + 1
+        n = glmsub.cli.WRITE_ROWS + 1
         probs = np.random.default_rng(3).random(n)
         probs /= probs.sum()
         out = tmp_path / "p.csv"
@@ -313,53 +311,43 @@ def two_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
-@pytest.fixture
-def started(monkeypatch):
-    """The argument lists of the processes started, each started for real."""
-    calls = []
-    popen = subprocess.Popen
+def _part_write_fails(part, start, probs):
+    """The helper's part write, failing the way a full disk makes it."""
+    with open(part, "w", encoding="utf-8") as fh:
+        fh.write(f"{start},")
+    raise OSError("disk full")
 
-    def counting(args, **kwargs):
-        calls.append(args)
-        return popen(args, **kwargs)
 
-    monkeypatch.setattr(subprocess, "Popen", counting)
-    return calls
+def _part_writer_dies(part, start, probs):
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 class TestSplitWriter:
     # T - 1 and T + 1 are odd, so the two processes get unequal shares.
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_bytes_around_the_threshold(self, tmp_path, two_cpus, started, offset):
-        n = glmsub.cli._SPLIT_ROWS + offset
-        probs = split_probs(n)
+    def test_bytes_around_the_threshold(self, tmp_path, two_cpus, forks, offset):
+        probs = split_probs(glmsub.cli._SPLIT_ROWS + offset)
         out = tmp_path / "p.csv"
         glmsub.cli._write_probabilities(out, probs)
         assert out.read_bytes() == csv_writer_bytes(probs)
-        assert len(started) == (offset >= 0)
-        if started:
-            assert started[0][-3:-1] == [str(n // 2), str(n - n // 2)]
+        assert len(forks) == (offset >= 0)
         assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
+        with pytest.raises(ChildProcessError):  # the helper was reaped
+            os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize(
-        "patch", [("sched_getaffinity", lambda pid: {0}), ("executable", "")]
-    )
-    def test_one_process_without_a_second_cpu_or_interpreter(self, tmp_path, monkeypatch, patch):
-        name, value = patch
-        monkeypatch.setattr(os if name == "sched_getaffinity" else sys, name, value)
-        monkeypatch.setattr(
-            subprocess, "Popen", lambda *a, **k: pytest.fail("started a process")
-        )
+    def test_one_process_on_one_cpu(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         probs = split_probs(glmsub.cli._SPLIT_ROWS + 1)
         out = tmp_path / "p.csv"
         glmsub.cli._write_probabilities(out, probs)
         assert out.read_bytes() == csv_writer_bytes(probs)
+        assert forks == []
 
     def test_one_process_when_the_helper_cannot_start(self, tmp_path, monkeypatch, two_cpus):
-        def refuse(*args, **kwargs):
+        def refuse():
             raise OSError("Resource temporarily unavailable")
 
-        monkeypatch.setattr(subprocess, "Popen", refuse)
+        monkeypatch.setattr(os, "fork", refuse)
         probs = split_probs(glmsub.cli._SPLIT_ROWS + 1)
         out = tmp_path / "p.csv"
         glmsub.cli._write_probabilities(out, probs)
@@ -367,22 +355,22 @@ class TestSplitWriter:
         assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
 
     def test_failing_helper_is_runtime(self, tmp_path, monkeypatch, capsys, two_cpus):
-        # The "interpreter" reads its rows, then fails the way a helper
-        # that cannot write its part file would.
-        fake = tmp_path / "python"
-        fake.write_text(
-            "#!/bin/sh\ncat >/dev/null\necho 'OSError: disk full' >&2\nexit 3\n", encoding="utf-8"
-        )
-        fake.chmod(0o755)
-        monkeypatch.setattr(sys, "executable", str(fake))
+        # The helper's error reaches main as itself; a helper that dies is
+        # a ChildProcessError.  Either way nothing is left behind.
         monkeypatch.setattr(glmsub.cli, "_SPLIT_ROWS", 100)
         csv_path = make_dataset_csv(tmp_path / "d.csv")
         config = write(tmp_path, real_yaml(csv_path, mode="probabilities"))
         outdir = tmp_path / "out"
-        assert main(["probabilities", str(config), "--out", str(outdir / "p.csv")]) == 2
-        err = capsys.readouterr().err
-        assert err == "glmsub: error: the row-formatting process exited 3: OSError: disk full\n"
-        assert list(outdir.iterdir()) == []
+        for fail, message in (
+            (_part_write_fails, "disk full"),
+            (_part_writer_dies, "a worker process died: killed by signal 9"),
+        ):
+            monkeypatch.setattr(glmsub.cli, "_write_part", fail)
+            assert main(["probabilities", str(config), "--out", str(outdir / "p.csv")]) == 2
+            assert capsys.readouterr().err == f"glmsub: error: {message}\n"
+            assert list(outdir.iterdir()) == []
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
 
 
 class TestSsmseCommand:
@@ -471,15 +459,7 @@ class TestExitCodes:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_default_threads_fork_nothing_on_one_cpu(self, tmp_path, monkeypatch):
-        forks = []
-        fork = os.fork
-
-        def counted_fork():
-            forks.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted_fork)
+    def test_default_threads_fork_nothing_on_one_cpu(self, tmp_path, monkeypatch, forks):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         config = write(tmp_path, SIM_YAML)
         assert main(["simulate", str(config), "--out", str(tmp_path / "m.csv")]) == 0

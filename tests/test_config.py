@@ -202,18 +202,29 @@ class TestSimulateConfig:
             ("[100, 200]", "[]", "r_grid"),
             (NORMAL, "distribution: exponential\n  dimension: 0\n  rate: 1.0", "covariates.dimension"),
             (NORMAL, "distribution: uniform\n  dimension: 0", "covariates.dimension"),
+            ("seed: 20260810", "seed: 20260810\ncriterion: best", "criterion"),
+            ("distribution: normal", "distribution: gamma", "covariates.distribution"),
+            ("mean: [0.0, 0.0]", "mean: [0.0]", "covariates.mean"),
+            ("[0.0, 1.5]]", "[0.0]]", "covariates.covariance[1]"),
+            ("[[1.5, 0.0], [0.0, 1.5]]", "[[1.5, 0.0]]", "covariates.covariance"),
+            ("quadratic_over: [1, 2]", "quadratic_over: [1, 3]", "model_set.quadratic_over"),
+            ("quadratic_over: [1, 2]", WITH_ALPHA + "[0.5, 0.5]", "model_set.alpha"),
+            ("covariates:\n  " + NORMAL + "\n", "", "covariates"),
         ],
         ids=[
             "population-negative", "population-below-model-size", "replicates-negative",
             "replicates-zero", "dimension-zero", "rate-zero", "rate-negative",
             "covariance-not-positive-definite", "covariance-not-symmetric", "eps-zero",
             "seed-negative", "r-grid-empty", "exponential-dimension-zero",
-            "uniform-dimension-zero",
+            "uniform-dimension-zero", "criterion-unknown", "distribution-unknown",
+            "mean-length", "covariance-row-length", "covariance-length",
+            "position-out-of-range", "alpha-length", "section-missing",
         ],
     )
     def test_out_of_range_values_name_their_key(self, tmp_path, old, new, key):
-        # Numbers of the right type but outside their range fail at parse
-        # time, not once the study runs.
+        # Values of the right type but outside their range or set, lists of
+        # the wrong length and missing sections fail at parse time, not once
+        # the study runs.
         with pytest.raises(ConfigError) as excinfo:
             parse_config(write(tmp_path, SIMULATE_YAML.replace(old, new)))
         assert excinfo.value.key == key
@@ -364,6 +375,22 @@ class TestRealDataConfig:
         with pytest.raises(ConfigError, match="scaling.red"):
             parse_config(write(tmp_path, bad))
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("blue: standardize", "purple: standardize", "dataset.scaling.purple"),
+            ("  scaling:", "  continuous: [red, purple]\n  scaling:", "dataset.continuous"),
+            ("r: 500", "r: 500\nsampling_model: 1.5", "sampling_model"),
+            ("r: 500", "r: 500\nsampling_model: robust", "sampling_model"),
+        ],
+        ids=["scaling-unknown-name", "continuous-unknown-name", "sampling-model-float",
+             "sampling-model-string"],
+    )
+    def test_bad_values_name_their_key(self, tmp_path, old, new, key):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(write(tmp_path, REAL_YAML.replace(old, new)))
+        assert excinfo.value.key == key
+
 
 def test_mode_required(tmp_path):
     with pytest.raises(ConfigError, match="mode"):
@@ -373,6 +400,12 @@ def test_mode_required(tmp_path):
 def test_bad_mode(tmp_path):
     with pytest.raises(ConfigError, match="mode"):
         parse_config(write(tmp_path, "mode: estimate\nfamily: logistic\n"))
+
+
+def test_root_must_be_a_mapping(tmp_path):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(write(tmp_path, "- mode: simulate\n"))
+    assert excinfo.value.key == "<root>"
 
 
 def test_invalid_yaml(tmp_path):

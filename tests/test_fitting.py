@@ -138,6 +138,21 @@ class TestWeightedLoglik:
                 # does not.
                 np.testing.assert_allclose(g[j] / len(y), fd, rtol=1e-5, atol=1e-8)
 
+    @pytest.mark.parametrize("n", [0, 1, 35])
+    def test_score_and_hessian_over_blocks(self, monkeypatch, poisson, rng, n):
+        # Blocks of 16 rows: 35 rows make three, the last one short; no
+        # rows make no block and zero sums.
+        monkeypatch.setattr(glmsub.fitting, "_BLOCK_ROWS", 16)
+        x = np.column_stack([np.ones(n), rng.normal(0.0, 0.5, size=(n, 2))])
+        y = rng.poisson(1.0, size=n)
+        probs = rng.uniform(0.2, 1.0, size=n)
+        theta = np.array([0.1, -0.3, 0.4])
+        g, hess = score_and_hessian(poisson, theta, WeightedSample(x, y, probs))
+        mu = np.exp(x @ theta)
+        np.testing.assert_allclose(g, x.T @ ((y - mu) / probs), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(hess, (x.T * (mu / probs)) @ x, rtol=1e-12, atol=1e-12)
+        assert (hess == hess.T).all()
+
 
 class TestFitWeightedMle:
     @pytest.mark.parametrize("kind", ["logistic", "poisson"])

@@ -1,8 +1,10 @@
 import dataclasses
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -39,6 +41,10 @@ from glmsub import (
 )
 
 from oracles import cofactor_det
+
+
+def _kill_this_process():
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 class TestGenCovariates:
@@ -398,18 +404,9 @@ class TestRunStudy:
         assert len(one) == 6
         assert one == run_ssmse_study(real, raw, y, threads=2)
 
-    def test_threads_clamped_to_replicates(self, monkeypatch):
-        # The real os.fork, counted: the runner starts at most one worker
-        # per replicate whatever --threads and the CPU budget allow, and
-        # none at --threads 1.
-        forks = []
-        fork = os.fork
-
-        def counted_fork():
-            forks.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted_fork)
+    def test_threads_clamped_to_replicates(self, monkeypatch, forks):
+        # The runner starts at most one worker per replicate whatever
+        # --threads and the CPU budget allow, and none at --threads 1.
         monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: 64)
         config = tiny_config(seed=5, replicates=3)
         many = run_study(config, threads=10_000)
@@ -430,9 +427,19 @@ class TestRunStudy:
                 run_study(config, threads=threads)
             assert info.value.key == "covariates.covariance"
 
+    def test_dead_worker_is_reported_at_once(self, monkeypatch):
+        # Worker 1 dies while worker 0 still sleeps: the error comes before
+        # worker 0 would finish, and worker 0 is stopped and reaped.
+        monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: 2)
+        started = time.monotonic()
+        with pytest.raises(ChildProcessError, match="killed by signal 9"):
+            glmsub.simulate._fork_map([lambda: time.sleep(2), _kill_this_process], threads=2)
+        assert time.monotonic() - started < 1.0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_cli_import_leaves_the_pool_out(self):
-        # The forked workers use no pool, and only a large probability
-        # file starts a helper process, so no command should pay for
+        # Every worker process is forked, so no command should pay for
         # importing a pool (multiprocessing, socket) or subprocess.
         code = (
             "import sys, glmsub.cli; "
