@@ -22,10 +22,10 @@ model in model order, and a probability file's sidecar adds
 default output locations.
 
 A probability file of ``_SPLIT_ROWS`` rows or more is formatted by two
-processes when two or more CPUs are usable on Linux: a forked copy of the
-CLI process formats the second half of the rows while the CLI formats the
-first.  The bytes are the same either way; ``taskset -c 0`` keeps the
-write to one process.
+forked workers, one for each half of the rows, when two or more CPUs are
+usable on Linux.  The bytes are the same either way, and ``taskset -c 0``
+keeps the write to one process.  When the system refuses a fork, every
+command runs all of its work in the CLI process.
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure (estimation,
 numeric overflow or I/O).
@@ -38,13 +38,13 @@ import csv
 import io
 import json
 import os
+import shutil
 import sys
 import tempfile
-from collections.abc import Callable, Iterable, Iterator
-from contextlib import ExitStack, contextmanager
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -61,19 +61,20 @@ from .errors import (
     ValidationError,
 )
 from .realdata import run_ssmse_study, run_subsample
-from .simulate import MetricsRecord, ScenarioConfig, _cpu_budget, _forked, model_information, run_study
+from .simulate import MetricsRecord, ScenarioConfig, _cpu_budget, _fork_map, model_information, run_study
 from .twostage import pilot_probabilities
 
 __all__ = ["main", "write_metrics_csv", "read_metrics_csv", "atomic_write"]
 
 METRICS_HEADER = ["scenario", "estimating_model", "r", "smse", "mean_model_info", "failures"]
 OUT_DIR_ENV = "GLMSUB_OUT_DIR"
-# Probability files of at least this many rows are formatted by two
-# processes.  Set when the second process was a fresh interpreter (16-18 ms
-# to start): on a 2-vCPU VM, medians of 11 alternating writes went
-# 140 -> 162 ms at 2^16 rows, 179 -> 125 ms at 98,304, 241 -> 157 ms at
-# 2^17 and 1.82 -> 1.09 s at 2^20.  A fork and its reaping take 4-5 ms, so
-# the break-even may now lie lower; it has not been measured again.
+# Probability files of at least this many rows are formatted by two forked
+# workers; the break-even on a 2-vCPU VM lies between 2^16 and 2^17 rows.
+# Medians of 21 interleaved in-process writes, one process -> two workers:
+# 7.7 -> 31.8 ms at 2^12 rows, 13 -> 29 ms at 2^13, 34 -> 44 ms at 2^14,
+# 51 -> 73 ms at 2^15, 146 -> 153 ms at 2^16, 197 -> 190 ms at 98,304 (two
+# lower in 12 of 21), 286 -> 240 ms at 2^17 (16 of 21), 381 -> 297 ms at
+# 196,608 and 563 -> 368 ms at 2^18.
 _SPLIT_ROWS = 1 << 17
 # Probability rows formatted per write, so the text of all N rows never
 # exists at once.  Writing 1e6 rows grows the resident set by about 1.5 MB
@@ -81,25 +82,17 @@ _SPLIT_ROWS = 1 << 17
 WRITE_ROWS = 8192
 
 
-def atomic_write(
-    path: "str | Path",
-    text: "str | Iterable[str]",
-    append: "Callable[[int], None] | None" = None,
-) -> None:
-    """Write a file so that readers never observe a partial artifact.
-    ``text`` is the whole content or an iterable of its consecutive chunks;
-    ``append``, when given, is called with the file descriptor after the
-    text is written and writes the rest of the content.  The file gets the
-    mode a plain ``open`` would give it, ``0o666`` less the umask."""
-    path = Path(path)
+@contextmanager
+def _atomic_path(path: Path) -> Iterator[str]:
+    """Yield the name of an empty temp file beside ``path``, to be written
+    in the block.  On a clean exit the file gets the mode a plain ``open``
+    would give it, ``0o666`` less the umask, and replaces ``path``; on an
+    error it is removed.  Readers never observe a partial artifact."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
-            if append is not None:
-                fh.flush()
-                append(fh.fileno())
+        yield tmp
         umask = os.umask(0o022)  # os.umask only reads by setting, so set it back
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
@@ -110,6 +103,13 @@ def atomic_write(
         except OSError:
             pass
         raise
+
+
+def atomic_write(path: "str | Path", text: "str | Iterable[str]") -> None:
+    """Write a file so that readers never observe a partial artifact.
+    ``text`` is the whole content or an iterable of its consecutive chunks."""
+    with _atomic_path(Path(path)) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 def write_metrics_csv(records: "list[MetricsRecord]", path: "str | Path") -> None:
@@ -196,58 +196,36 @@ def _rows_text(probs: np.ndarray, start: int = 0) -> Iterator[str]:
         yield "".join(f"{i},{p!r}\r\n" for i, p in enumerate(values, start + k))
 
 
-def _write_part(part: str, start: int, probs: np.ndarray) -> None:
-    """Write the rows of ``probs``, numbered from ``start``, to the file
-    ``part``."""
-    with open(part, "w", encoding="utf-8", newline="") as fh:
+def _write_rows(name: str, head: str, start: int, probs: np.ndarray) -> None:
+    """Write ``head``, then the rows of ``probs`` numbered from ``start``, to
+    the file ``name``, replacing what it held, so that a task that runs
+    again writes the same bytes."""
+    with open(name, "w", encoding="utf-8", newline="") as fh:
+        fh.write(head)
         fh.writelines(_rows_text(probs, start))
 
 
-def _append_part(collect, part: str, fd: int) -> None:
-    """Wait for the worker that writes the file ``part`` (``collect`` of
-    :func:`glmsub.simulate._forked`), then append ``part`` to the file
-    descriptor ``fd`` inside the kernel."""
-    collect()
-    with open(part, "rb") as src:
-        while os.sendfile(fd, src.fileno(), None, 1 << 30):
-            pass
-
-
-@contextmanager
-def _row_helper(path: Path, probs: np.ndarray):
-    """Hand the upper rows of ``probs`` to a forked worker, which formats
-    them into a part file beside ``path`` while the caller formats the rest.
-
-    Yields ``(m, append)``: the caller writes rows ``[0, m)``, then
-    ``append(fd)`` adds rows ``[m, N)`` to its file.  Yields ``(N, None)``,
-    and forks nothing, below ``_SPLIT_ROWS`` rows, with fewer than two
-    usable CPUs, off Linux (``os.sendfile`` appends to a regular file only
-    there) or when the fork fails.  The part file is removed on every exit.
-    """
-    n = probs.shape[0]
-    if n < _SPLIT_ROWS or not sys.platform.startswith("linux") or _cpu_budget() < 2:
-        yield n, None
-        return
-    m = n // 2
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, part = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".part")
-    os.close(fd)
-    try:
-        with ExitStack() as stack:
-            try:
-                collect = stack.enter_context(_forked([[partial(_write_part, part, m, probs[m:])]]))
-            except OSError:
-                collect = None
-            yield (n, None) if collect is None else (m, partial(_append_part, collect, part))
-    finally:
-        os.unlink(part)
-
-
 def _write_probabilities(path: "str | Path", probs: np.ndarray) -> None:
+    """Write the probability file as two tasks of
+    :func:`glmsub.simulate._fork_map`: the header and rows ``[0, m)``
+    straight into the output's temp file, and rows ``[m, N)`` into a part
+    file beside it, which is then appended.  From ``_SPLIT_ROWS`` rows on
+    the rows are split in half and the tasks may run in two forked
+    workers; below, the part file stays empty."""
     path = Path(path)
     probs = np.asarray(probs, dtype=np.float64)
-    with _row_helper(path, probs) as (m, append):
-        atomic_write(path, chain(["row,probability\r\n"], _rows_text(probs[:m])), append)
+    n = probs.shape[0]
+    m = n // 2 if n >= _SPLIT_ROWS else n
+    with _atomic_path(path) as tmp:
+        fd, part = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".part")
+        os.close(fd)
+        try:
+            lower = partial(_write_rows, tmp, "row,probability\r\n", 0, probs[:m])
+            _fork_map([lower, partial(_write_rows, part, "", m, probs[m:])], threads=2 if m < n else 1)
+            with open(tmp, "ab") as out, open(part, "rb") as rest:
+                shutil.copyfileobj(rest, out)
+        finally:
+            os.unlink(part)
 
 
 def _load_config(args, mode: str) -> "ScenarioConfig | RealDataConfig":

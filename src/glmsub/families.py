@@ -133,12 +133,11 @@ class Poisson(Family):
             )
 
     def sample_response(self, mu: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        if not np.all(np.isfinite(mu)):
-            raise NumericOverflowError("Poisson response mean is non-finite")
         try:
             return rng.poisson(mu)
         except ValueError as exc:
-            # NumPy refuses means whose draws could overflow int64.
+            # NumPy refuses means whose draws could overflow int64, and
+            # infinite or NaN means.
             raise NumericOverflowError(f"cannot sample Poisson responses: {exc}") from exc
 
 

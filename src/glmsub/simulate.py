@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from typing import Union
@@ -343,59 +342,63 @@ def _work(tasks, sink) -> None:
         os._exit(code)
 
 
-@contextmanager
-def _forked(groups: list):
-    """Fork one worker for each list of tasks in ``groups``; worker w runs
-    the tasks of ``groups[w]`` in :func:`_work`.  An OSError of the fork is
-    raised on entry, after the workers already started are stopped.
+def _fork_map(tasks: list, threads: int) -> list:
+    """``[task() for task in tasks]``, in W = min(threads, tasks, CPU budget)
+    forked workers on Linux when W > 1, worker w running tasks w, w + W, ...
+    in :func:`_work`.  The caller runs no task meanwhile.
 
-    Yields ``collect()``, which waits for every worker and returns their
-    result lists in worker order.  It reads the pipes as the workers
-    finish, so the first worker to fail is reported at once: a worker's
-    exception is raised here, and a worker that dies raises
-    :class:`ChildProcessError` (an OSError, so the CLI reports it as a
-    runtime failure).  No worker outlives the block.  Forked, not spawned,
-    to skip a fresh import; OpenBLAS stops its threads before a fork and
-    starts them again on demand.
+    The pipes are read as the workers finish, so the first worker to fail
+    is reported at once: a worker's exception is raised here, and a worker
+    that dies raises :class:`ChildProcessError` (an OSError, so the CLI
+    reports it as a runtime failure).  If a fork fails, the workers already
+    started are stopped and the caller runs every task itself, so a task
+    must be safe to run again after a stopped worker began it.  No worker
+    outlives the call.  Forked, not spawned, to skip a fresh import;
+    OpenBLAS stops its threads before a fork and starts them again on
+    demand.
     """
     import pickle
     import selectors
     import signal
 
-    pids, pipes = [], []
-
-    def collect() -> list:
-        results, chunks = [None] * len(pids), [[] for _ in pids]
-        with selectors.DefaultSelector() as selector:
-            for w, pipe in enumerate(pipes):
-                selector.register(pipe, selectors.EVENT_READ, w)
-            while selector.get_map():
-                for key, _ in selector.select():
-                    w = key.data
-                    if data := key.fileobj.read(1 << 16):
-                        chunks[w].append(data)
-                        continue
-                    selector.unregister(key.fileobj)
-                    code = os.waitstatus_to_exitcode(os.waitpid(pids[w], 0)[1])
-                    pids[w] = None
-                    if code:
-                        how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-                        raise ChildProcessError(f"a worker process died: {how}")
-                    kind, value = pickle.loads(b"".join(chunks[w]))
-                    if kind == "err":
-                        raise value
-                    results[w] = value
-        return results
-
+    workers = min(threads, len(tasks), _cpu_budget())
+    if workers <= 1 or not sys.platform.startswith("linux"):
+        return [task() for task in tasks]
+    pids, pipes, refused = [], [], False
     try:
-        for tasks in groups:
+        for w in range(workers):
             read_end, write_end = os.pipe()
             pipes.append(open(read_end, "rb", buffering=0))
             with open(write_end, "wb") as sink:
-                if (pid := os.fork()) == 0:
-                    _work(tasks, sink)
+                try:
+                    pid = os.fork()
+                except OSError:  # no process to spare
+                    refused = True
+                    break
+                if pid == 0:
+                    _work(tasks[w::workers], sink)
                 pids.append(pid)
-        yield collect
+        if not refused:
+            results, chunks = [None] * len(tasks), [[] for _ in pids]
+            with selectors.DefaultSelector() as selector:
+                for w, pipe in enumerate(pipes):
+                    selector.register(pipe, selectors.EVENT_READ, w)
+                while selector.get_map():
+                    for key, _ in selector.select():
+                        w = key.data
+                        if data := key.fileobj.read(1 << 16):
+                            chunks[w].append(data)
+                            continue
+                        selector.unregister(key.fileobj)
+                        code = os.waitstatus_to_exitcode(os.waitpid(pids[w], 0)[1])
+                        pids[w] = None
+                        if code:
+                            how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+                            raise ChildProcessError(f"a worker process died: {how}")
+                        kind, value = pickle.loads(b"".join(chunks[w]))
+                        if kind == "err":
+                            raise value
+                        results[w::workers] = value
     finally:
         for pid in pids:
             if pid is not None:
@@ -403,20 +406,8 @@ def _forked(groups: list):
                 os.waitpid(pid, 0)
         for pipe in pipes:
             pipe.close()
-
-
-def _fork_map(tasks: list, threads: int) -> list:
-    """``[task() for task in tasks]``, in W = min(threads, tasks, CPU budget)
-    workers of :func:`_forked` on Linux when W > 1, worker w taking tasks
-    w, w + W, ...  The caller runs no task meanwhile.
-    """
-    workers = min(threads, len(tasks), _cpu_budget())
-    if workers <= 1 or not sys.platform.startswith("linux"):
-        return [task() for task in tasks]
-    results = [None] * len(tasks)
-    with _forked([tasks[w::workers] for w in range(workers)]) as collect:
-        for w, values in enumerate(collect()):
-            results[w::workers] = values
+    if refused:  # the workers started are gone: run every task here
+        results = [task() for task in tasks]
     return results
 
 

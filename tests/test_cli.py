@@ -4,13 +4,16 @@ import json
 import os
 import signal
 import stat
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
 import glmsub.cli
 import glmsub.simulate
-from glmsub import MetricsRecord, NumericOverflowError, read_metrics_csv
+from glmsub import MetricsRecord, NumericOverflowError, ValidationError, read_metrics_csv
 from glmsub.cli import METRICS_HEADER, atomic_write, main, write_metrics_csv
 from glmsub.config import parse_config
 from glmsub.datasets import load_csv
@@ -107,6 +110,16 @@ class TestMetricsRoundTrip:
         write_metrics_csv(records, path)
         assert read_metrics_csv(path) == records
 
+    def test_blank_rows_skipped_and_header_checked(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        record = MetricsRecord("random", 1, 100, 0.5, 2.0, 0)
+        write_metrics_csv([record], path)
+        path.write_text(path.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+        assert read_metrics_csv(path) == [record]
+        path.write_text("scenario,r\nrandom,100\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="unexpected metrics header"):
+            read_metrics_csv(path)
+
     def test_header_contract(self, tmp_path):
         path = tmp_path / "metrics.csv"
         write_metrics_csv([], path)
@@ -155,6 +168,21 @@ class TestAtomicWrite:
             atomic_write(target, chunks())
         assert target.read_text(encoding="utf-8") == "old"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    def test_error_survives_a_vanished_temp_file(self, tmp_path):
+        # The cleanup tolerates a temp file that is already gone, so the
+        # error that ended the write is the one raised.
+        target = tmp_path / "out.txt"
+
+        def chunks():
+            for tmp in tmp_path.glob(".out.txt.*.tmp"):
+                tmp.unlink()
+            yield "partial"
+            raise RuntimeError("formatting failed")
+
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            atomic_write(target, chunks())
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSimulateCommand:
@@ -311,14 +339,14 @@ def two_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
-def _part_write_fails(part, start, probs):
-    """The helper's part write, failing the way a full disk makes it."""
+def _part_write_fails(part, head, start, probs):
+    """A worker's row write, failing the way a full disk makes it."""
     with open(part, "w", encoding="utf-8") as fh:
         fh.write(f"{start},")
     raise OSError("disk full")
 
 
-def _part_writer_dies(part, start, probs):
+def _part_writer_dies(part, head, start, probs):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -330,9 +358,9 @@ class TestSplitWriter:
         out = tmp_path / "p.csv"
         glmsub.cli._write_probabilities(out, probs)
         assert out.read_bytes() == csv_writer_bytes(probs)
-        assert len(forks) == (offset >= 0)
+        assert len(forks) == 2 * (offset >= 0)
         assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
-        with pytest.raises(ChildProcessError):  # the helper was reaped
+        with pytest.raises(ChildProcessError):  # the workers were reaped
             os.waitpid(-1, os.WNOHANG)
 
     def test_one_process_on_one_cpu(self, tmp_path, monkeypatch, forks):
@@ -354,6 +382,34 @@ class TestSplitWriter:
         assert out.read_bytes() == csv_writer_bytes(probs)
         assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
 
+    def test_refused_second_fork_after_the_first_worker_wrote(self, tmp_path, monkeypatch, two_cpus):
+        # The second fork is refused once the first worker has written part
+        # of its rows into the temp file; the worker is killed and the
+        # caller writes every row again, over what the worker left.
+        fork = os.fork
+        calls = []
+
+        def refuse_second():
+            calls.append(1)
+            if len(calls) == 1:
+                return fork()
+            (tmp,) = tmp_path.glob(".p.csv.*.tmp")
+            deadline = time.monotonic() + 60
+            while tmp.stat().st_size < 1 << 16 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert tmp.stat().st_size >= 1 << 16
+            raise OSError("Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", refuse_second)
+        probs = split_probs(glmsub.cli._SPLIT_ROWS + 1)
+        out = tmp_path / "p.csv"
+        glmsub.cli._write_probabilities(out, probs)
+        assert out.read_bytes() == csv_writer_bytes(probs)
+        assert len(calls) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_failing_helper_is_runtime(self, tmp_path, monkeypatch, capsys, two_cpus):
         # The helper's error reaches main as itself; a helper that dies is
         # a ChildProcessError.  Either way nothing is left behind.
@@ -365,7 +421,7 @@ class TestSplitWriter:
             (_part_write_fails, "disk full"),
             (_part_writer_dies, "a worker process died: killed by signal 9"),
         ):
-            monkeypatch.setattr(glmsub.cli, "_write_part", fail)
+            monkeypatch.setattr(glmsub.cli, "_write_rows", fail)
             assert main(["probabilities", str(config), "--out", str(outdir / "p.csv")]) == 2
             assert capsys.readouterr().err == f"glmsub: error: {message}\n"
             assert list(outdir.iterdir()) == []
@@ -505,3 +561,15 @@ class TestExitCodes:
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
+
+    def test_module_runs_as_a_script(self):
+        # ``python -m glmsub.cli`` reaches main through the __main__ guard.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-m", "glmsub.cli", "--version"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (out.returncode, out.stdout) == (0, f"glmsub {glmsub.__version__}\n")

@@ -117,6 +117,12 @@ class TestPoisson:
         with pytest.raises(ValidationError, match="non-negative integer; found inf at index 1$"):
             poisson.validate_response(np.array([1.0, np.inf]))
 
+    # exp(44) is finite but above the largest mean NumPy's sampler accepts.
+    @pytest.mark.parametrize("bad", [math.exp(44), math.inf, math.nan])
+    def test_unsampleable_mean_is_overflow(self, poisson, rng, bad):
+        with pytest.raises(NumericOverflowError, match="^cannot sample Poisson responses: "):
+            poisson.sample_response(np.array([1.0, bad]), rng)
+
 
 def test_get_family():
     assert isinstance(get_family("logistic"), Logistic)
@@ -128,3 +134,5 @@ def test_get_family():
 def test_family_equality():
     assert Logistic() == Logistic()
     assert Logistic() != Poisson()
+    assert len({Logistic(), Logistic(), Poisson()}) == 2
+    assert repr(Poisson()) == "Poisson()"

@@ -30,6 +30,15 @@ class TestModelSpec:
         with pytest.raises(ValidationError):
             ModelSpec(main_effects=(0, 0))
 
+    @pytest.mark.parametrize(
+        "main, quadratic, message",
+        [((0, 1), (1, 1), "duplicate quadratic term"), ((0, -1), (), "must be non-negative")],
+        ids=["duplicate-quadratic", "negative-index"],
+    )
+    def test_bad_terms_rejected(self, main, quadratic, message):
+        with pytest.raises(ValidationError, match=message):
+            ModelSpec(main_effects=main, quadratic_terms=quadratic)
+
     def test_term_labels(self):
         spec = ModelSpec(main_effects=(0, 1), quadratic_terms=(1,))
         assert spec.term_labels() == ["intercept", "x1", "x2", "x2^2"]
@@ -157,6 +166,10 @@ class TestValidateAlpha:
         with pytest.raises(ValidationError, match="sums to"):
             validate_alpha([0.5, 0.6])
 
+    def test_empty(self):
+        with pytest.raises(ValidationError, match="at least one entry"):
+            validate_alpha([])
+
     def test_out_of_range(self):
         with pytest.raises(ValidationError, match="outside"):
             validate_alpha([1.2, -0.2])
@@ -197,6 +210,10 @@ class TestModelSet:
     def test_alpha_defaults_uniform(self):
         specs = (ModelSpec(main_effects=(0,)), ModelSpec(main_effects=(0,), quadratic_terms=(0,)))
         np.testing.assert_allclose(ModelSet(specs=specs).alpha, [0.5, 0.5])
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValidationError, match="at least one model"):
+            ModelSet(specs=())
 
     def test_alpha_length_mismatch(self):
         with pytest.raises(ValidationError):

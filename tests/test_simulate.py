@@ -19,6 +19,7 @@ from glmsub import (
     Criterion,
     DatasetDescriptor,
     ExponentialCovariates,
+    FitError,
     FitResult,
     Logistic,
     MetricsRecord,
@@ -77,6 +78,11 @@ class TestGenCovariates:
         )
         with pytest.raises(ValidationError, match="positive definite"):
             gen_covariates(dist, 10, rng)
+
+    def test_cov_shape_must_match_mean(self):
+        with pytest.raises(ConfigError, match=r"shape \(3, 3\) does not match mean length 2") as excinfo:
+            MultivariateNormalCovariates(mean=np.zeros(2), cov=np.eye(3))
+        assert excinfo.value.key == "covariates.covariance"
 
     def test_asymmetric_cov_rejected(self):
         with pytest.raises(ValidationError, match="symmetric"):
@@ -171,6 +177,10 @@ class TestSmse:
         est = np.array([[1.0, 0.0], [0.0, 1.0]])
         assert smse(est, np.zeros(2)) == pytest.approx(1.0)
 
+    def test_column_mismatch(self):
+        with pytest.raises(ValidationError, match="2 columns but truth has length 3"):
+            smse(np.zeros((4, 2)), np.zeros(3))
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_permutation_invariant_and_nonnegative(self, seed):
@@ -223,6 +233,11 @@ class TestModelInformation:
 
     def test_diagonal_half(self):
         assert model_information(make_fit(np.diag([0.5, 0.5]))) == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("diagonal", [[1.0, 0.0], [1.0, -1.0]], ids=["singular", "indefinite"])
+    def test_singular_or_indefinite_variance(self, diagonal):
+        with pytest.raises(FitError, match="singular or indefinite"):
+            model_information(make_fit(np.diag(diagonal)))
 
     def test_matches_cofactor_oracle(self, rng):
         a = rng.normal(size=(4, 4))
@@ -414,6 +429,29 @@ class TestRunStudy:
         forks.clear()
         assert run_study(config, threads=1) == many
         assert forks == []
+
+    @pytest.mark.parametrize("allowed", [0, 1])
+    def test_refused_fork_runs_every_task_here(self, monkeypatch, allowed):
+        # The first ``allowed`` forks succeed and the next one fails: the
+        # worker already started is stopped and reaped, and the caller runs
+        # all replicates itself.
+        config = tiny_config(seed=13, replicates=3)
+        serial = run_study(config, threads=1)
+        fork = os.fork
+        calls = []
+
+        def refuse_after_allowed():
+            calls.append(1)
+            if len(calls) > allowed:
+                raise OSError("Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: 2)
+        monkeypatch.setattr(os, "fork", refuse_after_allowed)
+        assert run_study(config, threads=2) == serial
+        assert len(calls) == allowed + 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_worker_error_keeps_its_class_and_key(self, monkeypatch):
         # Every replicate fails to draw its covariates; the worker's
