@@ -13,7 +13,9 @@ Subcommands (each takes a YAML config, see :mod:`glmsub.config`):
 Common flags: ``--seed`` overrides the config seed, ``--out`` sets the
 output path.  ``--threads`` bounds the worker processes of ``simulate`` and
 ``ssmse`` without changing results: it defaults to the usable CPUs, workers
-are forked on Linux only, and ``--threads 1`` keeps one process.
+are forked on Linux only, and ``--threads 1`` keeps one process.  While
+workers run, the CLI process holds OpenBLAS at one thread, which each
+worker inherits.
 Outputs are written atomically (temp file + rename) and every CSV gets a
 ``<name>.meta.json`` sidecar echoing the config, the master seed and the
 tool version; ``subsample`` adds ``newton_iterations``, one count per
@@ -140,16 +142,14 @@ def read_metrics_csv(path: "str | Path") -> "list[MetricsRecord]":
         for row in reader:
             if not row:
                 continue
-            records.append(
-                MetricsRecord(
-                    scenario=row[0],
-                    estimating_model=int(row[1]),
-                    r=int(row[2]),
-                    smse=float(row[3]),
-                    mean_model_info=float(row[4]),
-                    n_failed=int(row[5]),
-                )
-            )
+            try:
+                scenario, model, r, value, info, failed = row
+                record = MetricsRecord(scenario, int(model), int(r), float(value), float(info), int(failed))
+            except ValueError:
+                raise ValidationError(
+                    f"{path} line {reader.line_num}: malformed metrics row {row!r}"
+                ) from None
+            records.append(record)
     return records
 
 

@@ -1,9 +1,10 @@
 """CSV dataset ingestion with per-column scaling.
 
-Files must be UTF-8 with a header row (RFC-4180-style quoting, ``.``
-decimal).  Two scaling rules are supported besides none: standardize to
-mean zero and population variance one, and map the observed range onto
-[0, 1].  Scaling is applied once, globally, before any subsampling.
+Files must be UTF-8 (a leading byte-order mark is skipped) with a header
+row (RFC-4180-style quoting, ``.`` decimal).  Two scaling rules are
+supported besides none: standardize to mean zero and population variance
+one, and map the observed range onto [0, 1].  Scaling is applied once,
+globally, before any subsampling.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def _parse_rows(path: Path, n_fields: int, positions: "list[int]", columns: "lis
     """Parse the file row by row with :func:`_parse_cell`; the only source
     of ingestion error messages.  Returns the columns at ``positions``."""
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row_number, row in enumerate(reader, start=2):
@@ -182,7 +183,7 @@ def load_csv(
     if not path.exists():
         raise ValidationError(f"dataset file not found: {path}")
     columns = [descriptor.response, *descriptor.covariate_names]
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:

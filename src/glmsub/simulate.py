@@ -316,36 +316,12 @@ def _cpu_budget() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _work(tasks, sink) -> None:
-    """Run ``tasks`` in a forked worker with one OpenBLAS thread, pickle
-    ``("ok", results)`` or ``("err", exception)`` into ``sink``, and leave."""
-    code = 1
-    try:
-        import ctypes
-        import pickle
-
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line}
-        for path in sorted(paths):  # an OpenBLAS without this setter is left as it is
-            setter = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-        try:
-            out = ("ok", [task() for task in tasks])
-        except BaseException as exc:
-            out = ("err", exc)
-        pickle.dump(out, sink)
-        sink.flush()
-        code = 0
-    finally:
-        os._exit(code)
-
-
 def _fork_map(tasks: list, threads: int) -> list:
     """``[task() for task in tasks]``, in W = min(threads, tasks, CPU budget)
     forked workers on Linux when W > 1, worker w running tasks w, w + W, ...
-    in :func:`_work`.  The caller runs no task meanwhile.
+    and pickling its results or its exception into its pipe.  The caller
+    runs no task meanwhile, and holds every loaded OpenBLAS at one thread
+    until it leaves, so that each worker inherits one and starts no pool.
 
     The pipes are read as the workers finish, so the first worker to fail
     is reported at once: a worker's exception is raised here, and a worker
@@ -353,10 +329,9 @@ def _fork_map(tasks: list, threads: int) -> list:
     reports it as a runtime failure).  If a fork fails, the workers already
     started are stopped and the caller runs every task itself, so a task
     must be safe to run again after a stopped worker began it.  No worker
-    outlives the call.  Forked, not spawned, to skip a fresh import;
-    OpenBLAS stops its threads before a fork and starts them again on
-    demand.
+    outlives the call.  Forked, not spawned, to skip a fresh import.
     """
+    import ctypes
     import pickle
     import selectors
     import signal
@@ -364,8 +339,18 @@ def _fork_map(tasks: list, threads: int) -> list:
     workers = min(threads, len(tasks), _cpu_budget())
     if workers <= 1 or not sys.platform.startswith("linux"):
         return [task() for task in tasks]
-    pids, pipes, refused = [], [], False
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line}
+    saved, pids, pipes, refused = [], [], [], False  # saved: (setter, caller's count)
     try:
+        for lib in map(ctypes.CDLL, sorted(paths)):  # one without these calls is left as it is
+            get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+            put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                saved.append((put, get()))
+                put(1)
         for w in range(workers):
             read_end, write_end = os.pipe()
             pipes.append(open(read_end, "rb", buffering=0))
@@ -375,8 +360,17 @@ def _fork_map(tasks: list, threads: int) -> list:
                 except OSError:  # no process to spare
                     refused = True
                     break
-                if pid == 0:
-                    _work(tasks[w::workers], sink)
+                if pid == 0:  # the worker: run its tasks, report and leave
+                    try:
+                        try:
+                            out = ("ok", [task() for task in tasks[w::workers]])
+                        except BaseException as exc:
+                            out = ("err", exc)
+                        pickle.dump(out, sink)
+                        sink.flush()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
                 pids.append(pid)
         if not refused:
             results, chunks = [None] * len(tasks), [[] for _ in pids]
@@ -406,6 +400,8 @@ def _fork_map(tasks: list, threads: int) -> list:
                 os.waitpid(pid, 0)
         for pipe in pipes:
             pipe.close()
+        for put, count in saved:
+            put(count)
     if refused:  # the workers started are gone: run every task here
         results = [task() for task in tasks]
     return results
@@ -466,9 +462,10 @@ def run_strategies(config, data, summarize, threads: int = 1, extra=None):
     Returns ``(cells, extra's result or None)``, with one cell
     ``(scenario, r, good summaries, n_failed)`` per strategy and size.
 
-    ``threads`` bounds the worker processes of :func:`_fork_map`, each
-    with one BLAS thread; the output is identical for any value because
-    each replicate consumes only its own seed substreams.
+    ``threads`` bounds the worker processes of :func:`_fork_map`, which
+    holds the caller's OpenBLAS at one thread while they run, so each has
+    one; the output is identical for any value because each replicate
+    consumes only its own seed substreams.
     """
     head = [] if extra is None else [extra]
     ms = range(config.n_replicates)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import signal
 import stat
 import subprocess
@@ -118,6 +119,17 @@ class TestMetricsRoundTrip:
         assert read_metrics_csv(path) == [record]
         path.write_text("scenario,r\nrandom,100\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="unexpected metrics header"):
+            read_metrics_csv(path)
+
+    @pytest.mark.parametrize(
+        "row", ["random,1,100,0.5,2.0", "random,1,100,0.5,2.0,0,7", "random,1,100,half,2.0,0"]
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, row):
+        # Too few fields, too many, and a non-numeric one.
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv([MetricsRecord("random", 1, 100, 0.5, 2.0, 0)], path)
+        path.write_text(path.read_text(encoding="utf-8") + row + "\r\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=re.escape(f"{path} line 3: malformed")):
             read_metrics_csv(path)
 
     def test_header_contract(self, tmp_path):

@@ -202,6 +202,15 @@ class TestLoadCsv:
             with pytest.raises(ValidationError, match="no data rows"):
                 load_csv(descriptor(path))
 
+    @pytest.mark.parametrize("body", ["1,2.0,3.0\n0,4.0,5.0\n", "1,1_0,3\n0,4,５\n"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, body):
+        # Excel's "CSV UTF-8" export starts the file with U+FEFF; the second
+        # body is parsed row by row.
+        plain = load_csv(descriptor(write_csv(tmp_path / "plain.csv", "y,a,b\n" + body)))
+        marked = load_csv(descriptor(write_csv(tmp_path / "bom.csv", "\ufeffy,a,b\n" + body)))
+        for got, want in zip(marked, plain):
+            assert got.tobytes() == want.tobytes()
+
     def test_matches_row_by_row_parse(self, tmp_path):
         rng = np.random.default_rng(5)
         table = rng.normal(size=(200, 3)) * 10.0 ** rng.integers(-300, 300, size=(200, 3))

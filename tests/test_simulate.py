@@ -48,6 +48,28 @@ def _kill_this_process():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _openblas_thread_getter():
+    """The scipy-openblas thread-count getter of a loaded OpenBLAS, or None."""
+    import ctypes
+
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line}
+    for path in sorted(paths):
+        getter = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter
+    return None
+
+
+def _threads_after_a_gram():
+    """This process's OS thread count after a product the shape of ssmse's
+    full-data Gram."""
+    np.ones((32, 8192)) @ np.ones((8192, 46))
+    with open("/proc/self/status", encoding="utf-8") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
+
+
 class TestGenCovariates:
     def test_exponential_rate_parameterization(self, rng):
         rate = math.sqrt(3)
@@ -475,6 +497,32 @@ class TestRunStudy:
         assert time.monotonic() - started < 1.0
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_workers_run_one_blas_thread_and_the_caller_keeps_its_count(self, monkeypatch):
+        # Each worker inherits one OpenBLAS thread and starts no pool; the
+        # caller's count is back after a normal return, a worker's exception,
+        # a dead worker and a refused fork, whose rerun in the caller runs
+        # at the caller's count.
+        if not sys.platform.startswith("linux") or (getter := _openblas_thread_getter()) is None:
+            pytest.skip("no scipy-openblas thread getter is loaded")
+        monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: 2)
+        fork_map = glmsub.simulate._fork_map
+        before = getter()
+        assert fork_map([_threads_after_a_gram, _threads_after_a_gram], threads=2) == [1, 1]
+        assert getter() == before
+        with pytest.raises(ZeroDivisionError):
+            fork_map([_threads_after_a_gram, lambda: 1 / 0], threads=2)
+        assert getter() == before
+        with pytest.raises(ChildProcessError):
+            fork_map([_threads_after_a_gram, _kill_this_process], threads=2)
+        assert getter() == before
+
+        def refuse():
+            raise OSError("Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        assert fork_map([getter, getter], threads=2) == [before, before]
+        assert getter() == before
 
     def test_cli_import_leaves_the_pool_out(self):
         # Every worker process is forked, so no command should pay for
