@@ -32,7 +32,7 @@ config = ScenarioConfig(
     master_seed=2026,
 )
 
-records = run_study(config, threads=2)
+records = run_study(config)
 
 print(f"{'strategy':<14}{'r':>6}{'SMSE':>12}{'mean info':>14}{'failed':>8}")
 for rec in records:

@@ -57,6 +57,6 @@ ssmse_cfg.write_text(
     encoding="utf-8",
 )
 study_out = workdir / "study.csv"
-assert main(["ssmse", str(ssmse_cfg), "--out", str(study_out), "--threads", "2"]) == 0
+assert main(["ssmse", str(ssmse_cfg), "--out", str(study_out)]) == 0
 print("strategy comparison (summed SMSE vs full-data MLEs, lower is better):")
 print(study_out.read_text(encoding="utf-8"))

@@ -11,11 +11,10 @@ Subcommands (each takes a YAML config, see :mod:`glmsub.config`):
   dataset, write summed-SMSE records
 
 Common flags: ``--seed`` overrides the config seed, ``--out`` sets the
-output path.  ``--threads`` bounds the worker processes of ``simulate`` and
-``ssmse`` without changing results: it defaults to the usable CPUs, workers
-are forked on Linux only, and ``--threads 1`` keeps one process.  While
-workers run, the CLI process holds OpenBLAS at one thread, which each
-worker inherits.
+output path.  ``simulate`` and ``ssmse`` fork one worker process per usable
+CPU on Linux, as the library does, without changing results;
+``taskset -c 0`` keeps one process.  While workers run, the CLI process
+holds OpenBLAS at one thread, which each worker inherits.
 Outputs are written atomically (temp file + rename) and every CSV gets a
 ``<name>.meta.json`` sidecar echoing the config, the master seed and the
 tool version; ``subsample`` adds ``newton_iterations``, one count per
@@ -63,7 +62,7 @@ from .errors import (
     ValidationError,
 )
 from .realdata import run_ssmse_study, run_subsample
-from .simulate import MetricsRecord, ScenarioConfig, _cpu_budget, _fork_map, model_information, run_study
+from .simulate import MetricsRecord, ScenarioConfig, _fork_map, model_information, run_study
 from .twostage import pilot_probabilities
 
 __all__ = ["main", "write_metrics_csv", "read_metrics_csv", "atomic_write"]
@@ -206,12 +205,12 @@ def _write_rows(name: str, head: str, start: int, probs: np.ndarray) -> None:
 
 
 def _write_probabilities(path: "str | Path", probs: np.ndarray) -> None:
-    """Write the probability file as two tasks of
-    :func:`glmsub.simulate._fork_map`: the header and rows ``[0, m)``
-    straight into the output's temp file, and rows ``[m, N)`` into a part
-    file beside it, which is then appended.  From ``_SPLIT_ROWS`` rows on
-    the rows are split in half and the tasks may run in two forked
-    workers; below, the part file stays empty."""
+    """Write the probability file through :func:`glmsub.simulate._fork_map`.
+    From ``_SPLIT_ROWS`` rows on it passes two tasks, which may run in two
+    forked workers: the header and rows ``[0, N/2)`` straight into the
+    output's temp file, and the other rows into a part file beside it,
+    which is then appended.  Below, one task writes the header and every
+    row, and the part file stays empty."""
     path = Path(path)
     probs = np.asarray(probs, dtype=np.float64)
     n = probs.shape[0]
@@ -221,7 +220,8 @@ def _write_probabilities(path: "str | Path", probs: np.ndarray) -> None:
         os.close(fd)
         try:
             lower = partial(_write_rows, tmp, "row,probability\r\n", 0, probs[:m])
-            _fork_map([lower, partial(_write_rows, part, "", m, probs[m:])], threads=2 if m < n else 1)
+            upper = partial(_write_rows, part, "", m, probs[m:])
+            _fork_map([lower, upper] if m < n else [lower])
             with open(tmp, "ab") as out, open(part, "rb") as rest:
                 shutil.copyfileobj(rest, out)
         finally:
@@ -244,7 +244,7 @@ def _load_config(args, mode: str) -> "ScenarioConfig | RealDataConfig":
 
 def _cmd_simulate(args) -> int:
     config = _load_config(args, "simulate")
-    records = run_study(config, threads=args.threads)
+    records = run_study(config)
     out = _default_out(Path(args.config), "metrics", args.out)
     write_metrics_csv(records, out)
     _write_meta(out, Path(args.config), config.master_seed, "simulate")
@@ -309,7 +309,7 @@ def _cmd_probabilities(args) -> int:
 def _cmd_ssmse(args) -> int:
     config = _load_config(args, "ssmse")
     raw, y = load_csv(config.dataset, family=config.family)
-    records = run_ssmse_study(config, raw, y, threads=args.threads)
+    records = run_ssmse_study(config, raw, y)
     out = _default_out(Path(args.config), "ssmse", args.out)
     rows = [
         [rec.scenario, rec.r, repr(rec.ssmse), rec.n_failed]
@@ -329,21 +329,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"glmsub {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, threads=False):
+    def common(p):
         p.add_argument("config", help="YAML run configuration")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output CSV path")
-        if threads:
-            p.add_argument(
-                "--threads",
-                type=int,
-                default=_cpu_budget(),
-                help="worker processes, forked on Linux only (default: the usable "
-                "CPUs; 1 keeps one process; results are identical for any value)",
-            )
 
     p = sub.add_parser("simulate", help="run the Monte Carlo simulation study")
-    common(p, threads=True)
+    common(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("subsample", help="two-stage subsample fit on a CSV dataset")
@@ -361,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_probabilities)
 
     p = sub.add_parser("ssmse", help="repeated-subsampling comparison on a CSV dataset")
-    common(p, threads=True)
+    common(p)
     p.set_defaults(func=_cmd_ssmse)
     return parser
 

@@ -182,14 +182,6 @@ class _Block:
         return [_checked(v, kind, f"{self._key(name)}[{i}]") for i, v in enumerate(value)]
 
 
-def _parse_criterion(root: _Block) -> Criterion:
-    text = root.get("criterion", str, default="mMSE")
-    try:
-        return _CRITERIA[text.lower()]
-    except KeyError:
-        raise ConfigError("criterion", f"expected mMSE or mVc, got {text!r}") from None
-
-
 def _parse_covariates(block: _Block) -> CovariateDistribution:
     kind = block.get("distribution", str, required=True).lower()
     dimension = block.get("dimension", int, required=True)
@@ -405,9 +397,10 @@ def parse_config(path: "str | Path") -> "ScenarioConfig | RealDataConfig":
     mode = root.get("mode", str, required=True)
     if mode not in MODES:
         raise ConfigError("mode", f"expected one of {MODES}, got {mode!r}")
+    criterion = root.get("criterion", str, default="mMSE")
     common = dict(  # the keys every mode reads
         family=get_family(root.get("family", str, required=True)),
-        criterion=_parse_criterion(root),
+        criterion=_CRITERIA.get(criterion.lower(), criterion),  # any case; the config checks it
         eps=root.get("eps", float, default=DEFAULT_EPS),
         master_seed=root.get("seed", int, default=0),
         r0=root.get("r0", int, required=True),

@@ -39,7 +39,11 @@ class CovariateColumn:
     scaling: Scaling = Scaling.NONE
 
     def __post_init__(self):
-        object.__setattr__(self, "scaling", Scaling(self.scaling))
+        try:
+            object.__setattr__(self, "scaling", Scaling(self.scaling))
+        except ValueError:
+            names = ", ".join(Scaling)
+            raise ValidationError(f"expected a scaling ({names}), got {self.scaling!r}") from None
 
 
 @dataclass(frozen=True)

@@ -78,12 +78,11 @@ class Criterion(str, Enum):
     @classmethod
     def optimality(cls, value: "str | Criterion") -> "Criterion":
         """Coerce to one of the two optimality criteria (mMSE / mVc)."""
-        crit = cls(value)
-        if crit not in (cls.MMSE, cls.MVC):
+        if value not in (cls.MMSE, cls.MVC):
             raise ValidationError(
-                f"expected an optimality criterion (mMSE or mVc), got {crit.value!r}"
+                f"expected an optimality criterion (mMSE or mVc), got {getattr(value, 'value', value)!r}"
             )
-        return crit
+        return cls(value)
 
 
 _ROBUST_LABEL = {
@@ -103,7 +102,11 @@ class ProbabilityVector:
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float).ravel()
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "criterion", Criterion(self.criterion))
+        try:
+            object.__setattr__(self, "criterion", Criterion(self.criterion))
+        except ValueError:
+            names = ", ".join(Criterion)
+            raise ValidationError(f"expected a criterion ({names}), got {self.criterion!r}") from None
         # Written so that a NaN entry fails both checks.
         total = float(probs.sum())
         if not abs(total - 1.0) <= PROB_SUM_TOL:

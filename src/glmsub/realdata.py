@@ -67,20 +67,18 @@ def _model_estimates(config: RealDataConfig, result: TwoStageResult) -> list:
     return [fit.theta for fit in result.fits]
 
 
-def run_ssmse_study(
-    config: RealDataConfig, raw: np.ndarray, y: np.ndarray, threads: int = 1
-) -> "list[SsmseRecord]":
+def run_ssmse_study(config: RealDataConfig, raw: np.ndarray, y: np.ndarray) -> "list[SsmseRecord]":
     """Repeated-subsampling comparison on a fixed dataset.
 
     Every strategy (random, per-model optimal, model-robust) is run
     ``replicates`` times at each subsample size; each run fits all Q
     candidate models and the record aggregates the summed SMSE against
     the full-data MLEs, which the runner fits as one more task, in a worker
-    beside the replicates when ``threads`` allows.  Output is deterministic
-    in the master seed and independent of ``threads``.
+    beside the replicates when two or more CPUs are usable.  Output is
+    deterministic in the master seed and independent of the worker count.
     """
     full_fit = partial(full_data_mles, config.family, config.model_set, raw, y)
-    cells, mles = run_strategies(config, (raw, y), _model_estimates, threads, full_fit)
+    cells, mles = run_strategies(config, (raw, y), _model_estimates, full_fit)
     records = []
     for label, r, good, n_failed in cells:
         if good:

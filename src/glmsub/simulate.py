@@ -223,9 +223,14 @@ _LARGEST = " (largest model size + 1)"
 
 
 def _check_run(config, r: "int | None" = None) -> None:
-    """The rules every run config shares: eps > 0, seed >= 0, replicates
-    >= 1, a non-empty strictly ascending ``r_grid``, ``r0 >= d_max + 1``
-    and every stage-2 size (``r`` or each ``r_grid`` entry) >= ``r0``."""
+    """The rules every run config shares: criterion mMSE or mVc, eps > 0,
+    seed >= 0, replicates >= 1, a non-empty strictly ascending ``r_grid``,
+    ``r0 >= d_max + 1`` and every stage-2 size (``r`` or each ``r_grid``
+    entry) >= ``r0``.  ``criterion`` becomes a :class:`Criterion`."""
+    try:
+        object.__setattr__(config, "criterion", Criterion.optimality(config.criterion))
+    except ValidationError as exc:
+        raise ConfigError("criterion", str(exc)) from None
     if not config.eps > 0:
         raise ConfigError("eps", f"must be positive, got {config.eps}")
     if config.master_seed < 0:
@@ -262,7 +267,6 @@ class ScenarioConfig:
     def __post_init__(self):
         object.__setattr__(self, "true_theta", np.asarray(self.true_theta, dtype=float).ravel())
         object.__setattr__(self, "r_grid", tuple(int(r) for r in self.r_grid))
-        object.__setattr__(self, "criterion", Criterion.optimality(self.criterion))
         _check_run(self)
         _at_least(self.n_population, self.model_set.max_params + 1, "population", _LARGEST)
         # The data-generating model must be one of the candidates so the
@@ -311,14 +315,13 @@ def scenario_labels(models: ModelSet) -> tuple[str, ...]:
 
 def _cpu_budget() -> int:
     """The CPUs this process may run on: its affinity count, which
-    ``taskset`` and cpusets narrow, or ``os.cpu_count()`` off Linux."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
+    ``taskset`` and cpusets narrow (Linux only)."""
+    return len(os.sched_getaffinity(0))
 
 
-def _fork_map(tasks: list, threads: int) -> list:
-    """``[task() for task in tasks]``, in W = min(threads, tasks, CPU budget)
-    forked workers on Linux when W > 1, worker w running tasks w, w + W, ...
+def _fork_map(tasks: list) -> list:
+    """``[task() for task in tasks]``, in W = min(tasks, CPU budget) forked
+    workers on Linux when W > 1, worker w running tasks w, w + W, ...
     and pickling its results or its exception into its pipe.  The caller
     runs no task meanwhile, and holds every loaded OpenBLAS at one thread
     until it leaves, so that each worker inherits one and starts no pool.
@@ -336,8 +339,8 @@ def _fork_map(tasks: list, threads: int) -> list:
     import selectors
     import signal
 
-    workers = min(threads, len(tasks), _cpu_budget())
-    if workers <= 1 or not sys.platform.startswith("linux"):
+    workers = min(len(tasks), _cpu_budget()) if sys.platform.startswith("linux") else 1
+    if workers <= 1:
         return [task() for task in tasks]
     with open("/proc/self/maps", encoding="utf-8") as fh:
         paths = {line.split()[-1] for line in fh if "openblas" in line}
@@ -449,7 +452,7 @@ def _run_replicate(config, data, summarize, m: int) -> dict:
     return out
 
 
-def run_strategies(config, data, summarize, threads: int = 1, extra=None):
+def run_strategies(config, data, summarize, extra=None):
     """Run every strategy at every subsample size over all replicates.
 
     ``config`` is a :class:`ScenarioConfig` or a real-data ssmse config.
@@ -462,15 +465,15 @@ def run_strategies(config, data, summarize, threads: int = 1, extra=None):
     Returns ``(cells, extra's result or None)``, with one cell
     ``(scenario, r, good summaries, n_failed)`` per strategy and size.
 
-    ``threads`` bounds the worker processes of :func:`_fork_map`, which
-    holds the caller's OpenBLAS at one thread while they run, so each has
-    one; the output is identical for any value because each replicate
+    The tasks run in :func:`_fork_map`'s workers, one per usable CPU,
+    which each inherit the caller's OpenBLAS held at one thread; the
+    output does not depend on how many run, because each replicate
     consumes only its own seed substreams.
     """
     head = [] if extra is None else [extra]
     ms = range(config.n_replicates)
     tasks = [partial(_run_replicate, config, data, summarize, m) for m in ms]
-    results = _fork_map(head + tasks, threads)
+    results = _fork_map(head + tasks)
     replicates = results[len(head):]
     cells = []
     for label in scenario_labels(config.model_set):
@@ -488,10 +491,10 @@ def _estimate_and_info(config: ScenarioConfig, result) -> tuple:
     return result.fits[config.dg_index].theta, info
 
 
-def run_study(config: ScenarioConfig, threads: int = 1) -> "list[MetricsRecord]":
+def run_study(config: ScenarioConfig) -> "list[MetricsRecord]":
     """Run the full study and aggregate per (scenario, subsample size)."""
     records = []
-    cells, _ = run_strategies(config, None, _estimate_and_info, threads)
+    cells, _ = run_strategies(config, None, _estimate_and_info)
     for label, r, good, n_failed in cells:
         if good:
             value = smse(np.array([c[0] for c in good]), config.true_theta)

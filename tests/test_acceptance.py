@@ -33,6 +33,7 @@ from glmsub import (
     two_stage,
     weighted_loglik,
 )
+import glmsub.simulate
 from glmsub.cli import main as cli_main
 
 from conftest import make_logistic_data, make_poisson_data
@@ -190,13 +191,14 @@ def test_04_weighted_mle_matches_irls_and_finite_differences():
                 assert abs(g[j] / len(y) - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
-def test_05_logistic_smse_ordering_at_desk_scale():
+def test_05_logistic_smse_ordering_at_desk_scale(monkeypatch):
     with criterion(5, "logistic SMSE ordering: optimal <= model-robust, random far worse"):
         start = time.perf_counter()
         config = table2_normal_config(
             Logistic(), [-1.0, 0.5, 0.1], cov_scale=1.5, r_grid=(1400,), replicates=200
         )
-        records = {rec.scenario: rec.smse for rec in run_study(config, threads=2)}
+        monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: 2)
+        records = {rec.scenario: rec.smse for rec in run_study(config)}
         opt = records["optimal-1"]  # the data-generating model
         robust = records["model-robust"]
         rand = records["random"]
@@ -215,12 +217,13 @@ def test_05_logistic_smse_ordering_at_desk_scale():
         assert not problems, "; ".join(problems)
 
 
-def test_06_poisson_smse_ordering_at_desk_scale():
+def test_06_poisson_smse_ordering_at_desk_scale(monkeypatch):
     with criterion(6, "Poisson SMSE: model-robust within 25% of optimal, below random"):
         config = table2_normal_config(
             Poisson(), [1.0, 0.5, 0.1], cov_scale=1.0, r_grid=(1400,), replicates=200
         )
-        records = {rec.scenario: rec.smse for rec in run_study(config, threads=2)}
+        monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: 2)
+        records = {rec.scenario: rec.smse for rec in run_study(config)}
         opt = records["optimal-1"]
         robust = records["model-robust"]
         rand = records["random"]
@@ -305,7 +308,7 @@ def test_09_alias_sampler_goodness_of_fit():
         assert p1000 > 0.001, f"N=1000 fixture p={p1000}"
 
 
-def test_10_cli_determinism_and_round_trip(tmp_path):
+def test_10_cli_determinism_and_round_trip(tmp_path, monkeypatch):
     with criterion(10, "CLI artifacts are seed-deterministic and re-parseable"):
         config = tmp_path / "run.yaml"
         config.write_text(
@@ -329,13 +332,9 @@ data_generating:
             encoding="utf-8",
         )
         outs = [tmp_path / f"m{i}.csv" for i in range(3)]
-        argsets = [
-            ["simulate", str(config), "--seed", "9", "--out", str(outs[0])],
-            ["simulate", str(config), "--seed", "9", "--out", str(outs[1])],
-            ["simulate", str(config), "--seed", "9", "--out", str(outs[2]), "--threads", "2"],
-        ]
-        for args in argsets:
-            assert cli_main(args) == 0
+        for out, cpus in zip(outs, (2, 2, 1)):  # the last run keeps one process
+            monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: cpus)
+            assert cli_main(["simulate", str(config), "--seed", "9", "--out", str(out)]) == 0
         blobs = [out.read_bytes() for out in outs]
         assert blobs[0] == blobs[1] == blobs[2]
 

@@ -210,16 +210,13 @@ class TestSimulateCommand:
         assert meta["mode"] == "simulate"
         assert meta["config"]["population"] == 600
 
-    def test_seed_and_threads_reproducibility(self, tmp_path):
+    def test_seed_and_worker_count_reproducibility(self, tmp_path, monkeypatch):
         config = write(tmp_path, SIM_YAML)
-        out1, out2, out3 = (tmp_path / f"m{i}.csv" for i in range(3))
-        assert main(["simulate", str(config), "--seed", "7", "--out", str(out1)]) == 0
-        assert main(["simulate", str(config), "--seed", "7", "--out", str(out2)]) == 0
-        assert (
-            main(["simulate", str(config), "--seed", "7", "--out", str(out3), "--threads", "2"])
-            == 0
-        )
-        assert out1.read_bytes() == out2.read_bytes() == out3.read_bytes()
+        outs = [tmp_path / f"m{i}.csv" for i in range(3)]
+        for out, cpus in zip(outs, (1, 1, 2)):
+            monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: cpus)
+            assert main(["simulate", str(config), "--seed", "7", "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
     def test_seed_changes_output(self, tmp_path):
         config = write(tmp_path, SIM_YAML)
@@ -442,7 +439,7 @@ class TestSplitWriter:
 
 
 class TestSsmseCommand:
-    def test_model_robust_not_worse_than_random(self, tmp_path):
+    def test_model_robust_not_worse_than_random(self, tmp_path, monkeypatch):
         # Q=4 models, M=100 repeats on a synthetic logistic dataset: the
         # model-averaged probabilities should beat plain random sampling on
         # the summed per-model error at the largest subsample size.
@@ -455,7 +452,8 @@ class TestSsmseCommand:
             ),
         )
         out = tmp_path / "s.csv"
-        assert main(["ssmse", str(config), "--out", str(out), "--threads", "2"]) == 0
+        monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: 2)
+        assert main(["ssmse", str(config), "--out", str(out)]) == 0
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "scenario,r,ssmse,failures"
         rows = [line.split(",") for line in lines[1:]]
@@ -473,7 +471,7 @@ class TestExitCodes:
         assert main(["simulate", str(tmp_path / "none.yaml")]) == 1
 
     def test_numeric_overflow_is_runtime(self, tmp_path, monkeypatch, capsys):
-        def overflow(config, threads=1):
+        def overflow(config):
             raise NumericOverflowError("mean overflowed")
 
         monkeypatch.setattr(glmsub.cli, "run_study", overflow)
@@ -504,7 +502,7 @@ class TestExitCodes:
         monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: 2)
         config = write(tmp_path, SIM_YAML)
         out = tmp_path / "m.csv"
-        assert main(["simulate", str(config), "--out", str(out), "--threads", "2"]) == 2
+        assert main(["simulate", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("glmsub: error: a worker process died: ")
         assert "Traceback" not in err
@@ -515,19 +513,19 @@ class TestExitCodes:
     def test_worker_error_is_the_serial_error(self, tmp_path, monkeypatch, capsys):
         # An error raised in a worker reaches main as the same exception.
         monkeypatch.setattr(glmsub.simulate, "gen_response", _replicate_1_overflows)
-        monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: 2)
         config = write(tmp_path, SIM_YAML)
         errs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"m{threads}.csv"
-            assert main(["simulate", str(config), "--out", str(out), "--threads", threads]) == 2
+        for cpus in (1, 2):
+            monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: cpus)
+            out = tmp_path / f"m{cpus}.csv"
+            assert main(["simulate", str(config), "--out", str(out)]) == 2
             errs.append(capsys.readouterr().err)
             assert not out.exists()
         assert errs[0] == errs[1] == "glmsub: error: Poisson response mean is non-finite\n"
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_default_threads_fork_nothing_on_one_cpu(self, tmp_path, monkeypatch, forks):
+    def test_one_usable_cpu_forks_nothing(self, tmp_path, monkeypatch, forks):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         config = write(tmp_path, SIM_YAML)
         assert main(["simulate", str(config), "--out", str(tmp_path / "m.csv")]) == 0
@@ -570,6 +568,7 @@ class TestExitCodes:
 
     def test_bad_usage(self, capsys):
         assert main(["frobnicate"]) == 1
+        assert main(["simulate", "run.yaml", "--threads", "2"]) == 1  # taskset narrows the workers
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

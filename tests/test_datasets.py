@@ -85,6 +85,10 @@ class TestDescriptor:
                 covariates=(CovariateColumn("a"), CovariateColumn("a")),
             )
 
+    def test_unknown_scaling_lists_the_names(self):
+        with pytest.raises(ValidationError, match=r"\(none, standardize, range-to-unit\), got 'bogus'"):
+            CovariateColumn("a", scaling="bogus")
+
     def test_continuous_indices(self):
         d = DatasetDescriptor(
             path="x.csv",

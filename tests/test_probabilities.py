@@ -43,6 +43,10 @@ class TestProbabilityVector:
         with pytest.raises(ValidationError):
             ProbabilityVector(np.array([1.0]), Criterion.UNIFORM)
 
+    def test_unknown_criterion_lists_the_names(self):
+        with pytest.raises(ValidationError, match=r"uniform, proportional, mMSE, mVc, .*got 'bogus'"):
+            ProbabilityVector(np.full(2, 0.5), "bogus")
+
     def test_ok(self):
         pv = ProbabilityVector(np.full(5, 0.2), "uniform")
         assert len(pv) == 5
@@ -127,6 +131,11 @@ class TestPhiSingle:
     def test_rejects_non_optimality_criterion(self, logistic):
         with pytest.raises(ValidationError):
             phi_single(Criterion.UNIFORM, logistic, np.zeros(1), np.ones((2, 1)), np.array([0.0, 1.0]))
+
+    def test_rejects_unknown_criterion_name(self, logistic):
+        # Names are case-sensitive here; only the YAML parser folds case.
+        with pytest.raises(ValidationError, match=r"\(mMSE or mVc\), got 'mvc'"):
+            phi_single("mvc", logistic, np.zeros(1), np.ones((2, 1)), np.array([0.0, 1.0]))
 
     def test_monotone_residual_influence(self, poisson):
         # Raising one row's response (hence its floored residual) strictly

@@ -48,6 +48,10 @@ def _kill_this_process():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: n)
+
+
 def _openblas_thread_getter():
     """The scipy-openblas thread-count getter of a loaded OpenBLAS, or None."""
     import ctypes
@@ -323,11 +327,14 @@ class TestRealDataConfig:
             ("sampling_model", 4, "sampling_model"),
             ("sampling_model", -1, "sampling_model"),
             ("r", 39, "r"),
+            ("criterion", "bogus", "criterion"),
+            ("criterion", "uniform", "criterion"),
         ],
         ids=[
             "replicates-zero", "seed-negative", "eps-negative", "r-grid-empty",
             "r-grid-descending", "r0-below-model-size", "r-grid-below-r0",
             "sampling-model-above", "sampling-model-below", "r-below-r0",
+            "criterion-unknown", "criterion-not-optimality",
         ],
     )
     def test_run_rules_name_their_key(self, field, value, key):
@@ -391,10 +398,13 @@ class TestScenarioConfig:
             ("r0", 5, "r0"),
             ("r_grid", (39,), "r_grid"),
             ("n_population", 5, "population"),
+            ("criterion", "bogus", "criterion"),
+            ("criterion", "uniform", "criterion"),
         ],
         ids=[
             "replicates-zero", "seed-negative", "eps-zero", "r-grid-empty",
             "r-grid-repeated", "r0-below-model-size", "r-grid-below-r0", "population-small",
+            "criterion-unknown", "criterion-not-optimality",
         ],
     )
     def test_run_rules_name_their_key(self, field, value, key):
@@ -431,26 +441,38 @@ class TestRunStudy:
         b = run_study(tiny_config(seed=77, replicates=3))
         assert a == b
 
-    def test_threads_do_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, monkeypatch):
         config = tiny_config(seed=31, replicates=4)
-        assert run_study(config, threads=1) == run_study(config, threads=2)
+        real, raw, y = tiny_real_study()  # the fixed-dataset path of the same runner
+        runs = []
+        for cpus in (1, 2):
+            _usable_cpus(monkeypatch, cpus)
+            runs.append((run_study(config), run_ssmse_study(real, raw, y)))
+        assert len(runs[0][1]) == 6
+        assert runs[0] == runs[1]
 
-        # The fixed-dataset path of the same runner.
-        real, raw, y = tiny_real_study()
-        one = run_ssmse_study(real, raw, y, threads=1)
-        assert len(one) == 6
-        assert one == run_ssmse_study(real, raw, y, threads=2)
-
-    def test_threads_clamped_to_replicates(self, monkeypatch, forks):
-        # The runner starts at most one worker per replicate whatever
-        # --threads and the CPU budget allow, and none at --threads 1.
-        monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: 64)
+    def test_workers_clamped_to_replicates(self, monkeypatch, forks):
+        # The runner starts at most one worker per replicate whatever the
+        # CPU budget allows, and none when one CPU is usable.
+        _usable_cpus(monkeypatch, 64)
         config = tiny_config(seed=5, replicates=3)
-        many = run_study(config, threads=10_000)
-        assert len(forks) <= 3
+        many = run_study(config)
+        assert len(forks) == 3
         forks.clear()
-        assert run_study(config, threads=1) == many
+        _usable_cpus(monkeypatch, 1)
+        assert run_study(config) == many
         assert forks == []
+
+    def test_library_forks_one_worker_per_usable_cpu(self, monkeypatch, forks):
+        # The library runs the processes the CLI runs: with 2 usable CPUs,
+        # 2 workers take the 3 replicates, and ssmse's full-data fit.
+        _usable_cpus(monkeypatch, 2)
+        run_study(tiny_config(seed=5, replicates=3))
+        assert len(forks) == 2
+        forks.clear()
+        real, raw, y = tiny_real_study()
+        run_ssmse_study(real, raw, y)
+        assert len(forks) == 2
 
     @pytest.mark.parametrize("allowed", [0, 1])
     def test_refused_fork_runs_every_task_here(self, monkeypatch, allowed):
@@ -458,7 +480,8 @@ class TestRunStudy:
         # worker already started is stopped and reaped, and the caller runs
         # all replicates itself.
         config = tiny_config(seed=13, replicates=3)
-        serial = run_study(config, threads=1)
+        _usable_cpus(monkeypatch, 1)
+        serial = run_study(config)
         fork = os.fork
         calls = []
 
@@ -468,9 +491,9 @@ class TestRunStudy:
                 raise OSError("Resource temporarily unavailable")
             return fork()
 
-        monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: 2)
+        _usable_cpus(monkeypatch, 2)
         monkeypatch.setattr(os, "fork", refuse_after_allowed)
-        assert run_study(config, threads=2) == serial
+        assert run_study(config) == serial
         assert len(calls) == allowed + 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -479,21 +502,21 @@ class TestRunStudy:
         # Every replicate fails to draw its covariates; the worker's
         # ConfigError, whose constructor takes two arguments, reaches the
         # caller as the serial run raises it.
-        monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: 2)
         not_pd = MultivariateNormalCovariates(mean=np.zeros(2), cov=np.array([[1.0, 2.0], [2.0, 1.0]]))
         config = dataclasses.replace(tiny_config(), covariates=not_pd)
-        for threads in (1, 2):
+        for cpus in (1, 2):
+            _usable_cpus(monkeypatch, cpus)
             with pytest.raises(ConfigError, match="positive definite") as info:
-                run_study(config, threads=threads)
+                run_study(config)
             assert info.value.key == "covariates.covariance"
 
     def test_dead_worker_is_reported_at_once(self, monkeypatch):
         # Worker 1 dies while worker 0 still sleeps: the error comes before
         # worker 0 would finish, and worker 0 is stopped and reaped.
-        monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: 2)
+        _usable_cpus(monkeypatch, 2)
         started = time.monotonic()
         with pytest.raises(ChildProcessError, match="killed by signal 9"):
-            glmsub.simulate._fork_map([lambda: time.sleep(2), _kill_this_process], threads=2)
+            glmsub.simulate._fork_map([lambda: time.sleep(2), _kill_this_process])
         assert time.monotonic() - started < 1.0
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -505,23 +528,23 @@ class TestRunStudy:
         # at the caller's count.
         if not sys.platform.startswith("linux") or (getter := _openblas_thread_getter()) is None:
             pytest.skip("no scipy-openblas thread getter is loaded")
-        monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: 2)
+        _usable_cpus(monkeypatch, 2)
         fork_map = glmsub.simulate._fork_map
         before = getter()
-        assert fork_map([_threads_after_a_gram, _threads_after_a_gram], threads=2) == [1, 1]
+        assert fork_map([_threads_after_a_gram, _threads_after_a_gram]) == [1, 1]
         assert getter() == before
         with pytest.raises(ZeroDivisionError):
-            fork_map([_threads_after_a_gram, lambda: 1 / 0], threads=2)
+            fork_map([_threads_after_a_gram, lambda: 1 / 0])
         assert getter() == before
         with pytest.raises(ChildProcessError):
-            fork_map([_threads_after_a_gram, _kill_this_process], threads=2)
+            fork_map([_threads_after_a_gram, _kill_this_process])
         assert getter() == before
 
         def refuse():
             raise OSError("Resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", refuse)
-        assert fork_map([getter, getter], threads=2) == [before, before]
+        assert fork_map([getter, getter]) == [before, before]
         assert getter() == before
 
     def test_cli_import_leaves_the_pool_out(self):

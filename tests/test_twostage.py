@@ -121,6 +121,12 @@ class TestTwoStage:
         with pytest.raises(ValidationError):
             pilot_probabilities(logistic, models, raw, y, 5, rng)
 
+    def test_unknown_criterion_name(self, logistic, rng):
+        raw, y = logistic_population(rng)
+        models = enumerate_quadratic_models(2, (0,))
+        with pytest.raises(ValidationError, match=r"\(mMSE or mVc\), got 'MMSE'"):
+            two_stage(logistic, models, raw, y, 40, 80, rng, criterion="MMSE")
+
     def test_data_preconditions(self, logistic, rng):
         raw, y = logistic_population(rng)
         models = enumerate_quadratic_models(2, (0, 1))  # d_max = 5
