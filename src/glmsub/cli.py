@@ -22,11 +22,15 @@ model in model order, and a probability file's sidecar adds
 ``criterion``.  The ``GLMSUB_OUT_DIR`` environment variable redirects
 default output locations.
 
-A probability file of ``_SPLIT_ROWS`` rows or more is formatted by two
-forked workers, one for each half of the rows, when two or more CPUs are
-usable on Linux.  The bytes are the same either way, and ``taskset -c 0``
-keeps the write to one process.  When the system refuses a fork, every
-command runs all of its work in the CLI process.
+A probability file holds the rows ``i,repr(p)``.  :mod:`glmsub._shortest`
+computes the shortest round-trip digits of a block of values in [1e-10,
+1e-4) with NumPy integer arithmetic and takes ``repr`` for any other
+value, so the bytes are those of one ``repr`` per value.  A file of
+``_SPLIT_ROWS`` rows or more is formatted by two forked workers, one for
+each half of the rows, when two or more CPUs are usable on Linux.  The
+bytes are the same either way, and ``taskset -c 0`` keeps the write to
+one process.  When the system refuses a fork, every command runs all of
+its work in the CLI process.
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure (estimation,
 numeric overflow or I/O).
@@ -51,7 +55,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import __version__
+from . import __version__, _shortest
 from .config import RealDataConfig, parse_config
 from .datasets import load_csv
 from .errors import (
@@ -70,16 +74,18 @@ __all__ = ["main", "write_metrics_csv", "read_metrics_csv", "atomic_write"]
 METRICS_HEADER = ["scenario", "estimating_model", "r", "smse", "mean_model_info", "failures"]
 OUT_DIR_ENV = "GLMSUB_OUT_DIR"
 # Probability files of at least this many rows are formatted by two forked
-# workers; the break-even on a 2-vCPU VM lies between 2^16 and 2^17 rows.
-# Medians of 21 interleaved in-process writes, one process -> two workers:
-# 7.7 -> 31.8 ms at 2^12 rows, 13 -> 29 ms at 2^13, 34 -> 44 ms at 2^14,
-# 51 -> 73 ms at 2^15, 146 -> 153 ms at 2^16, 197 -> 190 ms at 98,304 (two
-# lower in 12 of 21), 286 -> 240 ms at 2^17 (16 of 21), 381 -> 297 ms at
-# 196,608 and 563 -> 368 ms at 2^18.
+# workers; on a 2-vCPU VM the break-even lies near 2^17 rows.  Medians of 21
+# interleaved in-process writes after a load_csv of the data, one process ->
+# two workers (pairs where two were lower): 25.9 -> 28.2 ms at 2^15 (6 of
+# 21), 21.6 -> 24.0 ms at 2^16 (7), 26.5 -> 27.7 ms at 98,304 (5), 32.1 ->
+# 31.5 ms at 2^17 (14), 48.9 -> 45.1 ms at 196,608 (15) and 71.6 -> 56.7 ms
+# at 2^18 (20).  A second sweep of 31 pairs had two lower in 20 of 31 at
+# 2^17 and in all 31 from 196,608 on.
 _SPLIT_ROWS = 1 << 17
 # Probability rows formatted per write, so the text of all N rows never
-# exists at once.  Writing 1e6 rows grows the resident set by about 1.5 MB
-# at 8,192 rows and 10.4 MB at 65,536, in the same time.
+# exists at once.  Writing 1e6 rows in one process grows the resident set by
+# about 3.4 MB at 8,192 rows and 23 MB at 65,536; 4,096 to 16,384 rows per
+# write take the same time (0.27-0.30 s), 1,024 takes 0.47 s.
 WRITE_ROWS = 8192
 
 
@@ -186,22 +192,16 @@ def _csv_text(header: "list[str]", rows) -> str:
     return buf.getvalue()
 
 
-def _rows_text(probs: np.ndarray, start: int = 0) -> Iterator[str]:
-    """The bytes csv.writer gives for the rows ``[i, repr(p)]`` of
-    ``probs``, numbered from ``start`` (no field needs quoting), in strings
-    of ``WRITE_ROWS`` rows."""
-    for k in range(0, probs.shape[0], WRITE_ROWS):
-        values = probs[k : k + WRITE_ROWS].tolist()
-        yield "".join(f"{i},{p!r}\r\n" for i, p in enumerate(values, start + k))
-
-
-def _write_rows(name: str, head: str, start: int, probs: np.ndarray) -> None:
-    """Write ``head``, then the rows of ``probs`` numbered from ``start``, to
+def _write_rows(name: str, head: bytes, start: int, probs: np.ndarray) -> None:
+    """Write ``head``, then the rows ``i,repr(p)`` of ``probs`` numbered from
+    ``start`` (the bytes csv.writer gives, as no field needs quoting), to
     the file ``name``, replacing what it held, so that a task that runs
-    again writes the same bytes."""
-    with open(name, "w", encoding="utf-8", newline="") as fh:
+    again writes the same bytes.  :func:`glmsub._shortest.rows` formats
+    ``WRITE_ROWS`` rows at a time."""
+    with open(name, "wb") as fh:
         fh.write(head)
-        fh.writelines(_rows_text(probs, start))
+        for k in range(0, probs.shape[0], WRITE_ROWS):
+            fh.write(_shortest.rows(probs[k : k + WRITE_ROWS], start + k))
 
 
 def _write_probabilities(path: "str | Path", probs: np.ndarray) -> None:
@@ -219,8 +219,8 @@ def _write_probabilities(path: "str | Path", probs: np.ndarray) -> None:
         fd, part = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".part")
         os.close(fd)
         try:
-            lower = partial(_write_rows, tmp, "row,probability\r\n", 0, probs[:m])
-            upper = partial(_write_rows, part, "", m, probs[m:])
+            lower = partial(_write_rows, tmp, b"row,probability\r\n", 0, probs[:m])
+            upper = partial(_write_rows, part, b"", m, probs[m:])
             _fork_map([lower, upper] if m < n else [lower])
             with open(tmp, "ab") as out, open(part, "rb") as rest:
                 shutil.copyfileobj(rest, out)

@@ -39,10 +39,14 @@ synthetic blocks with a dataset block::
         red: standardize                # none | standardize | range-to-unit
     model_set:
       quadratic_over: [red, green, blue]  # names; default: all continuous
-    sampling_model: model-robust    # or a 1-based model index
+    sampling_model: model-robust    # or a 1-based model index; ssmse ignores it
     r: 500                    # subsample only
     r_grid: [200, 400]        # ssmse only
     replicates: 100           # ssmse only
+
+``ssmse`` accepts and checks ``sampling_model`` but does not read it: it
+runs every strategy (random, each single-model optimal one and
+model-robust) whatever the key says, so its output does not depend on it.
 
 The candidate model set is always the full main-effects model plus every
 combination of squared terms over the ``quadratic_over`` covariates:

@@ -1,10 +1,11 @@
 """CSV dataset ingestion with per-column scaling.
 
-Files must be UTF-8 (a leading byte-order mark is skipped) with a header
-row (RFC-4180-style quoting, ``.`` decimal).  Two scaling rules are
-supported besides none: standardize to mean zero and population variance
-one, and map the observed range onto [0, 1].  Scaling is applied once,
-globally, before any subsampling.
+Files must be UTF-8 (a leading byte-order mark is skipped; a byte that
+does not decode is a validation error naming the file) with a header row
+(RFC-4180-style quoting, ``.`` decimal).  Two scaling rules are supported
+besides none: standardize to mean zero and population variance one, and
+map the observed range onto [0, 1].  Scaling is applied once, globally,
+before any subsampling.
 """
 
 from __future__ import annotations
@@ -187,19 +188,23 @@ def load_csv(
     if not path.exists():
         raise ValidationError(f"dataset file not found: {path}")
     columns = [descriptor.response, *descriptor.covariate_names]
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise ValidationError(f"{path} is empty (missing header)") from None
-        for col in columns:
-            if col not in header:
-                raise ValidationError(f"column {col!r} not found in {path} header")
-        positions = [header.index(col) for col in columns]
-        table = _parse_table(fh, len(header))
-    if table is None:
-        table = _parse_rows(path, len(header), positions, columns)
-        positions = list(range(len(columns)))
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            try:
+                header = next(csv.reader(fh))
+            except StopIteration:
+                raise ValidationError(f"{path} is empty (missing header)") from None
+            for col in columns:
+                if col not in header:
+                    raise ValidationError(f"column {col!r} not found in {path} header")
+            positions = [header.index(col) for col in columns]
+            table = _parse_table(fh, len(header))
+        if table is None:
+            table = _parse_rows(path, len(header), positions, columns)
+            positions = list(range(len(columns)))
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        raise ValidationError(f"{path} is not UTF-8: byte 0x{bad:02x} ({exc.reason})") from None
     y, raw = _split_table(table, positions)
     for j, col in enumerate(descriptor.covariates):
         raw[:, j] = apply_scaling(raw[:, j], col.scaling, col.name)

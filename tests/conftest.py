@@ -26,6 +26,12 @@ def forks(monkeypatch):
 
 
 @pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so a forked map of two tasks forks two workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.fixture
 def logistic():
     return Logistic()
 

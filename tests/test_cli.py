@@ -343,11 +343,6 @@ def split_probs(n):
     return probs
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-
-
 def _part_write_fails(part, head, start, probs):
     """A worker's row write, failing the way a full disk makes it."""
     with open(part, "w", encoding="utf-8") as fh:
@@ -460,6 +455,24 @@ class TestSsmseCommand:
         assert len(rows) == 12  # (random + 4 optimal + model-robust) x 2 sizes
         values = {(row[0], int(row[1])): float(row[2]) for row in rows}
         assert values[("model-robust", 200)] <= values[("random", 200)]
+
+    def test_sampling_model_is_not_read(self, tmp_path):
+        # ssmse runs every strategy whatever sampling_model says, so runs
+        # that differ only in the key write the same bytes.
+        csv_path = make_dataset_csv(tmp_path / "d.csv", n=600, seed=13)
+        outputs = []
+        for key in ("model-robust", "1", "4"):
+            config = write(
+                tmp_path,
+                real_yaml(
+                    csv_path, mode="ssmse", r0=60,
+                    extra=f"r_grid: [120]\nreplicates: 3\nsampling_model: {key}\n",
+                ),
+            )
+            out = tmp_path / f"s-{key}.csv"
+            assert main(["ssmse", str(config), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestExitCodes:

@@ -215,6 +215,21 @@ class TestLoadCsv:
         for got, want in zip(marked, plain):
             assert got.tobytes() == want.tobytes()
 
+    def test_bad_byte_in_the_header_names_the_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"y,a\xff,b\n1,2.0,3.0\n")
+        with pytest.raises(ValidationError, match=r"d\.csv is not UTF-8: byte 0xff"):
+            load_csv(descriptor(path))
+
+    def test_bad_byte_in_a_body_row_names_the_file(self, tmp_path):
+        # Far enough into the file that the header decodes cleanly and the
+        # row-by-row rescan meets the byte.
+        path = tmp_path / "d.csv"
+        body = b"1,2.0,3.0\n" * 5000
+        path.write_bytes(b"y,a,b\n" + body + b"0,4.\xff,5.0\n" + body)
+        with pytest.raises(ValidationError, match=r"d\.csv is not UTF-8: byte 0xff"):
+            load_csv(descriptor(path))
+
     def test_matches_row_by_row_parse(self, tmp_path):
         rng = np.random.default_rng(5)
         table = rng.normal(size=(200, 3)) * 10.0 ** rng.integers(-300, 300, size=(200, 3))
