@@ -10,9 +10,7 @@ take the most trailing zeros an integer in it can have, and of those
 integers the one nearest the value.  Every operand is ``uint64`` (a 128-bit
 product is kept as two of them).  Any other value (fixed notation, 0, a
 subnormal, 1.0) and the rare value that lies exactly halfway between two
-shortest candidates go through ``repr`` and are spliced in at their row;
-a block with no more than half of its values in the domain, as in a file
-of a few thousand rows, goes through ``repr`` whole.
+shortest candidates go through ``repr`` and are spliced in at their row.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import numpy as np
 _POW5 = np.array([5**q for q in range(28)], dtype=np.uint64)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _TEN = np.uint64(10)
-_ROW = "%s,%r\r\n"  # a row that repr formats
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
@@ -64,10 +61,10 @@ def rows(values: np.ndarray, start: int) -> bytes:
     values = np.asarray(values, dtype=np.float64)
     b = values.shape[0]
     kernel = (values >= 1e-10) & (values < 1e-4)  # the rest take repr
-    if 2 * np.count_nonzero(kernel) <= b:  # splicing costs more than it saves
-        return "".join([_ROW % row for row in zip(range(start, start + b), values.tolist())]).encode()
     x = np.where(kernel, values, 1e-6)
-    q = (17 - np.floor(np.log10(x))).astype(np.uint64)  # 21 <= q <= 27
+    # floor(log10 x) is -10 at the least x, so q <= 27 even if log10 rounds
+    # below -10 there; a q off by one elsewhere only changes over below.
+    q = np.minimum(17 - np.floor(np.log10(x)), 27).astype(np.uint64)  # 21..27
 
     # x = m * 2^e, e = biased exponent - 1075.  The values that round to x
     # lie strictly between (m - 1/2) * 2^e (m - 1/4 at m = 2^52) and
@@ -148,7 +145,7 @@ def rows(values: np.ndarray, start: int) -> bytes:
     view = memoryview(text)
     pieces, done = [], 0
     for r, cut, p in zip(odd.tolist(), cuts, values[odd].tolist()):
-        pieces += [view[done:cut], (_ROW % (start + r, p)).encode()]
+        pieces += [view[done:cut], f"{start + r},{p!r}\r\n".encode()]
         done = cut
     pieces.append(view[done:])
     return b"".join(pieces)
