@@ -73,7 +73,7 @@ from .simulate import (
 from .datasets import CovariateColumn, DatasetDescriptor, Scaling, apply_scaling, load_csv
 from .config import RealDataConfig, parse_config
 from .realdata import SsmseRecord, full_data_mles, run_ssmse_study, run_subsample
-from .cli import atomic_write, read_metrics_csv, write_metrics_csv
+from ._artifacts import atomic_write, read_metrics_csv, write_metrics_csv
 
 __all__ = [
     "__version__",

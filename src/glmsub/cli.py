@@ -32,6 +32,13 @@ bytes are the same either way, and ``taskset -c 0`` keeps the write to
 one process.  When the system refuses a fork, every command runs all of
 its work in the CLI process.
 
+On glibc, :func:`main` first fixes malloc's mmap threshold at 32 MiB and
+its trim threshold at 64 MiB, the ceiling glibc's own dynamic rule reaches,
+so the block temporaries of every fit and probability pass are reused from
+the heap instead of being handed back to the kernel and faulted in again;
+the workers inherit it.  Results are the same bytes.  The library leaves
+malloc at glibc's defaults, because its caller owns the process.
+
 Exit codes: 0 success, 1 validation error, 2 runtime failure (estimation,
 numeric overflow or I/O).
 """
@@ -39,15 +46,11 @@ numeric overflow or I/O).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import shutil
 import sys
 import tempfile
-from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -56,6 +59,7 @@ import numpy as np
 import yaml
 
 from . import __version__, _shortest
+from ._artifacts import _atomic_path, _csv_text, atomic_write, read_metrics_csv, write_metrics_csv
 from .config import RealDataConfig, parse_config
 from .datasets import load_csv
 from .errors import (
@@ -66,12 +70,11 @@ from .errors import (
     ValidationError,
 )
 from .realdata import run_ssmse_study, run_subsample
-from .simulate import MetricsRecord, ScenarioConfig, _fork_map, model_information, run_study
+from .simulate import ScenarioConfig, _fork_map, model_information, run_study
 from .twostage import pilot_probabilities
 
 __all__ = ["main", "write_metrics_csv", "read_metrics_csv", "atomic_write"]
 
-METRICS_HEADER = ["scenario", "estimating_model", "r", "smse", "mean_model_info", "failures"]
 OUT_DIR_ENV = "GLMSUB_OUT_DIR"
 # Probability files of at least this many rows are formatted by two forked
 # workers; on a 2-vCPU VM the break-even lies near 2^17 rows.  Medians of 21
@@ -87,75 +90,6 @@ _SPLIT_ROWS = 1 << 17
 # about 3.4 MB at 8,192 rows and 23 MB at 65,536; 4,096 to 16,384 rows per
 # write take the same time (0.27-0.30 s), 1,024 takes 0.47 s.
 WRITE_ROWS = 8192
-
-
-@contextmanager
-def _atomic_path(path: Path) -> Iterator[str]:
-    """Yield the name of an empty temp file beside ``path``, to be written
-    in the block.  On a clean exit the file gets the mode a plain ``open``
-    would give it, ``0o666`` less the umask, and replaces ``path``; on an
-    error it is removed.  Readers never observe a partial artifact."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    os.close(fd)
-    try:
-        yield tmp
-        umask = os.umask(0o022)  # os.umask only reads by setting, so set it back
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def atomic_write(path: "str | Path", text: "str | Iterable[str]") -> None:
-    """Write a file so that readers never observe a partial artifact.
-    ``text`` is the whole content or an iterable of its consecutive chunks."""
-    with _atomic_path(Path(path)) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines([text] if isinstance(text, str) else text)
-
-
-def write_metrics_csv(records: "list[MetricsRecord]", path: "str | Path") -> None:
-    rows = [
-        [
-            rec.scenario,
-            rec.estimating_model,
-            rec.r,
-            repr(rec.smse),  # shortest exact round-trip representation
-            repr(rec.mean_model_info),
-            rec.n_failed,
-        ]
-        for rec in records
-    ]
-    atomic_write(path, _csv_text(METRICS_HEADER, rows))
-
-
-def read_metrics_csv(path: "str | Path") -> "list[MetricsRecord]":
-    """Parse a metrics CSV back into the records that produced it."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != METRICS_HEADER:
-            raise ValidationError(
-                f"unexpected metrics header {header!r}; expected {METRICS_HEADER!r}"
-            )
-        records = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                scenario, model, r, value, info, failed = row
-                record = MetricsRecord(scenario, int(model), int(r), float(value), float(info), int(failed))
-            except ValueError:
-                raise ValidationError(
-                    f"{path} line {reader.line_num}: malformed metrics row {row!r}"
-                ) from None
-            records.append(record)
-    return records
 
 
 def _default_out(config_path: Path, suffix: str, explicit: "str | None") -> Path:
@@ -182,14 +116,6 @@ def _write_meta(out_path: Path, config_path: Path, seed: int, mode: str, extra: 
         Path(str(out_path) + ".meta.json"),
         json.dumps(meta, indent=2, sort_keys=True) + "\n",
     )
-
-
-def _csv_text(header: "list[str]", rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def _write_rows(name: str, head: bytes, start: int, probs: np.ndarray) -> None:
@@ -358,7 +284,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD at the ceiling its dynamic
+# rule reaches after a 32 MiB block is freed.  Left dynamic, they can stay at
+# 128 KiB, and every (d, 8192) block temporary of a fit or probability pass
+# (about 330 KB) is handed back to the kernel and faulted in again.  Setting
+# one alone fixes the other at its default, so both are set.
+_MALLOC_THRESHOLDS = ((-3, 32 << 20), (-1, 64 << 20))
+
+
+def _mallopt():
+    """libc's ``mallopt``, or None off Linux or where libc has none."""
+    if not sys.platform.startswith("linux"):
+        return None
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return mallopt
+
+
 def main(argv=None) -> int:
+    mallopt = _mallopt()  # the CLI owns its process; the library leaves malloc alone
+    if mallopt is not None:
+        for param, value in _MALLOC_THRESHOLDS:
+            mallopt(param, value)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import platform
 import re
 import signal
 import stat
@@ -15,7 +16,8 @@ import pytest
 import glmsub.cli
 import glmsub.simulate
 from glmsub import MetricsRecord, NumericOverflowError, ValidationError, read_metrics_csv
-from glmsub.cli import METRICS_HEADER, atomic_write, main, write_metrics_csv
+from glmsub._artifacts import METRICS_HEADER
+from glmsub.cli import atomic_write, main, write_metrics_csv
 from glmsub.config import parse_config
 from glmsub.datasets import load_csv
 from glmsub.realdata import run_subsample
@@ -596,4 +598,94 @@ class TestExitCodes:
             text=True,
             timeout=120,
         )
-        assert (out.returncode, out.stdout) == (0, f"glmsub {glmsub.__version__}\n")
+        # No runpy warning: importing the package does not import glmsub.cli.
+        assert (out.returncode, out.stdout, out.stderr) == (0, f"glmsub {glmsub.__version__}\n", "")
+
+
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter with glibc's malloc settings at
+    their defaults (no ``MALLOC_*`` variable) and return its stdout."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    out = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
+    )
+    return out.stdout
+
+
+_CLI = "import sys; from glmsub.cli import main; sys.exit(main(sys.argv[1:]))"
+_LIBRARY_SIMULATE = """
+import sys
+from glmsub import parse_config, run_study, write_metrics_csv
+write_metrics_csv(run_study(parse_config(sys.argv[1])), sys.argv[2])
+"""
+_LIBRARY_PROBABILITIES = """
+import sys
+import numpy as np
+from glmsub import load_csv, parse_config, pilot_probabilities
+from glmsub.cli import _write_probabilities
+c = parse_config(sys.argv[1])
+raw, y = load_csv(c.dataset, family=c.family)
+rng = np.random.default_rng(np.random.SeedSequence([c.master_seed]))
+pv = pilot_probabilities(c.family, c.model_set, raw, y, c.r0, rng, criterion=c.criterion,
+                         sampling_model=c.sampling_model, eps=c.eps)
+_write_probabilities(sys.argv[2], pv.probs)
+"""
+
+
+class TestMallocThresholds:
+    def test_main_sets_both_thresholds(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(glmsub.cli, "_mallopt", lambda: lambda *args: calls.append(args))
+        assert main(["--version"]) == 0
+        assert calls == [(-3, 33554432), (-1, 67108864)]  # M_MMAP_, M_TRIM_THRESHOLD
+
+    def test_main_runs_without_mallopt(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(glmsub.cli, "_mallopt", lambda: None)
+        out = tmp_path / "m.csv"
+        assert main(["simulate", str(write(tmp_path, SIM_YAML)), "--out", str(out)]) == 0
+        assert out.exists()
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+        reason="glibc's malloc thresholds",
+    )
+    def test_block_temporaries_stop_faulting(self):
+        # 200 rounds of (5, 8192) temporaries (320 KiB each, above glibc's
+        # default 128 KiB mmap threshold) took about 25,500 minor faults
+        # with the thresholds left dynamic and about 150 with them fixed.
+        code = """
+import resource
+import numpy as np
+from glmsub.cli import main
+main(["--version"])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(200):
+    a = np.ones((5, 8192))
+    a @ a.T
+    b = np.ones((5, 8192))
+    del a, b
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+        faults = int(run_python(code).split()[-1])
+        assert faults < 2000
+
+    def test_simulate_bytes_do_not_depend_on_the_setting(self, tmp_path):
+        config = write(tmp_path, SIM_YAML)
+        run_python(_CLI, "simulate", config, "--out", tmp_path / "cli.csv")
+        run_python(_LIBRARY_SIMULATE, config, tmp_path / "library.csv")
+        assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+
+    def test_probability_bytes_do_not_depend_on_the_setting(self, tmp_path):
+        data = make_dataset_csv(tmp_path / "d.csv", n=glmsub.cli._SPLIT_ROWS + 3)
+        config = write(tmp_path, real_yaml(data, "probabilities"))
+        run_python(_CLI, "probabilities", config, "--out", tmp_path / "cli.csv")
+        run_python(_LIBRARY_PROBABILITIES, config, tmp_path / "library.csv")
+        cli_bytes = (tmp_path / "cli.csv").read_bytes()
+        assert cli_bytes.count(b"\n") == glmsub.cli._SPLIT_ROWS + 4
+        assert cli_bytes == (tmp_path / "library.csv").read_bytes()
