@@ -11,7 +11,7 @@ candidate models to stay robust to model choice.
 
 __version__ = "0.1.0"
 
-from .alias import AliasSampler, draw_with_replacement
+from .alias import draw_with_replacement
 from .errors import (
     ConfigError,
     DegenerateResponseError,
@@ -31,7 +31,6 @@ from .fitting import (
     fit_weighted_mles,
     full_information,
     score_and_hessian,
-    weighted_loglik,
 )
 from .models import (
     LazyDesign,
@@ -95,7 +94,6 @@ __all__ = [
     # fitting
     "WeightedSample",
     "FitResult",
-    "weighted_loglik",
     "score_and_hessian",
     "fit_weighted_mle",
     "fit_weighted_mles",
@@ -116,7 +114,6 @@ __all__ = [
     "phi_model_robust",
     "DEFAULT_EPS",
     # sampling
-    "AliasSampler",
     "draw_with_replacement",
     # two-stage
     "TwoStageResult",

@@ -60,6 +60,7 @@ import yaml
 
 from . import __version__, _shortest
 from ._artifacts import _atomic_path, _csv_text, atomic_write, read_metrics_csv, write_metrics_csv
+from ._workers import _fork_map
 from .config import RealDataConfig, parse_config
 from .datasets import load_csv
 from .errors import (
@@ -70,7 +71,7 @@ from .errors import (
     ValidationError,
 )
 from .realdata import run_ssmse_study, run_subsample
-from .simulate import ScenarioConfig, _fork_map, model_information, run_study
+from .simulate import ScenarioConfig, model_information, run_study
 from .twostage import pilot_probabilities
 
 __all__ = ["main", "write_metrics_csv", "read_metrics_csv", "atomic_write"]
@@ -131,7 +132,7 @@ def _write_rows(name: str, head: bytes, start: int, probs: np.ndarray) -> None:
 
 
 def _write_probabilities(path: "str | Path", probs: np.ndarray) -> None:
-    """Write the probability file through :func:`glmsub.simulate._fork_map`.
+    """Write the probability file through :func:`glmsub._workers._fork_map`.
     From ``_SPLIT_ROWS`` rows on it passes two tasks, which may run in two
     forked workers: the header and rows ``[0, N/2)`` straight into the
     output's temp file, and the other rows into a part file beside it,

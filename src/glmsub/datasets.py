@@ -24,7 +24,7 @@ from .families import Family
 __all__ = ["Scaling", "CovariateColumn", "DatasetDescriptor", "load_csv", "apply_scaling"]
 
 # Rows per block when the covariates are moved to the front of the table.
-_SPLIT_ROWS = 65536
+_MOVE_ROWS = 65536
 
 
 class Scaling(str, Enum):
@@ -167,8 +167,8 @@ def _split_table(table: np.ndarray, positions: "list[int]") -> tuple[np.ndarray,
     p = len(covariates)
     y = table[:, positions[0]].copy()
     flat = table.reshape(-1)
-    for start in range(0, n, _SPLIT_ROWS):
-        block = np.take(table[start : start + _SPLIT_ROWS], covariates, axis=1)
+    for start in range(0, n, _MOVE_ROWS):
+        block = np.take(table[start : start + _MOVE_ROWS], covariates, axis=1)
         flat[start * p : start * p + block.size] = block.ravel()
     del flat
     table.resize((n, p), refcheck=False)  # no view of the table is left

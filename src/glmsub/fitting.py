@@ -56,7 +56,6 @@ from .models import LazyDesign, _feature_rows
 __all__ = [
     "WeightedSample",
     "FitResult",
-    "weighted_loglik",
     "score_and_hessian",
     "fit_weighted_mle",
     "fit_weighted_mles",
@@ -207,14 +206,6 @@ class FitResult:
     @property
     def std_errors(self) -> np.ndarray:
         return np.sqrt(np.diag(self.variance))
-
-
-def weighted_loglik(family: Family, theta: np.ndarray, sample: WeightedSample) -> float:
-    """Inverse-probability-weighted log-likelihood (additive constants in y
-    dropped), averaged over the sample size."""
-    eta = _linear_predictor(theta, sample.design[:])
-    terms = (sample.response * eta - family.cumulant(eta)) / sample.probs
-    return float(terms.sum() / sample.n_rows)
 
 
 def score_and_hessian(

@@ -3,8 +3,9 @@
 Everything here is deliberately written with different algorithms from
 the library code: IRLS with least-squares solves instead of
 Newton-Raphson, explicit per-row loops with a formed matrix inverse
-instead of vectorized factorizations, and cofactor expansion instead of
-LU for determinants.
+instead of vectorized factorizations, cofactor expansion instead of LU
+for determinants, and the weighted log-likelihood from its formula, with
+its own linear predictor and cumulant.
 """
 
 from __future__ import annotations
@@ -50,6 +51,22 @@ def weight_function(eta, kind: str):
         mu = sigmoid(eta)
         return mu * (1.0 - mu)
     return np.exp(np.asarray(eta, dtype=float))
+
+
+def weighted_loglik(kind: str, theta, x, y, probs) -> float:
+    """(1/n) sum_i (y_i eta_i - b(eta_i)) / pi_i with eta = x theta: the
+    inverse-probability-weighted log-likelihood of n sample rows, additive
+    constants in y dropped, where b(eta) = log(1 + e^eta) (logistic) or
+    e^eta (Poisson)."""
+    eta = np.asarray(x, dtype=float) @ np.asarray(theta, dtype=float)
+    if kind == "logistic":
+        cumulant = np.log1p(np.exp(eta))
+    elif kind == "poisson":
+        cumulant = np.exp(eta)
+    else:
+        raise ValueError(kind)
+    y = np.asarray(y, dtype=float)
+    return float(np.sum((y * eta - cumulant) / np.asarray(probs, dtype=float)) / len(y))
 
 
 def info_matrix_loop(x: np.ndarray, theta: np.ndarray, kind: str) -> np.ndarray:

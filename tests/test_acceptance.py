@@ -31,13 +31,12 @@ from glmsub import (
     run_study,
     score_and_hessian,
     two_stage,
-    weighted_loglik,
 )
-import glmsub.simulate
+import glmsub._workers
 from glmsub.cli import main as cli_main
 
 from conftest import make_logistic_data, make_poisson_data
-from oracles import irls_glm, phi_model_robust_oracle, phi_oracle
+from oracles import irls_glm, phi_model_robust_oracle, phi_oracle, weighted_loglik
 
 MASTER_SEED = 20260810  # declared up front for every Monte Carlo criterion
 
@@ -185,8 +184,8 @@ def test_04_weighted_mle_matches_irls_and_finite_differences():
                 e = np.zeros(3)
                 e[j] = h
                 fd = (
-                    weighted_loglik(family, theta + e, sample)
-                    - weighted_loglik(family, theta - e, sample)
+                    weighted_loglik(kind, theta + e, x, y, probs)
+                    - weighted_loglik(kind, theta - e, x, y, probs)
                 ) / (2 * h)
                 assert abs(g[j] / len(y) - fd) <= 1e-5 * max(1.0, abs(fd))
 
@@ -197,7 +196,7 @@ def test_05_logistic_smse_ordering_at_desk_scale(monkeypatch):
         config = table2_normal_config(
             Logistic(), [-1.0, 0.5, 0.1], cov_scale=1.5, r_grid=(1400,), replicates=200
         )
-        monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: 2)
+        monkeypatch.setattr(glmsub._workers, "_cpu_budget", lambda: 2)
         records = {rec.scenario: rec.smse for rec in run_study(config)}
         opt = records["optimal-1"]  # the data-generating model
         robust = records["model-robust"]
@@ -222,7 +221,7 @@ def test_06_poisson_smse_ordering_at_desk_scale(monkeypatch):
         config = table2_normal_config(
             Poisson(), [1.0, 0.5, 0.1], cov_scale=1.0, r_grid=(1400,), replicates=200
         )
-        monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: 2)
+        monkeypatch.setattr(glmsub._workers, "_cpu_budget", lambda: 2)
         records = {rec.scenario: rec.smse for rec in run_study(config)}
         opt = records["optimal-1"]
         robust = records["model-robust"]
@@ -292,7 +291,7 @@ def test_08_variance_estimator_tracks_sampling_variance():
 
 
 def test_09_alias_sampler_goodness_of_fit():
-    with criterion(9, "alias sampler passes chi-square goodness of fit"):
+    with criterion(9, "weighted sampler passes chi-square goodness of fit"):
         rng = np.random.default_rng(MASTER_SEED)
         probs3 = np.array([0.2, 0.3, 0.5])
         counts = np.bincount(draw_with_replacement(probs3, 120_000, rng), minlength=3)
@@ -333,7 +332,7 @@ data_generating:
         )
         outs = [tmp_path / f"m{i}.csv" for i in range(3)]
         for out, cpus in zip(outs, (2, 2, 1)):  # the last run keeps one process
-            monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: cpus)
+            monkeypatch.setattr(glmsub._workers, "_cpu_budget", lambda: cpus)
             assert cli_main(["simulate", str(config), "--seed", "9", "--out", str(out)]) == 0
         blobs = [out.read_bytes() for out in outs]
         assert blobs[0] == blobs[1] == blobs[2]

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+import glmsub._workers
 import glmsub.cli
 import glmsub.simulate
 from glmsub import MetricsRecord, NumericOverflowError, ValidationError, read_metrics_csv
@@ -216,7 +217,7 @@ class TestSimulateCommand:
         config = write(tmp_path, SIM_YAML)
         outs = [tmp_path / f"m{i}.csv" for i in range(3)]
         for out, cpus in zip(outs, (1, 1, 2)):
-            monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: cpus)
+            monkeypatch.setattr(glmsub._workers, "_cpu_budget", lambda: cpus)
             assert main(["simulate", str(config), "--seed", "7", "--out", str(out)]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
@@ -449,7 +450,7 @@ class TestSsmseCommand:
             ),
         )
         out = tmp_path / "s.csv"
-        monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: 2)
+        monkeypatch.setattr(glmsub._workers, "_cpu_budget", lambda: 2)
         assert main(["ssmse", str(config), "--out", str(out)]) == 0
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "scenario,r,ssmse,failures"
@@ -514,7 +515,7 @@ class TestExitCodes:
         # Two workers take the replicates in strides, so replicate 1 runs in
         # the second worker, never in this process; that worker dies.
         monkeypatch.setattr(glmsub.simulate, "_run_replicate", _replicate_1_kills_its_worker)
-        monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: 2)
+        monkeypatch.setattr(glmsub._workers, "_cpu_budget", lambda: 2)
         config = write(tmp_path, SIM_YAML)
         out = tmp_path / "m.csv"
         assert main(["simulate", str(config), "--out", str(out)]) == 2
@@ -531,7 +532,7 @@ class TestExitCodes:
         config = write(tmp_path, SIM_YAML)
         errs = []
         for cpus in (1, 2):
-            monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: cpus)
+            monkeypatch.setattr(glmsub._workers, "_cpu_budget", lambda: cpus)
             out = tmp_path / f"m{cpus}.csv"
             assert main(["simulate", str(config), "--out", str(out)]) == 2
             errs.append(capsys.readouterr().err)

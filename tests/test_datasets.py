@@ -245,7 +245,7 @@ class TestLoadCsv:
         # The covariates are moved to the front of the parsed table in row
         # blocks; block edges, reordered columns and an unused column z
         # must all give the descriptor's columns exactly.
-        monkeypatch.setattr(glmsub.datasets, "_SPLIT_ROWS", 7)
+        monkeypatch.setattr(glmsub.datasets, "_MOVE_ROWS", 7)
         rng = np.random.default_rng(9)
         names = header.split(",")
         table = rng.normal(size=(50, len(names)))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import glmsub._workers
 import glmsub.realdata
 import glmsub.simulate
 from glmsub import (
@@ -49,7 +50,7 @@ def _kill_this_process():
 
 
 def _usable_cpus(monkeypatch, n):
-    monkeypatch.setattr(glmsub.simulate, "_cpu_budget", lambda: n)
+    monkeypatch.setattr(glmsub._workers, "_cpu_budget", lambda: n)
 
 
 def _openblas_thread_getter():
@@ -516,7 +517,7 @@ class TestRunStudy:
         _usable_cpus(monkeypatch, 2)
         started = time.monotonic()
         with pytest.raises(ChildProcessError, match="killed by signal 9"):
-            glmsub.simulate._fork_map([lambda: time.sleep(2), _kill_this_process])
+            glmsub._workers._fork_map([lambda: time.sleep(2), _kill_this_process])
         assert time.monotonic() - started < 1.0
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -529,7 +530,7 @@ class TestRunStudy:
         if not sys.platform.startswith("linux") or (getter := _openblas_thread_getter()) is None:
             pytest.skip("no scipy-openblas thread getter is loaded")
         _usable_cpus(monkeypatch, 2)
-        fork_map = glmsub.simulate._fork_map
+        fork_map = glmsub._workers._fork_map
         before = getter()
         assert fork_map([_threads_after_a_gram, _threads_after_a_gram]) == [1, 1]
         assert getter() == before
