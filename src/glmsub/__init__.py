@@ -11,7 +11,6 @@ candidate models to stay robust to model choice.
 
 __version__ = "0.1.0"
 
-from .alias import draw_with_replacement
 from .errors import (
     ConfigError,
     DegenerateResponseError,
@@ -44,6 +43,7 @@ from .probabilities import (
     DEFAULT_EPS,
     Criterion,
     ProbabilityVector,
+    draw_with_replacement,
     floored_residuals,
     initial_probabilities,
     phi_model_robust,

@@ -20,7 +20,9 @@ Outputs are written atomically (temp file + rename) and every CSV gets a
 tool version; ``subsample`` adds ``newton_iterations``, one count per
 model in model order, and a probability file's sidecar adds
 ``criterion``.  The ``GLMSUB_OUT_DIR`` environment variable redirects
-default output locations.
+default output locations.  An output path that resolves to the config
+file, the dataset or another output, sidecars included, is refused before
+any data is read.
 
 A probability file holds the rows ``i,repr(p)``.  :mod:`glmsub._shortest`
 computes the shortest round-trip digits of a block of values in [1e-10,
@@ -155,9 +157,11 @@ def _write_probabilities(path: "str | Path", probs: np.ndarray) -> None:
             os.unlink(part)
 
 
-def _load_config(args, mode: str) -> "ScenarioConfig | RealDataConfig":
+def _load_config(args, mode: str, suffix: str) -> "tuple[ScenarioConfig | RealDataConfig, Path]":
     """Parse the config file, check that it is for ``mode`` and apply
-    ``--seed``."""
+    ``--seed``; return the config and the output path.  An output path (or
+    its ``.meta.json`` sidecar) that resolves to the config file, the
+    dataset or another output is refused before anything is read."""
     config = parse_config(args.config)
     got = config.mode if isinstance(config, RealDataConfig) else "simulate"
     if got != mode:
@@ -166,13 +170,22 @@ def _load_config(args, mode: str) -> "ScenarioConfig | RealDataConfig":
         )
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
-    return config
+    out = _default_out(Path(args.config), suffix, args.out)
+    taken = {Path(args.config).resolve(): f"the config file {args.config}"}
+    if got != "simulate":
+        taken.setdefault(Path(config.dataset.path).resolve(), f"the dataset {config.dataset.path}")
+    for output in filter(None, (out, getattr(args, "write_probs", None))):
+        for path in (Path(output), Path(f"{output}.meta.json")):
+            key = path.resolve()
+            if key in taken:
+                raise ValidationError(f"output {path} would overwrite {taken[key]}")
+            taken[key] = f"the output {path}"
+    return config, out
 
 
 def _cmd_simulate(args) -> int:
-    config = _load_config(args, "simulate")
+    config, out = _load_config(args, "simulate", "metrics")
     records = run_study(config)
-    out = _default_out(Path(args.config), "metrics", args.out)
     write_metrics_csv(records, out)
     _write_meta(out, Path(args.config), config.master_seed, "simulate")
     print(f"wrote {len(records)} records to {out}")
@@ -180,7 +193,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_subsample(args) -> int:
-    config = _load_config(args, "subsample")
+    config, out = _load_config(args, "subsample", "estimates")
     raw, y = load_csv(config.dataset, family=config.family)
     rng = np.random.default_rng(np.random.SeedSequence([config.master_seed]))
     result = run_subsample(config, raw, y, rng)
@@ -191,7 +204,6 @@ def _cmd_subsample(args) -> int:
         info = model_information(fit)
         for label, est, se in zip(spec.term_labels(names), fit.theta, fit.std_errors):
             rows.append([k, label, repr(float(est)), repr(float(se)), repr(info)])
-    out = _default_out(Path(args.config), "estimates", args.out)
     atomic_write(out, _csv_text(["model", "term", "estimate", "std_error", "model_info"], rows))
     _write_meta(
         out, Path(args.config), config.master_seed, "subsample",
@@ -209,7 +221,7 @@ def _cmd_subsample(args) -> int:
 
 
 def _cmd_probabilities(args) -> int:
-    config = _load_config(args, "probabilities")
+    config, out = _load_config(args, "probabilities", "probabilities")
     raw, y = load_csv(config.dataset, family=config.family)
     rng = np.random.default_rng(np.random.SeedSequence([config.master_seed]))
     pv = pilot_probabilities(
@@ -223,7 +235,6 @@ def _cmd_probabilities(args) -> int:
         sampling_model=config.sampling_model,
         eps=config.eps,
     )
-    out = _default_out(Path(args.config), "probabilities", args.out)
     _write_probabilities(out, pv.probs)
     _write_meta(
         out, Path(args.config), config.master_seed, "probabilities",
@@ -234,10 +245,9 @@ def _cmd_probabilities(args) -> int:
 
 
 def _cmd_ssmse(args) -> int:
-    config = _load_config(args, "ssmse")
+    config, out = _load_config(args, "ssmse", "ssmse")
     raw, y = load_csv(config.dataset, family=config.family)
     records = run_ssmse_study(config, raw, y)
-    out = _default_out(Path(args.config), "ssmse", args.out)
     rows = [
         [rec.scenario, rec.r, repr(rec.ssmse), rec.n_failed]
         for rec in records

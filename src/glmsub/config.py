@@ -31,7 +31,7 @@ Real-data modes (subsample | probabilities | ssmse) replace the three
 synthetic blocks with a dataset block::
 
     dataset:
-      path: skin.csv
+      path: skin.csv          # relative to the working directory, not the config's
       response: is_skin
       covariates: [red, green, blue]
       continuous: [red, green, blue]    # default: all covariates
@@ -396,6 +396,9 @@ def parse_config(path: "str | Path") -> "ScenarioConfig | RealDataConfig":
             data = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigError(str(path), f"invalid YAML: {exc}") from None
+        except UnicodeDecodeError as exc:
+            bad = exc.object[exc.start]
+            raise ConfigError(str(path), f"not UTF-8: byte 0x{bad:02x} ({exc.reason})") from None
     root = _Block(data if data is not None else {})
 
     mode = root.get("mode", str, required=True)

@@ -268,18 +268,17 @@ def fit_weighted_mle(
     return fit_weighted_mles(family, sample, columns, population_size, tol, max_iter)[0]
 
 
-def _pair_block(xt: np.ndarray, buffer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pair_block(xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A row block ``xt`` (D x B) of :func:`_row_blocks` with its pair
     products: rows ``x_j * x_k`` for j <= k in ``np.triu_indices`` order,
     then a row of zeros.  The packed Gram matrices of the weight rows ``W``
-    (A x B) are ``W @ pairs.T``, and their last column is zero.  The
-    products are written into ``buffer`` (P + 1 rows, at least B columns).
+    (A x B) are ``W @ pairs.T``, and their last column is zero.
 
     Models run along the first axis of every (A, B) array, so elementwise
     work on them loops over the rows of the block, not over the models.
     """
     dim = xt.shape[0]
-    pairs = buffer[:, : xt.shape[1]]
+    pairs = np.empty((dim * (dim + 1) // 2 + 1, xt.shape[1]))
     start = 0
     for j in range(dim):
         np.multiply(xt[j], xt[j:], out=pairs[start : start + dim - j])
@@ -290,14 +289,12 @@ def _pair_block(xt: np.ndarray, buffer: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def _pair_walk(sample: WeightedSample):
     """The ``walk`` of :func:`_block_sums` over the sample's row blocks.
-    Every block's pair products go to one buffer: made afresh (3 MB per
-    block at D = 9), they can cost a page fault per page whenever the
-    allocator hands the freed memory back to the system.  A sample of one
-    block has it built once, for every pass."""
-    dim, n = sample.n_params, sample.n_rows
-    buffer = np.empty((dim * (dim + 1) // 2 + 1, min(n, _BLOCK_ROWS)))
-    walk = lambda: ((rows, _pair_block(xt, buffer)) for rows, xt in _row_blocks(sample.design))
-    if n > _BLOCK_ROWS:
+    A sample of one block has its pair products built once, for every
+    pass: building them again in each pass took sim-desk's run_s from
+    0.239 to 0.306 s on a 2-vCPU VM (medians of 12 alternating pairs, the
+    cached version lower in 11)."""
+    walk = lambda: ((rows, _pair_block(xt)) for rows, xt in _row_blocks(sample.design))
+    if sample.n_rows > _BLOCK_ROWS:
         return walk
     cached = list(walk())
     return lambda: cached
@@ -320,21 +317,17 @@ def _pad_absent(stack: np.ndarray, absent: np.ndarray) -> np.ndarray:
 
 def _block_terms(family: Family, block, y, p, theta, start: int, at_optimum):
     """One row block's share of :func:`_block_sums`; ``block`` is its
-    :func:`_pair_block`.  Its arrays are freed on return, before the
-    next block's are made."""
+    :func:`_pair_block`."""
     xt, pairs = block
     mu = _block_mean(family, theta @ xt, start)
-    models = len(theta)
-    w = np.empty((2 * models if at_optimum else models, len(p)))  # the weight rows
-    np.divide(family.variance(mu), p, out=w[:models])
-    resid = np.subtract(y, mu, out=mu)  # the mean is not needed again
+    w = family.variance(mu) / p
+    resid = y - mu
     if at_optimum:
-        np.divide(np.square(resid, out=resid), p**2, out=w[models:])
-        return None, w @ pairs.T
+        return None, np.concatenate([w, resid**2 / p**2]) @ pairs.T
     # A score that overflows makes the Newton step non-finite, which the
     # loop reports as the fit's error; NumPy's warning would only precede it.
     with np.errstate(over="ignore"):
-        scores = np.divide(resid, p, out=resid) @ xt.T
+        scores = (resid / p) @ xt.T
     return scores, w @ pairs.T
 
 
@@ -438,13 +431,11 @@ def fit_weighted_mles(
     iterations = np.zeros(n_models, dtype=int)
     active = np.arange(n_models)
     th = theta[active]  # the iterates of the active models
-    changed = True
     for t in range(max_iter):
         if active.size == 0:
             break
-        if changed:
-            absent = ~present[active]
-            picks = np.arange(active.size)[:, None, None], gather[active]
+        absent = ~present[active]
+        picks = np.arange(active.size)[:, None, None], gather[active]
         try:
             rhs, grams = _block_sums(family, walk, y, probs, th, at_optimum=False)
         except NumericOverflowError as exc:
@@ -476,11 +467,9 @@ def fit_weighted_mles(
             raise NonConvergenceError(message, theta=th[a, columns[active[a]]], iterations=t)
         th += step
         done = np.sqrt(np.einsum("ad,ad->a", step, step)) < tol
-        changed = done.any()
-        if changed:
-            theta[active[done]] = th[done]
-            iterations[active[done]] = t + 1
-            active, th = active[~done], th[~done]
+        theta[active[done]] = th[done]
+        iterations[active[done]] = t + 1
+        active, th = active[~done], th[~done]
     if active.size:
         raise NonConvergenceError(
             f"Newton-Raphson did not converge in {max_iter} iterations",

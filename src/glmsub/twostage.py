@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alias import draw_with_replacement
 from .errors import FitError, NumericOverflowError, StageOneError, ValidationError
 from .families import Family
 from .fitting import FitResult, WeightedSample, fit_weighted_mles
@@ -40,6 +39,7 @@ from .probabilities import (
     DEFAULT_EPS,
     Criterion,
     ProbabilityVector,
+    draw_with_replacement,
     initial_probabilities,
     phi_model_robust,
     phi_single,

@@ -309,6 +309,65 @@ class TestSubsampleCommand:
         assert main(["subsample", str(config), "--out", str(tmp_path / "o.csv")]) == 2
 
 
+class TestOutputPaths:
+    """An output path that resolves to an input or to another output is
+    refused before the dataset is read, so nothing is written."""
+
+    @staticmethod
+    def run(tmp_path, monkeypatch, command, *flags):
+        def unreachable(*args, **kwargs):
+            pytest.fail("read the dataset")
+
+        monkeypatch.setattr(glmsub.cli, "load_csv", unreachable)
+        monkeypatch.setattr(glmsub.cli, "run_study", unreachable)
+        monkeypatch.chdir(tmp_path)
+        make_dataset_csv(tmp_path / "d.csv")
+        extra = {"subsample": "r: 100\n", "ssmse": "r_grid: [100]\nreplicates: 1\n"}
+        if command == "simulate":
+            text = SIM_YAML
+        else:
+            text = real_yaml("d.csv", command, extra.get(command, ""))
+        write(tmp_path, text)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        code = main([command, "run.yaml", *flags])
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+        return code
+
+    def test_probabilities_and_estimates_in_one_file(self, tmp_path, monkeypatch, capsys):
+        flags = ["--out", "same.csv", "--write-probs", "same.csv"]
+        assert self.run(tmp_path, monkeypatch, "subsample", *flags) == 1
+        err = capsys.readouterr().err
+        assert err == "glmsub: error: output same.csv would overwrite the output same.csv\n"
+
+    def test_probabilities_over_the_estimates_sidecar(self, tmp_path, monkeypatch, capsys):
+        flags = ["--out", "e.csv", "--write-probs", "./e.csv.meta.json"]
+        assert self.run(tmp_path, monkeypatch, "subsample", *flags) == 1
+        assert "would overwrite the output e.csv.meta.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("subsample", ["--out", "e.csv", "--write-probs", "d.csv"]),
+            ("subsample", ["--out", "d.csv"]),
+            ("probabilities", ["--out", "d.csv"]),
+            ("ssmse", ["--out", "sub/../d.csv"]),
+        ],
+    )
+    def test_output_over_the_dataset(self, tmp_path, monkeypatch, capsys, command, flags):
+        assert self.run(tmp_path, monkeypatch, command, *flags) == 1
+        assert "would overwrite the dataset d.csv\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "subsample", "probabilities", "ssmse"])
+    def test_output_over_the_config(self, tmp_path, monkeypatch, capsys, command):
+        assert self.run(tmp_path, monkeypatch, command, "--out", str(tmp_path / "run.yaml")) == 1
+        assert "would overwrite the config file run.yaml\n" in capsys.readouterr().err
+
+    def test_dataset_through_a_symlink(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "link.csv").symlink_to(tmp_path / "d.csv")
+        assert self.run(tmp_path, monkeypatch, "probabilities", "--out", "link.csv") == 1
+        assert "would overwrite the dataset d.csv\n" in capsys.readouterr().err
+
+
 class TestProbabilitiesCommand:
     def test_emits_full_vector(self, tmp_path):
         csv_path = make_dataset_csv(tmp_path / "d.csv")
@@ -482,6 +541,13 @@ class TestExitCodes:
     def test_validation_error(self, tmp_path):
         config = write(tmp_path, "mode: simulate\nfamily: logistic\n")
         assert main(["simulate", str(config)]) == 1
+
+    def test_non_utf8_config_names_the_file(self, tmp_path, capsys):
+        config = tmp_path / "run.yaml"
+        config.write_bytes(b"mode: simulate\n# \xff\n")
+        assert main(["simulate", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"glmsub: error: {config}: not UTF-8: byte 0xff (invalid start byte)\n"
 
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", str(tmp_path / "none.yaml")]) == 1

@@ -411,3 +411,12 @@ def test_root_must_be_a_mapping(tmp_path):
 def test_invalid_yaml(tmp_path):
     with pytest.raises(ConfigError, match="YAML"):
         parse_config(write(tmp_path, "mode: [unclosed\n"))
+
+
+def test_non_utf8_byte_names_the_file(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_bytes(b"mode: simulate\n# \xff\n")
+    message = r"run\.yaml: not UTF-8: byte 0xff \(invalid start byte\)"
+    with pytest.raises(ConfigError, match=message) as excinfo:
+        parse_config(path)
+    assert excinfo.value.key == str(path)
