@@ -1,15 +1,25 @@
 """Forked worker processes: the one place that forks.
 
 :func:`_fork_map` runs a list of tasks in up to one forked worker per
-usable CPU on Linux and returns their results in task order.  The Monte
-Carlo replicates, ssmse's full-data fit and the two halves of a large
-probability file are all its tasks.
+usable CPU on Linux and returns their results in task order.  Its tasks
+are the Monte Carlo replicates, ssmse's full-data fit, the two halves of
+a large CSV body (:func:`glmsub.datasets.load_csv`), the model-robust
+models two at a time (:func:`glmsub.probabilities.phi_model_robust`) and
+the two halves of a large probability file.  A task that returns an array
+writes it into a :func:`_shared_array` of the caller's instead of
+pickling it.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 import os
 import sys
+
+import numpy as np
+
+_in_worker = False  # set in every forked worker, whose own maps run inline
 
 
 def _cpu_budget() -> int:
@@ -18,12 +28,29 @@ def _cpu_budget() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _worker_count(n_tasks: int) -> int:
+    """How many workers :func:`_fork_map` forks for ``n_tasks`` tasks: one
+    per task up to the CPU budget on Linux, and none (1, the caller) inside
+    a worker, so that a replicate's own maps start no grandchildren."""
+    if _in_worker or not sys.platform.startswith("linux"):
+        return 1
+    return min(n_tasks, _cpu_budget())
+
+
+def _shared_array(*shape: int) -> np.ndarray:
+    """A zeroed float64 array on anonymous shared memory: a forked task
+    writes it and the caller reads it.  A page no process touches costs no
+    memory."""
+    n = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, 8 * max(n, 1)), np.float64, n).reshape(shape)
+
+
 def _fork_map(tasks: list) -> list:
     """``[task() for task in tasks]``, in W = min(tasks, CPU budget) forked
     workers on Linux when W > 1, worker w running tasks w, w + W, ...
     and pickling its results or its exception into its pipe.  The caller
-    runs no task meanwhile, and holds every loaded OpenBLAS at one thread
-    until it leaves, so that each worker inherits one and starts no pool.
+    runs no task meanwhile, and holds NumPy's OpenBLAS at one thread until
+    it leaves, so that each worker inherits one and starts no pool.
 
     The pipes are read as the workers finish, so the first worker to fail
     is reported at once: a worker's exception is raised here, and a worker
@@ -31,28 +58,33 @@ def _fork_map(tasks: list) -> list:
     reports it as a runtime failure).  If a fork fails, the workers already
     started are stopped and the caller runs every task itself, so a task
     must be safe to run again after a stopped worker began it.  No worker
-    outlives the call.  Forked, not spawned, to skip a fresh import.
+    outlives the call, and a worker runs its own maps inline.  Forked, not
+    spawned, to skip a fresh import.
     """
+    global _in_worker
     import ctypes
     import pickle
     import selectors
     import signal
 
-    workers = min(len(tasks), _cpu_budget()) if sys.platform.startswith("linux") else 1
+    import numpy.linalg._umath_linalg as umath_linalg
+
+    workers = _worker_count(len(tasks))
     if workers <= 1:
         return [task() for task in tasks]
-    with open("/proc/self/maps", encoding="utf-8") as fh:
-        paths = {line.split()[-1] for line in fh if "openblas" in line}
     saved, pids, pipes, refused = [], [], [], False  # saved: (setter, caller's count)
     try:
-        for lib in map(ctypes.CDLL, sorted(paths)):  # one without these calls is left as it is
-            get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-            put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                saved.append((put, get()))
-                put(1)
+        # dlsym on the handle of NumPy's linalg extension also searches the
+        # OpenBLAS it links, so no file is read: a traced load counts the
+        # same bytes every run, which a read of /proc/self/maps would not.
+        lib = ctypes.CDLL(umath_linalg.__file__)
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:  # another BLAS is left as it is
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            saved.append((put, get()))
+            put(1)
         for w in range(workers):
             read_end, write_end = os.pipe()
             pipes.append(open(read_end, "rb", buffering=0))
@@ -63,6 +95,7 @@ def _fork_map(tasks: list) -> list:
                     refused = True
                     break
                 if pid == 0:  # the worker: run its tasks, report and leave
+                    _in_worker = True
                     try:
                         try:
                             out = ("ok", [task() for task in tasks[w::workers]])

@@ -12,7 +12,9 @@ Subcommands (each takes a YAML config, see :mod:`glmsub.config`):
 
 Common flags: ``--seed`` overrides the config seed, ``--out`` sets the
 output path.  ``simulate`` and ``ssmse`` fork one worker process per usable
-CPU on Linux, as the library does, without changing results;
+CPU on Linux, as the library does, without changing results, and so do
+``subsample`` and ``probabilities`` for a large CSV parse and model-robust
+scoring (:mod:`glmsub.datasets`, :mod:`glmsub.probabilities`);
 ``taskset -c 0`` keeps one process.  While workers run, the CLI process
 holds OpenBLAS at one thread, which each worker inherits.
 Outputs are written atomically (temp file + rename) and every CSV gets a

@@ -28,7 +28,9 @@ For mMSE a first pass, ``fitting._information``, stores each row's mean
 and accumulates J_X, a second scores the rows; mVc needs one pass.
 Memory therefore grows with N only through N-vectors, never through an
 N x d array: a :class:`LazyDesign` builds each block straight from the
-raw covariates.
+raw covariates.  From ``_SPLIT_ROWS`` rows :func:`phi_model_robust` scores
+two models at a time in two forked workers
+(:func:`glmsub._workers._fork_map`), for one more N-vector held.
 
 :func:`draw_with_replacement` draws the row indices of a subsample from
 such a vector.
@@ -39,10 +41,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
-from .errors import DegenerateResponseError, ValidationError
+from . import _workers
+from .errors import DegenerateResponseError, GlmsubError, ValidationError
 from .families import Family, Logistic
 from .fitting import (
     _block_mean,
@@ -68,6 +72,14 @@ __all__ = [
 
 DEFAULT_EPS = 1e-6
 PROB_SUM_TOL = 1e-10
+# From this many rows the model-robust models are scored two at a time by
+# two forked workers.  A round of two forks costs about 5 ms on a 2-vCPU VM,
+# so the break-even lies near 2^19 rows, above cli._SPLIT_ROWS.  Medians of
+# 21 interleaved in-process mMSE calls with the 8 quadratic models of three
+# covariates, one process -> two workers (pairs where two were lower): 110.8
+# -> 126.0 ms at 2^18 (2 of 21), 206.1 -> 214.2 ms at 2^19 (8), 298.6 ->
+# 269.9 ms at 741,455 (15) and 409.0 -> 348.6 ms at 2^20 (19).
+_SPLIT_ROWS = 3 << 18
 
 
 class Criterion(str, Enum):
@@ -248,6 +260,17 @@ def phi_single(
     return ProbabilityVector(_scores(criterion, family, theta, design, y, eps), criterion)
 
 
+def _weighted_scores(slot: np.ndarray, alpha_q: float, *args) -> "GlmsubError | None":
+    """Write ``alpha_q`` times one model's :func:`_scores` into ``slot``.
+    A library error is returned, not raised, so that the caller raises the
+    first in model order, as one process would."""
+    try:
+        np.multiply(_scores(*args), alpha_q, out=slot)
+    except GlmsubError as exc:
+        return exc
+    return None
+
+
 def phi_model_robust(
     criterion: "str | Criterion",
     family: Family,
@@ -263,16 +286,38 @@ def phi_model_robust(
     ``thetas[q]`` should be the pilot MLE under model ``q``.  Being a
     convex combination of probability vectors, the result is itself a
     probability vector, bounded row-wise by the per-model extremes.
+
+    From ``_SPLIT_ROWS`` rows, when two or more CPUs are usable on Linux,
+    two forked workers score two models at a time, each into a shared
+    N-vector, which are added in model order: the same bits, for one more
+    N-vector held.
     """
     criterion = Criterion.optimality(criterion)
     if len(thetas) != len(models):
         raise ValidationError(f"{len(models)} models but {len(thetas)} pilot estimates")
     raw = np.atleast_2d(np.asarray(raw, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    combined = np.zeros(raw.shape[0])
-    for alpha_q, spec, theta_q in zip(models.alpha, models.specs, thetas):
-        scores = _scores(criterion, family, theta_q, LazyDesign(spec, raw), y, eps)
-        scores *= alpha_q
-        combined += scores
-        del scores  # so that two score vectors never coexist
+    n = raw.shape[0]
+    combined = np.zeros(n)
+    jobs = [
+        (alpha_q, (criterion, family, theta_q, LazyDesign(spec, raw), y, eps))
+        for alpha_q, spec, theta_q in zip(models.alpha, models.specs, thetas)
+    ]
+    if n >= _SPLIT_ROWS and _workers._worker_count(2) > 1:
+        slots = (_workers._shared_array(n), _workers._shared_array(n))
+        for k in range(0, len(jobs), 2):
+            tasks = [
+                partial(_weighted_scores, slot, alpha_q, *args)
+                for slot, (alpha_q, args) in zip(slots, jobs[k : k + 2])
+            ]
+            for slot, error in zip(slots, _workers._fork_map(tasks)):
+                if error is not None:
+                    raise error
+                combined += slot
+    else:
+        for alpha_q, args in jobs:
+            scores = _scores(*args)
+            scores *= alpha_q
+            combined += scores
+            del scores  # so that two score vectors never coexist
     return ProbabilityVector(combined, _ROBUST_LABEL[criterion])

@@ -1,8 +1,10 @@
+import os
 import warnings
 
 import numpy as np
 import pytest
 
+import glmsub._workers
 import glmsub.datasets
 from glmsub import (
     CovariateColumn,
@@ -256,3 +258,125 @@ class TestLoadCsv:
         expected = table[:, [names.index("a"), names.index("b")]]
         assert raw.tobytes() == np.ascontiguousarray(expected).tobytes()
         assert y.tobytes() == table[:, names.index("y")].tobytes()
+
+    def test_repeated_requested_column_is_refused(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "y,a,b,a\n1,2.0,3.0,4.0\n")
+        with pytest.raises(ValidationError, match=r"column 'a' appears more than once in .*d\.csv header"):
+            load_csv(descriptor(path))
+
+    def test_repeated_unused_column_is_allowed(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "z,y,a,b,z\nq,1,2.0,3.0,r\n")
+        raw, y = load_csv(descriptor(path))
+        np.testing.assert_array_equal(raw, [[2.0, 3.0]])
+        np.testing.assert_array_equal(y, [1.0])
+
+
+def _rows(n, seed, quoted=False):
+    rng = np.random.default_rng(seed)
+    table = rng.normal(size=(n, 3))
+    table[:, 0] = rng.integers(0, 2, size=n)
+    q = '"' if quoted else ""
+    return [f"{q}{int(r[0])}{q},{q}{r[1]!r}{q},{q}{r[2]!r}{q}" for r in table.tolist()]
+
+
+_SPLIT_CASES = {
+    "lf": "y,a,b\n" + "\n".join(_rows(41, 1)) + "\n",
+    "crlf": "y,a,b\r\n" + "\r\n".join(_rows(41, 2)) + "\r\n",
+    "bom": "\ufeffy,a,b\n" + "\n".join(_rows(41, 3)) + "\n",
+    "blank lines at the split": (
+        "y,a,b\n" + "\n".join(_rows(20, 4)) + "\n\n\n\n" + "\n".join(_rows(20, 5)) + "\n"
+    ),
+    "no final newline": "y,a,b\n" + "\n".join(_rows(41, 6)),
+    "quoted numbers": "y,a,b\n" + "\n".join(_rows(41, 7, quoted=True)) + "\n",
+    "reordered columns": "b,z,a,y\n" + "\n".join(f"{r},9" for r in _rows(41, 8)) + "\n",
+}
+
+
+class TestSplitParse:
+    """A body of ``_SPLIT_BYTES`` or more is parsed by two forked tasks, one
+    per half; the arrays must be those of the one-pass parse bit for bit,
+    and anything the halves do not parse is parsed again in one pass."""
+
+    @pytest.fixture
+    def one_passes(self, monkeypatch):
+        """Every body is split on two usable CPUs; the one-pass parses are
+        counted."""
+        monkeypatch.setattr(glmsub.datasets, "_SPLIT_BYTES", 0)
+        monkeypatch.setattr(glmsub._workers, "_cpu_budget", lambda: 2)
+        calls = []
+        split_table = glmsub.datasets._split_table
+        monkeypatch.setattr(
+            glmsub.datasets, "_split_table", lambda *a: calls.append(1) or split_table(*a)
+        )
+        return calls
+
+    @staticmethod
+    def one_pass(monkeypatch, path):
+        with monkeypatch.context() as m:
+            m.setattr(glmsub._workers, "_cpu_budget", lambda: 1)
+            return load_csv(descriptor(path))
+
+    def assert_same(self, monkeypatch, path, one_passes, forks, halves=True):
+        got = load_csv(descriptor(path))
+        assert len(forks) == 2
+        assert one_passes == ([] if halves else [1])
+        want = self.one_pass(monkeypatch, path)
+        for g, w in zip(got, want):
+            assert g.flags.c_contiguous
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("name", list(_SPLIT_CASES))
+    def test_halves_equal_the_one_pass_parse(
+        self, tmp_path, monkeypatch, one_passes, forks, name
+    ):
+        path = tmp_path / "d.csv"
+        path.write_bytes(_SPLIT_CASES[name].encode("utf-8"))
+        self.assert_same(monkeypatch, path, one_passes, forks)
+
+    def test_quoted_multi_line_field_across_the_midpoint_falls_back(
+        self, tmp_path, monkeypatch, one_passes, forks
+    ):
+        # Ten 10-byte rows on each side of a row whose quoted field holds the
+        # newline right after the body's midpoint.
+        row = "1,2.5,3.5\n"
+        path = tmp_path / "d.csv"
+        path.write_bytes(("y,a,b\n" + row * 10 + '1,"2.5\n",3.5\n' + row * 10).encode("utf-8"))
+        self.assert_same(monkeypatch, path, one_passes, forks, halves=False)
+        raw, _ = load_csv(descriptor(path))
+        assert raw.shape == (21, 2) and raw[10, 0] == 2.5
+
+    def test_bad_cell_in_the_upper_half_keeps_its_message(
+        self, tmp_path, monkeypatch, one_passes, forks
+    ):
+        lines = _rows(40, 9)
+        lines[30] = "0,oops,1.5"
+        path = write_csv(tmp_path / "d.csv", "y,a,b\n" + "\n".join(lines) + "\n")
+        with pytest.raises(ValidationError) as info:
+            load_csv(descriptor(path))
+        assert len(forks) == 2
+        with pytest.raises(ValidationError) as want:
+            self.one_pass(monkeypatch, path)
+        assert str(info.value) == str(want.value) == "non-numeric value 'oops' at row 32, column 'a'"
+
+    def test_refused_fork_gives_the_same_arrays(self, tmp_path, monkeypatch, one_passes):
+        def refuse():
+            raise OSError("Resource temporarily unavailable")
+
+        path = write_csv(tmp_path / "d.csv", "y,a,b\n" + "\n".join(_rows(41, 10)) + "\n")
+        monkeypatch.setattr(os, "fork", refuse)
+        got = load_csv(descriptor(path))
+        assert one_passes == []  # both tasks ran here, into their shared regions
+        want = self.one_pass(monkeypatch, path)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+    def test_repeated_requested_column_is_refused(self, tmp_path, one_passes, forks):
+        path = write_csv(tmp_path / "d.csv", "y,a,a,b\n" + "\n".join(f"{r},1" for r in _rows(41, 11)) + "\n")
+        with pytest.raises(ValidationError, match=r"column 'a' appears more than once in .*d\.csv header"):
+            load_csv(descriptor(path))
+        assert forks == []
+
+    def test_small_bodies_stay_in_one_process(self, tmp_path, monkeypatch, one_passes, forks):
+        path = write_csv(tmp_path / "d.csv", "y,a,b\n" + "\n".join(_rows(41, 12)) + "\n")
+        monkeypatch.setattr(glmsub.datasets, "_SPLIT_BYTES", path.stat().st_size)
+        load_csv(descriptor(path))
+        assert forks == [] and one_passes == [1]

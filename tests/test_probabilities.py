@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import glmsub._workers
 import glmsub.fitting
 import glmsub.probabilities as probabilities
 from glmsub import (
@@ -237,6 +238,38 @@ class TestPhiModelRobust:
             phi_model_robust(
                 "mMSE", logistic, models, [np.zeros(3)], np.ones((4, 2)), np.array([0, 1, 0, 1])
             )
+
+    @pytest.mark.parametrize("q", [3, 4])
+    @pytest.mark.parametrize("criterion", ["mMSE", "mVc"])
+    def test_two_workers_give_the_same_bits(self, monkeypatch, forks, logistic, q, criterion):
+        # From _SPLIT_ROWS rows two workers score two models a round; Q = 3
+        # leaves a last round of one model, run in the caller.
+        from glmsub import ModelSet
+
+        rng = np.random.default_rng(17)
+        x0 = rng.normal(size=(300, 2))
+        y = rng.binomial(1, 0.4, size=300).astype(float)
+        specs = enumerate_quadratic_models(2, (0, 1)).specs[:q]
+        models = ModelSet(specs=specs, alpha=rng.dirichlet(np.ones(q)))
+        thetas = [rng.normal(0, 0.3, size=spec.n_params) for spec in specs]
+        monkeypatch.setattr(probabilities, "_SPLIT_ROWS", 300)
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(glmsub._workers, "_cpu_budget", lambda: cpus)
+            runs.append(phi_model_robust(criterion, logistic, models, thetas, x0, y).probs)
+        assert len(forks) == 2 * (q // 2)
+        assert runs[0].tobytes() == runs[1].tobytes()
+
+    def test_two_workers_raise_the_first_model_error(self, monkeypatch, logistic):
+        # Both models of the round fail; the caller raises model 0's error,
+        # as one process does.
+        models = enumerate_quadratic_models(2, (0,))
+        x0 = np.random.default_rng(3).normal(size=(40, 2))
+        y = np.tile([0.0, 1.0], 20)
+        monkeypatch.setattr(probabilities, "_SPLIT_ROWS", 40)
+        monkeypatch.setattr(glmsub._workers, "_cpu_budget", lambda: 2)
+        with pytest.raises(ValidationError, match="theta has length 1"):
+            phi_model_robust("mVc", logistic, models, [np.zeros(1), np.zeros(2)], x0, y)
 
 
 SMALL_BLOCK = 16

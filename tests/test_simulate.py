@@ -522,6 +522,21 @@ class TestRunStudy:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_a_task_maps_its_own_tasks_inline(self, monkeypatch, forks):
+        # A replicate that reaches a forked phase (a large parse or robust
+        # scoring) runs it in its own process: no grandchildren.
+        _usable_cpus(monkeypatch, 2)
+        fork_map = glmsub._workers._fork_map
+
+        def task():
+            return os.getpid(), fork_map([os.getpid, os.getpid])
+
+        results = fork_map([task, task])
+        assert len(forks) == 2
+        for pid, inner in results:
+            assert pid != os.getpid() and inner == [pid, pid]
+        assert results[0][0] != results[1][0]
+
     def test_workers_run_one_blas_thread_and_the_caller_keeps_its_count(self, monkeypatch):
         # Each worker inherits one OpenBLAS thread and starts no pool; the
         # caller's count is back after a normal return, a worker's exception,
