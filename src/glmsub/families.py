@@ -87,7 +87,7 @@ class Logistic(Family):
 
     def validate_response(self, y: np.ndarray) -> None:
         y = np.asarray(y)
-        bad = ~np.isin(y, (0, 1))
+        bad = ~((y == 0) | (y == 1))
         if np.any(bad):
             idx = int(np.flatnonzero(bad)[0])
             raise ValidationError(

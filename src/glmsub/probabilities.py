@@ -38,7 +38,6 @@ such a vector.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -50,6 +49,7 @@ from .errors import DegenerateResponseError, GlmsubError, ValidationError
 from .families import Family, Logistic
 from .fitting import (
     _block_mean,
+    _checked_count,
     _checked_inverse,
     _checked_theta,
     _information,
@@ -149,12 +149,7 @@ def draw_with_replacement(probs, r: int, rng: np.random.Generator) -> np.ndarray
     normalized; they must be finite and non-negative with a positive,
     finite sum.  Zero-weight entries are valid and are never drawn.
     """
-    try:
-        r = operator.index(r)
-    except TypeError:
-        raise ValidationError(f"subsample size must be an integer, got {r!r}") from None
-    if r < 1:
-        raise ValidationError(f"subsample size must be at least 1, got {r}")
+    r = _checked_count(r, "subsample size")
     weights = np.asarray(getattr(probs, "probs", probs), dtype=float).ravel()
     if weights.size == 0:
         raise ValidationError("cannot draw from zero outcomes")

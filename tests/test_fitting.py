@@ -239,6 +239,28 @@ class TestFitWeightedMle:
         np.testing.assert_allclose(fit.info_JX, info / (big_n * n), rtol=1e-12)
         np.testing.assert_allclose(fit.vc, vc / (big_n**2 * n**2), rtol=1e-12)
 
+    @pytest.mark.parametrize(
+        "population_size, message",
+        [
+            (0, "at least 1, got 0"),
+            (-5, "at least 1, got -5"),
+            (2.5, "an integer, got 2.5"),
+            (float("nan"), "an integer, got nan"),
+            ("10", "an integer, got '10'"),
+        ],
+    )
+    def test_population_size_must_be_a_positive_integer(self, logistic, rng, population_size, message):
+        x, y = make_logistic_data(30, [0.2, 0.5], rng)
+        with pytest.raises(ValidationError, match=f"population size must be {message}"):
+            fit_weighted_mle(logistic, uniform_sample(x, y), population_size=population_size)
+
+    def test_numpy_integer_population_size(self, logistic, rng):
+        x, y = make_logistic_data(30, [0.2, 0.5], rng)
+        fit = fit_weighted_mle(logistic, uniform_sample(x, y), population_size=400)
+        fit_np = fit_weighted_mle(logistic, uniform_sample(x, y), population_size=np.int64(400))
+        np.testing.assert_array_equal(fit_np.info_JX, fit.info_JX)
+        np.testing.assert_array_equal(fit_np.vc, fit.vc)
+
     def test_variance_free_of_population_size(self, logistic, rng):
         x, y = make_logistic_data(60, [0.2, 0.5], rng)
         probs = rng.uniform(0.001, 0.01, size=60)
@@ -426,6 +448,16 @@ class TestBatchedFits:
             fit_weighted_mles(logistic, sample, [np.array([0, 0])])
         with pytest.raises(ValidationError, match="no models"):
             fit_weighted_mles(logistic, sample, [])
+        x = np.column_stack([np.ones(5), np.arange(5.0), np.arange(5.0) ** 2])
+        sample = uniform_sample(x, np.array([0.0, 1.0, 0.0, 1.0, 1.0]))
+        with pytest.raises(ValidationError, match=r"model 0 has a column outside .* 3 columns: \[0, 3\]"):
+            fit_weighted_mles(logistic, sample, [[0, 3]])
+        with pytest.raises(ValidationError, match=r"model 1 has a column outside .* 3 columns: \[0, -1\]"):
+            fit_weighted_mles(logistic, sample, [[0, 1], [0, -1]])
+        with pytest.raises(ValidationError, match="model 0 has no columns"):
+            fit_weighted_mles(logistic, sample, [[]])
+        with pytest.raises(ValidationError, match="model 0's columns are not a 1-D index array"):
+            fit_weighted_mles(logistic, sample, [[[0, 1]]])
 
     def test_too_few_rows_for_a_later_model(self, logistic, rng):
         # Model 0 fits its 2 parameters on 3 rows; model 1 has 4 parameters.
@@ -569,6 +601,57 @@ class TestBatchedFits:
         assert str(excinfo.value) == "poisson mean overflowed at row 20 (eta=800.0)"
         assert (excinfo.value.index, excinfo.value.model) == (20, 0)
         assert family.mean_calls == 3 * iterations + 2
+
+
+class TestColumnLayoutCache:
+    """The layout of a column set is built once and shared by every fit
+    that names the same columns."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        glmsub.fitting._column_layout.cache_clear()
+        calls = []
+        layout = glmsub.fitting._Layout
+
+        def counted(**fields):
+            calls.append(1)
+            return layout(**fields)
+
+        monkeypatch.setattr(glmsub.fitting, "_Layout", counted)
+        yield calls
+        glmsub.fitting._column_layout.cache_clear()
+
+    def test_equal_columns_share_one_layout(self, builds, logistic, rng):
+        x, y = make_logistic_data(80, [0.2, -0.6, 0.4], rng)
+        sample = uniform_sample(x, y)
+        first = fit_weighted_mles(logistic, sample, [np.array([0, 1]), np.arange(3)])
+        again = fit_weighted_mles(logistic, sample, [[0, 1], np.array([0, 1, 2], dtype=np.int32)])
+        assert len(builds) == 1
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a.theta, b.theta)
+        fit_weighted_mle(logistic, sample)
+        fit_weighted_mle(logistic, sample)
+        assert len(builds) == 2
+
+    def test_cached_arrays_are_read_only(self):
+        layout = glmsub.fitting._layout_of(3, [np.array([0, 2]), np.arange(3)])
+        for array in [*layout.columns, *layout.extract, layout.absent, layout.gather, layout.picks]:
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            layout.columns[0][0] = 1
+
+    def test_mutating_a_column_array_after_a_fit_changes_no_layout(self, logistic, rng):
+        x, y = make_logistic_data(80, [0.2, -0.6, 0.4], rng)
+        sample = uniform_sample(x, y)
+        cols = np.array([0, 1])
+        (before,) = fit_weighted_mles(logistic, sample, [cols])
+        cols[1] = 2
+        (after,) = fit_weighted_mles(logistic, sample, [cols])
+        (again,) = fit_weighted_mles(logistic, sample, [np.array([0, 1])])
+        np.testing.assert_array_equal(again.theta, before.theta)
+        np.testing.assert_array_equal(again.variance, before.variance)
+        alone = lone_fit(logistic, sample, [0, 2])
+        np.testing.assert_allclose(after.theta, alone.theta, rtol=1e-10)
 
 
 class TestFullInformation:
