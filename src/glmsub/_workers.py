@@ -2,10 +2,12 @@
 
 :func:`_fork_map` runs a list of tasks in up to one forked worker per
 usable CPU on Linux and returns their results in task order.  Its tasks
-are the Monte Carlo replicates, ssmse's full-data fit, the two halves of
-a large CSV body (:func:`glmsub.datasets.load_csv`), the model-robust
-models two at a time (:func:`glmsub.probabilities.phi_model_robust`) and
-the two halves of a large probability file.  A task that returns an array
+are the Monte Carlo replicates, ssmse's full-data fit, the ranges of a
+large CSV body (:func:`glmsub.datasets.load_csv`), the model-robust
+models two at a time on many rows
+(:func:`glmsub.probabilities.phi_model_robust`) and the two halves of a
+large probability file; below its size threshold a CSV body's ranges and
+the model-robust rounds run in the caller.  A task that returns an array
 writes it into a :func:`_shared_array` of the caller's instead of
 pickling it.
 """

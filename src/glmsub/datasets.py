@@ -3,12 +3,15 @@
 Files must be UTF-8 (a leading byte-order mark is skipped; a byte that
 does not decode is a validation error naming the file) with a header row
 (RFC-4180-style quoting, ``.`` decimal) that names each requested column
-once.  A body of ``_SPLIT_BYTES`` or more is parsed in two forked workers,
-one per half, when two or more CPUs are usable on Linux; the arrays are
-the same bits as from one pass.  Two scaling rules are supported
-besides none: standardize to mean zero and population variance one, and
-map the observed range onto [0, 1].  Scaling is applied once, globally,
-before any subsampling.
+once.  The body is parsed in ranges of about ``_RANGE_BYTES``, split at
+newlines, each in one vectorised pass; from ``_SPLIT_BYTES`` the ranges
+are shared out among forked workers, one per usable CPU on Linux, and the
+arrays are the same bits either way.  A body that the ranges do not parse
+is parsed again row by row, the one source of error messages, so each
+message and row number is the same whatever the body's size and the CPU
+count.  Two scaling rules are supported besides none: standardize to mean
+zero and population variance one, and map the observed range onto [0, 1].
+Scaling is applied once, globally, before any subsampling.
 """
 
 from __future__ import annotations
@@ -30,9 +33,16 @@ from .families import Family
 
 __all__ = ["Scaling", "CovariateColumn", "DatasetDescriptor", "load_csv", "apply_scaling"]
 
-# Rows per block when the covariates are moved to the front of the table.
-_MOVE_ROWS = 65536
-# Bodies of at least this many bytes are parsed by two forked workers; on a
+# Bytes per parsed range of a body.  A range's table and its region are held
+# together, so a larger range raises the peak, and each range costs a fixed
+# parse; on a 2-vCPU VM the load's peak (VmHWM) at 256 KiB, 1 MiB and 4 MiB
+# ranges was 35.0, 37.0 and 45.5 MB for a 4.0 MB y,x1,x2,x3,x4 body parsed
+# in one process, and 61.1, 61.6 and 64.2 MB for a 30 MB y,x1,x2,x3 body
+# parsed by two workers.  Medians of 9 interleaved in-process loads took as
+# long at 256 KiB as at 1 MiB, 6-13% longer at 4 MiB, and for the 30 MB body
+# 7-11% longer at 64 KiB.
+_RANGE_BYTES = 1 << 20
+# Bodies of at least this many bytes are parsed by forked workers; on a
 # 2-vCPU VM the break-even lies near 2 MiB.  Medians of 21 interleaved
 # in-process loads of a y,x1,x2,x3 file (%d, %.6f), one process -> two
 # workers (pairs where two were lower): 19.9 -> 23.0 ms at 1 MiB (2 of 21),
@@ -124,30 +134,12 @@ def _parse_cell(text: str, row: int, column: str) -> float:
     return value
 
 
-def _parse_table(fh, n_fields: int) -> "np.ndarray | None":
-    """Parse the rest of an open CSV file in one vectorised pass and return
-    the whole table.
-
-    Returns ``None`` unless the body is a non-empty table of exactly
-    ``n_fields`` finite numbers per row; the caller then rescans the file
-    row by row for the precise error.  Every column is parsed, so a row
-    with an extra field is refused here, and ``comments=None`` makes a
-    ``#``-prefixed row a parse failure rather than a skipped line.
-    """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # empty body
-            table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if table.shape[0] == 0 or table.shape[1] != n_fields or not np.isfinite(table).all():
-        return None
-    return table
-
-
-def _parse_rows(path: Path, n_fields: int, positions: "list[int]", columns: "list[str]") -> np.ndarray:
+def _parse_rows(
+    path: Path, n_fields: int, positions: "list[int]", columns: "list[str]"
+) -> tuple[np.ndarray, np.ndarray]:
     """Parse the file row by row with :func:`_parse_cell`; the only source
-    of ingestion error messages.  Returns the columns at ``positions``."""
+    of ingestion error messages.  Returns the response and the covariate
+    columns, those at ``positions``."""
     rows = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -164,80 +156,78 @@ def _parse_rows(path: Path, n_fields: int, positions: "list[int]", columns: "lis
             )
     if not rows:
         raise ValidationError(f"{path} contains a header but no data rows")
-    return np.asarray(rows, dtype=float)
-
-
-def _split_table(table: np.ndarray, positions: "list[int]") -> tuple[np.ndarray, np.ndarray]:
-    """The response column (``positions[0]``) and the C-contiguous
-    covariate columns of a parsed table.
-
-    The covariates are moved, one row block at a time, to the front of the
-    table's own buffer, which is then cut to their size: the table and a
-    copy of it are never held together.  Row i lands at ``i * p``, at or
-    before its source at ``i * n_fields``, so no unread row is overwritten.
-    """
-    n = table.shape[0]
-    covariates = positions[1:]
-    p = len(covariates)
-    y = table[:, positions[0]].copy()
-    flat = table.reshape(-1)
-    for start in range(0, n, _MOVE_ROWS):
-        block = np.take(table[start : start + _MOVE_ROWS], covariates, axis=1)
-        flat[start * p : start * p + block.size] = block.ravel()
-    del flat
-    table.resize((n, p), refcheck=False)  # no view of the table is left
-    return y, table
+    table = np.asarray(rows, dtype=float)
+    return table[:, 0].copy(), table[:, 1:].copy()
 
 
 def _parse_range(
     path: Path, start: int, stop: int, n_fields: int, positions: "list[int]", out: np.ndarray
 ) -> "int | None":
-    """Parse bytes ``[start, stop)`` of the file as :func:`_parse_table`
-    parses a body, write the columns at ``positions`` into the first rows
-    of ``out`` and return how many rows that is.  ``None`` if the range
-    does not parse, or holds an odd number of quote characters because the
-    split fell inside a quoted field."""
+    """Parse bytes ``[start, stop)`` of the file in one vectorised pass,
+    write the columns at ``positions`` into the first rows of ``out`` and
+    return how many rows that is (0 for a range of blank lines).
+
+    ``None`` unless the range is a table of exactly ``n_fields`` finite
+    numbers per row, at most ``len(out)`` rows, holding an even number of
+    quote characters (an odd number means that a range edge fell inside a
+    quoted field); the caller then parses the file row by row for the
+    precise error.  Every column is parsed, so a row with an extra field
+    is refused here, and ``comments=None`` makes a ``#``-prefixed row a
+    parse failure rather than a skipped line.
+    """
     with open(path, "rb") as fh:
         fh.seek(start)
         data = fh.read(stop - start)
-    if data.count(b'"') % 2:
+    if b'"' in data and data.count(b'"') % 2:  # memchr first: most bodies hold none
         return None
-    # Not a StringIO, which would hold four bytes a character.
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as text:
-        table = _parse_table(text, n_fields)
-    if table is None or table.shape[0] > out.shape[0]:
+    try:
+        # Not a StringIO, which would hold four bytes a character.
+        with warnings.catch_warnings(), io.TextIOWrapper(
+            io.BytesIO(data), encoding="utf-8", newline=""
+        ) as text:
+            warnings.simplefilter("ignore", UserWarning)  # no rows
+            table = np.loadtxt(text, delimiter=",", quotechar='"', comments=None, ndmin=2)
+    except ValueError:  # a UnicodeDecodeError too
+        return None
+    if table.shape[0] == 0:
+        return 0
+    if table.shape[1] != n_fields or table.shape[0] > len(out) or not np.isfinite(table).all():
         return None
     out[: table.shape[0]] = table[:, positions]
     return table.shape[0]
 
 
-def _parse_halves(
+def _parse_ranges(
     path: Path, header: "list[str]", positions: "list[int]"
 ) -> "tuple[np.ndarray, np.ndarray] | None":
-    """The response and the covariate columns, parsed by two
-    :func:`glmsub._workers._fork_map` tasks, one for each half of the body
-    split at the first newline after its midpoint.  Each task writes into
-    a shared region sized for the most rows its bytes can hold, at
-    ``2 * len(header)`` bytes a row, and the parent copies the regions out
-    in file order.  ``None`` with fewer than two workers, for a body under
-    ``_SPLIT_BYTES``, when the first line is not the plain header, or when
-    a half does not parse: the caller then parses the body in one pass."""
-    if _workers._worker_count(2) < 2:
-        return None
+    """The response and the covariate columns, parsed by one
+    :func:`_parse_range` task for each range of the body: ``_RANGE_BYTES``
+    and the rest of the line they end in.  Each task writes into a shared
+    region sized for the most rows its bytes can hold, at
+    ``2 * len(header)`` bytes a row, and the regions are copied out in file
+    order, each unmapped once copied.  From ``_SPLIT_BYTES`` the tasks run
+    in forked workers (:func:`glmsub._workers._fork_map`), below it in this
+    process.  ``None`` when the first line is not the whole header, when a
+    range does not parse, or when the body holds no row: the caller then
+    parses the file row by row."""
     with open(path, "rb") as fh:
         first = fh.readline().decode("utf-8-sig", "replace")
-        start, stop = fh.tell(), os.fstat(fh.fileno()).st_size
-        if stop - start < _SPLIT_BYTES or first.rstrip("\r\n").split(",") != header:
-            return None
-        fh.seek((start + stop) // 2)
-        fh.readline()
-        mid = fh.tell()
-    n_fields, ranges = len(header), ((start, mid), (mid, stop))
+        bounds, stop = [fh.tell()], os.fstat(fh.fileno()).st_size
+        while bounds[-1] < stop:
+            fh.seek(bounds[-1] + _RANGE_BYTES)
+            fh.readline()
+            bounds.append(min(fh.tell(), stop))
+    if list(csv.reader(io.StringIO(first, newline=""))) != [header]:
+        return None  # the header runs past the first line
+    n_fields, ranges = len(header), list(zip(bounds, bounds[1:]))
     outs = [_workers._shared_array((b - a) // (2 * n_fields) + 1, len(positions)) for a, b in ranges]
-    rows = _workers._fork_map(
-        [partial(_parse_range, path, *ab, n_fields, positions, out) for ab, out in zip(ranges, outs)]
-    )
-    if None in rows:
+    tasks = [partial(_parse_range, path, *ab, n_fields, positions, out) for ab, out in zip(ranges, outs)]
+    if stop - bounds[0] >= _SPLIT_BYTES:
+        rows = _workers._fork_map(tasks)
+    else:
+        rows = [task() for task in tasks]
+    del tasks  # which hold every region
+    if None in rows or sum(rows) == 0:
         return None
     y, raw = np.empty(sum(rows)), np.empty((sum(rows), len(positions) - 1))
     at = 0
@@ -256,9 +246,10 @@ def load_csv(
 
     Returns the scaled raw covariate matrix (columns in descriptor order)
     and the response vector.  When a family is given the response is
-    validated against it (e.g. a 0/1 check for logistic data).  A large
-    body is parsed in two halves (:func:`_parse_halves`); a body that they
-    do not parse is parsed again in one pass, for the same messages.
+    validated against it (e.g. a 0/1 check for logistic data).  The body
+    is parsed in ranges (:func:`_parse_ranges`); a body that they do not
+    parse is parsed again row by row (:func:`_parse_rows`), the one source
+    of error messages.
     """
     path = Path(descriptor.path)
     if not path.exists():
@@ -270,22 +261,17 @@ def load_csv(
                 header = next(csv.reader(fh))
             except StopIteration:
                 raise ValidationError(f"{path} is empty (missing header)") from None
-            for col in columns:
-                if col not in header:
-                    raise ValidationError(f"column {col!r} not found in {path} header")
-                if header.count(col) > 1:
-                    raise ValidationError(
-                        f"column {col!r} appears more than once in {path} header"
-                    )
-            positions = [header.index(col) for col in columns]
-            parsed = _parse_halves(path, header, positions)
-            if parsed is None:
-                table = _parse_table(fh, len(header))
+        for col in columns:
+            if col not in header:
+                raise ValidationError(f"column {col!r} not found in {path} header")
+            if header.count(col) > 1:
+                raise ValidationError(
+                    f"column {col!r} appears more than once in {path} header"
+                )
+        positions = [header.index(col) for col in columns]
+        parsed = _parse_ranges(path, header, positions)
         if parsed is None:
-            if table is None:
-                table = _parse_rows(path, len(header), positions, columns)
-                positions = list(range(len(columns)))
-            parsed = _split_table(table, positions)
+            parsed = _parse_rows(path, len(header), positions, columns)
     except UnicodeDecodeError as exc:
         bad = exc.object[exc.start]
         raise ValidationError(f"{path} is not UTF-8: byte 0x{bad:02x} ({exc.reason})") from None

@@ -28,8 +28,8 @@ For mMSE a first pass, ``fitting._information``, stores each row's mean
 and accumulates J_X, a second scores the rows; mVc needs one pass.
 Memory therefore grows with N only through N-vectors, never through an
 N x d array: a :class:`LazyDesign` builds each block straight from the
-raw covariates.  From ``_SPLIT_ROWS`` rows :func:`phi_model_robust` scores
-two models at a time in two forked workers
+raw covariates.  :func:`phi_model_robust` scores two models at a time,
+from ``_SPLIT_ROWS`` rows in two forked workers
 (:func:`glmsub._workers._fork_map`), for one more N-vector held.
 
 :func:`draw_with_replacement` draws the row indices of a subsample from
@@ -206,14 +206,13 @@ def floored_residuals(
 
 
 def _scores(
-    criterion: Criterion, family: Family, theta, design, y: np.ndarray, eps: float
+    criterion: Criterion, family: Family, theta, design, y: np.ndarray, eps: float, out: np.ndarray
 ) -> np.ndarray:
     """Normalized probabilities of the model with ``design`` (an array or a
     :class:`LazyDesign`), computed on feature-major row blocks ``xt``
-    (d x B).  Each row's mean is evaluated once: mMSE keeps it in the
-    output vector between its two passes."""
+    (d x B) into the N-vector ``out``, which is returned.  Each row's mean
+    is evaluated once: mMSE keeps it in ``out`` between its two passes."""
     theta = _checked_theta(theta, design.shape[1])
-    out = np.empty(design.shape[0])
     if criterion is Criterion.MMSE:
         inv = _checked_inverse(
             _information(family, theta, design, out),
@@ -252,15 +251,17 @@ def phi_single(
     if not isinstance(design, LazyDesign):
         design = np.atleast_2d(np.asarray(design, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    return ProbabilityVector(_scores(criterion, family, theta, design, y, eps), criterion)
+    out = np.empty(design.shape[0])
+    return ProbabilityVector(_scores(criterion, family, theta, design, y, eps, out), criterion)
 
 
 def _weighted_scores(slot: np.ndarray, alpha_q: float, *args) -> "GlmsubError | None":
     """Write ``alpha_q`` times one model's :func:`_scores` into ``slot``.
     A library error is returned, not raised, so that the caller raises the
-    first in model order, as one process would."""
+    first in model order."""
     try:
-        np.multiply(_scores(*args), alpha_q, out=slot)
+        _scores(*args, slot)
+        slot *= alpha_q
     except GlmsubError as exc:
         return exc
     return None
@@ -282,10 +283,12 @@ def phi_model_robust(
     convex combination of probability vectors, the result is itself a
     probability vector, bounded row-wise by the per-model extremes.
 
-    From ``_SPLIT_ROWS`` rows, when two or more CPUs are usable on Linux,
-    two forked workers score two models at a time, each into a shared
-    N-vector, which are added in model order: the same bits, for one more
-    N-vector held.
+    The models are scored two at a time, each straight into one of two
+    N-vectors, which are added to the sum in model order: three N-vectors
+    held, one more than scoring one model at a time would need (0.8 MB at
+    N = 1e5).  From ``_SPLIT_ROWS`` rows the two vectors are shared and the
+    two models run in forked workers when two or more CPUs are usable on
+    Linux, below it in this process; the bits are the same either way.
     """
     criterion = Criterion.optimality(criterion)
     if len(thetas) != len(models):
@@ -298,21 +301,19 @@ def phi_model_robust(
         (alpha_q, (criterion, family, theta_q, LazyDesign(spec, raw), y, eps))
         for alpha_q, spec, theta_q in zip(models.alpha, models.specs, thetas)
     ]
-    if n >= _SPLIT_ROWS and _workers._worker_count(2) > 1:
-        slots = (_workers._shared_array(n), _workers._shared_array(n))
-        for k in range(0, len(jobs), 2):
-            tasks = [
-                partial(_weighted_scores, slot, alpha_q, *args)
-                for slot, (alpha_q, args) in zip(slots, jobs[k : k + 2])
-            ]
-            for slot, error in zip(slots, _workers._fork_map(tasks)):
-                if error is not None:
-                    raise error
-                combined += slot
-    else:
-        for alpha_q, args in jobs:
-            scores = _scores(*args)
-            scores *= alpha_q
-            combined += scores
-            del scores  # so that two score vectors never coexist
+    fork = n >= _SPLIT_ROWS
+    # A first touch of shared memory costs more than of the heap: inline
+    # rounds at N = 1e4-1e5 took 10-20% longer in shared slots.
+    new = _workers._shared_array if fork else np.empty
+    slots = (new(n), new(n))
+    for k in range(0, len(jobs), 2):
+        tasks = [
+            partial(_weighted_scores, slot, alpha_q, *args)
+            for slot, (alpha_q, args) in zip(slots, jobs[k : k + 2])
+        ]
+        errors = _workers._fork_map(tasks) if fork else [task() for task in tasks]
+        for slot, error in zip(slots, errors):
+            if error is not None:
+                raise error
+            combined += slot
     return ProbabilityVector(combined, _ROBUST_LABEL[criterion])

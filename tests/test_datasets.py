@@ -1,3 +1,4 @@
+import csv
 import os
 import warnings
 
@@ -244,10 +245,10 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize("header", ["y,a,b", "a,y,b", "b,z,a,y", "z,y,a,b"])
     def test_covariates_split_off_in_blocks(self, tmp_path, monkeypatch, header):
-        # The covariates are moved to the front of the parsed table in row
-        # blocks; block edges, reordered columns and an unused column z
+        # The body is parsed in ranges of a row or two and copied out range
+        # by range; range edges, reordered columns and an unused column z
         # must all give the descriptor's columns exactly.
-        monkeypatch.setattr(glmsub.datasets, "_MOVE_ROWS", 7)
+        monkeypatch.setattr(glmsub.datasets, "_RANGE_BYTES", 100)
         rng = np.random.default_rng(9)
         names = header.split(",")
         table = rng.normal(size=(50, len(names)))
@@ -292,61 +293,86 @@ _SPLIT_CASES = {
 }
 
 
+def _reference(path):
+    """The raw covariates and the response of a y,a,b file, parsed row by
+    row with csv and float."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        table = np.array(
+            [[float(row[header.index(c)]) for c in ("a", "b", "y")] for row in reader if row]
+        )
+    return table[:, :2].copy(), table[:, 2].copy()
+
+
 class TestSplitParse:
-    """A body of ``_SPLIT_BYTES`` or more is parsed by two forked tasks, one
-    per half; the arrays must be those of the one-pass parse bit for bit,
-    and anything the halves do not parse is parsed again in one pass."""
+    """A body is parsed in ranges of about ``_RANGE_BYTES``, by forked
+    workers from ``_SPLIT_BYTES``; the arrays must be those of a row-by-row
+    parse bit for bit, and anything the ranges do not parse is parsed again
+    row by row."""
 
     @pytest.fixture
-    def one_passes(self, monkeypatch):
-        """Every body is split on two usable CPUs; the one-pass parses are
-        counted."""
+    def row_parses(self, monkeypatch):
+        """Every body spans ranges of a row or two and is parsed by forked
+        workers on two usable CPUs; the row-by-row parses are counted."""
         monkeypatch.setattr(glmsub.datasets, "_SPLIT_BYTES", 0)
+        monkeypatch.setattr(glmsub.datasets, "_RANGE_BYTES", 40)
         monkeypatch.setattr(glmsub._workers, "_cpu_budget", lambda: 2)
         calls = []
-        split_table = glmsub.datasets._split_table
+        parse_rows = glmsub.datasets._parse_rows
         monkeypatch.setattr(
-            glmsub.datasets, "_split_table", lambda *a: calls.append(1) or split_table(*a)
+            glmsub.datasets, "_parse_rows", lambda *a: calls.append(1) or parse_rows(*a)
         )
         return calls
 
     @staticmethod
-    def one_pass(monkeypatch, path):
+    def one_cpu(monkeypatch, path):
         with monkeypatch.context() as m:
             m.setattr(glmsub._workers, "_cpu_budget", lambda: 1)
             return load_csv(descriptor(path))
 
-    def assert_same(self, monkeypatch, path, one_passes, forks, halves=True):
-        got = load_csv(descriptor(path))
+    def assert_same(self, monkeypatch, path, row_parses, forks, ranges=True):
+        """Two workers and one CPU both give the reference arrays."""
+        want = _reference(path)
+        for got in (load_csv(descriptor(path)), self.one_cpu(monkeypatch, path)):
+            for g, w in zip(got, want):
+                assert g.flags.c_contiguous
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
         assert len(forks) == 2
-        assert one_passes == ([] if halves else [1])
-        want = self.one_pass(monkeypatch, path)
-        for g, w in zip(got, want):
-            assert g.flags.c_contiguous
-            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert row_parses == ([] if ranges else [1, 1])
 
     @pytest.mark.parametrize("name", list(_SPLIT_CASES))
     def test_halves_equal_the_one_pass_parse(
-        self, tmp_path, monkeypatch, one_passes, forks, name
+        self, tmp_path, monkeypatch, row_parses, forks, name
     ):
         path = tmp_path / "d.csv"
         path.write_bytes(_SPLIT_CASES[name].encode("utf-8"))
-        self.assert_same(monkeypatch, path, one_passes, forks)
+        assert os.path.getsize(path) > 20 * glmsub.datasets._RANGE_BYTES
+        self.assert_same(monkeypatch, path, row_parses, forks)
 
     def test_quoted_multi_line_field_across_the_midpoint_falls_back(
-        self, tmp_path, monkeypatch, one_passes, forks
+        self, tmp_path, monkeypatch, row_parses, forks
     ):
-        # Ten 10-byte rows on each side of a row whose quoted field holds the
-        # newline right after the body's midpoint.
+        # Ten 10-byte rows, then a row whose quoted field holds the newline
+        # that ends the first 100-byte range, then ten more rows.
+        monkeypatch.setattr(glmsub.datasets, "_RANGE_BYTES", 100)
         row = "1,2.5,3.5\n"
         path = tmp_path / "d.csv"
         path.write_bytes(("y,a,b\n" + row * 10 + '1,"2.5\n",3.5\n' + row * 10).encode("utf-8"))
-        self.assert_same(monkeypatch, path, one_passes, forks, halves=False)
+        self.assert_same(monkeypatch, path, row_parses, forks, ranges=False)
         raw, _ = load_csv(descriptor(path))
         assert raw.shape == (21, 2) and raw[10, 0] == 2.5
 
+    def test_range_ending_inside_a_quoted_field_is_refused(self, tmp_path):
+        # NumPy reads a quote left open at the end of its input as closed, so
+        # only the quote count shows that bytes [6, 13) end inside a field.
+        path = write_csv(tmp_path / "d.csv", 'y,a,b\n1,2,"3\n"\n')
+        assert glmsub.datasets._parse_range(path, 6, 13, 3, [0, 1, 2], np.zeros((4, 3))) is None
+        raw, y = load_csv(descriptor(path))
+        assert raw.tolist() == [[2.0, 3.0]] and y.tolist() == [1.0]
+
     def test_bad_cell_in_the_upper_half_keeps_its_message(
-        self, tmp_path, monkeypatch, one_passes, forks
+        self, tmp_path, monkeypatch, row_parses, forks
     ):
         lines = _rows(40, 9)
         lines[30] = "0,oops,1.5"
@@ -355,28 +381,45 @@ class TestSplitParse:
             load_csv(descriptor(path))
         assert len(forks) == 2
         with pytest.raises(ValidationError) as want:
-            self.one_pass(monkeypatch, path)
+            self.one_cpu(monkeypatch, path)
         assert str(info.value) == str(want.value) == "non-numeric value 'oops' at row 32, column 'a'"
 
-    def test_refused_fork_gives_the_same_arrays(self, tmp_path, monkeypatch, one_passes):
+    def test_refused_fork_gives_the_same_arrays(self, tmp_path, monkeypatch, row_parses):
         def refuse():
             raise OSError("Resource temporarily unavailable")
 
         path = write_csv(tmp_path / "d.csv", "y,a,b\n" + "\n".join(_rows(41, 10)) + "\n")
         monkeypatch.setattr(os, "fork", refuse)
         got = load_csv(descriptor(path))
-        assert one_passes == []  # both tasks ran here, into their shared regions
-        want = self.one_pass(monkeypatch, path)
+        assert row_parses == []  # every task ran here, into its shared region
+        want = _reference(path)
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
-    def test_repeated_requested_column_is_refused(self, tmp_path, one_passes, forks):
+    def test_repeated_requested_column_is_refused(self, tmp_path, row_parses, forks):
         path = write_csv(tmp_path / "d.csv", "y,a,a,b\n" + "\n".join(f"{r},1" for r in _rows(41, 11)) + "\n")
         with pytest.raises(ValidationError, match=r"column 'a' appears more than once in .*d\.csv header"):
             load_csv(descriptor(path))
         assert forks == []
 
-    def test_small_bodies_stay_in_one_process(self, tmp_path, monkeypatch, one_passes, forks):
+    def test_small_bodies_stay_in_one_process(self, tmp_path, monkeypatch, row_parses, forks):
         path = write_csv(tmp_path / "d.csv", "y,a,b\n" + "\n".join(_rows(41, 12)) + "\n")
         monkeypatch.setattr(glmsub.datasets, "_SPLIT_BYTES", path.stat().st_size)
-        load_csv(descriptor(path))
-        assert forks == [] and one_passes == [1]
+        got = load_csv(descriptor(path))
+        assert forks == [] and row_parses == []
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, _reference(path)))
+
+    @pytest.mark.parametrize("split", ["above", "below"])
+    def test_quoted_header_stays_on_the_ranged_parse(
+        self, tmp_path, monkeypatch, row_parses, forks, split
+    ):
+        # R's write.csv quotes every header field by default.
+        body = "\n".join(_rows(41, 13)) + "\n"
+        plain = write_csv(tmp_path / "plain.csv", "y,a,b\n" + body)
+        quoted = write_csv(tmp_path / "quoted.csv", '"y","a","b"\n' + body)
+        if split == "below":
+            monkeypatch.setattr(glmsub.datasets, "_SPLIT_BYTES", quoted.stat().st_size)
+        got = load_csv(descriptor(quoted))
+        assert len(forks) == (2 if split == "above" else 0)
+        assert row_parses == []
+        for g, w in zip(got, load_csv(descriptor(plain))):
+            assert g.tobytes() == w.tobytes()

@@ -239,11 +239,17 @@ class TestPhiModelRobust:
                 "mMSE", logistic, models, [np.zeros(3)], np.ones((4, 2)), np.array([0, 1, 0, 1])
             )
 
-    @pytest.mark.parametrize("q", [3, 4])
+    @pytest.mark.parametrize(
+        "q, split_rows",
+        [pytest.param(3, 300, id="3"), pytest.param(4, 300, id="4"), pytest.param(3, 301, id="3-below")],
+    )
     @pytest.mark.parametrize("criterion", ["mMSE", "mVc"])
-    def test_two_workers_give_the_same_bits(self, monkeypatch, forks, logistic, q, criterion):
+    def test_two_workers_give_the_same_bits(
+        self, monkeypatch, forks, logistic, q, split_rows, criterion
+    ):
         # From _SPLIT_ROWS rows two workers score two models a round; Q = 3
-        # leaves a last round of one model, run in the caller.
+        # leaves a last round of one model, run in the caller.  Below it the
+        # caller scores every round itself, on two CPUs too.
         from glmsub import ModelSet
 
         rng = np.random.default_rng(17)
@@ -252,24 +258,26 @@ class TestPhiModelRobust:
         specs = enumerate_quadratic_models(2, (0, 1)).specs[:q]
         models = ModelSet(specs=specs, alpha=rng.dirichlet(np.ones(q)))
         thetas = [rng.normal(0, 0.3, size=spec.n_params) for spec in specs]
-        monkeypatch.setattr(probabilities, "_SPLIT_ROWS", 300)
+        monkeypatch.setattr(probabilities, "_SPLIT_ROWS", split_rows)
         runs = []
         for cpus in (1, 2):
             monkeypatch.setattr(glmsub._workers, "_cpu_budget", lambda: cpus)
             runs.append(phi_model_robust(criterion, logistic, models, thetas, x0, y).probs)
-        assert len(forks) == 2 * (q // 2)
+        assert len(forks) == (2 * (q // 2) if split_rows <= 300 else 0)
         assert runs[0].tobytes() == runs[1].tobytes()
 
-    def test_two_workers_raise_the_first_model_error(self, monkeypatch, logistic):
+    def test_two_workers_raise_the_first_model_error(self, monkeypatch, forks, logistic):
         # Both models of the round fail; the caller raises model 0's error,
-        # as one process does.
+        # from two workers and, below _SPLIT_ROWS, from its own round.
         models = enumerate_quadratic_models(2, (0,))
         x0 = np.random.default_rng(3).normal(size=(40, 2))
         y = np.tile([0.0, 1.0], 20)
-        monkeypatch.setattr(probabilities, "_SPLIT_ROWS", 40)
         monkeypatch.setattr(glmsub._workers, "_cpu_budget", lambda: 2)
-        with pytest.raises(ValidationError, match="theta has length 1"):
-            phi_model_robust("mVc", logistic, models, [np.zeros(1), np.zeros(2)], x0, y)
+        for split_rows, n_forks in ((40, 2), (41, 2)):
+            monkeypatch.setattr(probabilities, "_SPLIT_ROWS", split_rows)
+            with pytest.raises(ValidationError, match="theta has length 1"):
+                phi_model_robust("mVc", logistic, models, [np.zeros(1), np.zeros(2)], x0, y)
+            assert len(forks) == n_forks
 
 
 SMALL_BLOCK = 16
@@ -297,7 +305,9 @@ class TestBlockedKernel:
         if n == 1:
             x = x[:, 1:]  # one row informs one parameter
         theta = rng.normal(0, 0.3, size=x.shape[1])
-        scores = probabilities._scores(Criterion(criterion), family, theta, x, y.astype(float), 1e-6)
+        scores = probabilities._scores(
+            Criterion(criterion), family, theta, x, y.astype(float), 1e-6, np.empty(n)
+        )
         np.testing.assert_allclose(
             scores, phi_oracle(criterion, kind, theta, x, y), rtol=0, atol=1e-12
         )
