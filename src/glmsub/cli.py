@@ -11,12 +11,16 @@ Subcommands (each takes a YAML config, see :mod:`glmsub.config`):
   dataset, write summed-SMSE records
 
 Common flags: ``--seed`` overrides the config seed, ``--out`` sets the
-output path.  ``simulate`` and ``ssmse`` fork one worker process per usable
-CPU on Linux, as the library does, without changing results, and so do
-``subsample`` and ``probabilities`` for a large CSV parse and model-robust
-scoring (:mod:`glmsub.datasets`, :mod:`glmsub.probabilities`);
-``taskset -c 0`` keeps one process.  While workers run, the CLI process
-holds OpenBLAS at one thread, which each worker inherits.
+output path.  ``simulate`` and ``ssmse`` run their replicates in one
+forked worker process per usable CPU on Linux, as the library does,
+without changing results, while the CLI process waits.  ``subsample`` and
+``probabilities`` share a large CSV parse, model-robust scoring and a
+large probability write among the CLI process and one forked worker per
+other usable CPU (:mod:`glmsub.datasets`, :mod:`glmsub.probabilities`):
+the CLI process parses every W-th range, scores every W-th model and
+writes the first half of the file itself.  ``taskset -c 0`` keeps one
+process.  While workers run, the CLI process holds OpenBLAS at one
+thread, which each worker inherits.
 Outputs are written atomically (temp file + rename) and every CSV gets a
 ``<name>.meta.json`` sidecar echoing the config, the master seed and the
 tool version; ``subsample`` adds ``newton_iterations``, one count per
@@ -30,11 +34,12 @@ A probability file holds the rows ``i,repr(p)``.  :mod:`glmsub._shortest`
 computes the shortest round-trip digits of a block of values in [1e-10,
 1e-4) with NumPy integer arithmetic and takes ``repr`` for any other
 value, so the bytes are those of one ``repr`` per value.  A file of
-``_SPLIT_ROWS`` rows or more is formatted by two forked workers, one for
-each half of the rows, when two or more CPUs are usable on Linux.  The
-bytes are the same either way, and ``taskset -c 0`` keeps the write to
-one process.  When the system refuses a fork, every command runs all of
-its work in the CLI process.
+``_SPLIT_ROWS`` rows or more is formatted in two halves when two or more
+CPUs are usable on Linux: the CLI process writes the header and the first
+half, and one forked worker the second.  The bytes are the same either
+way, and ``taskset -c 0`` keeps the write to one process.  When the
+system refuses a fork, every command runs all of its work in the CLI
+process.
 
 On glibc, :func:`main` first fixes malloc's mmap threshold at 32 MiB and
 its trim threshold at 64 MiB, the ceiling glibc's own dynamic rule reaches,
@@ -64,7 +69,7 @@ import yaml
 
 from . import __version__, _shortest
 from ._artifacts import _atomic_path, _csv_text, atomic_write, read_metrics_csv, write_metrics_csv
-from ._workers import _fork_map
+from ._workers import _fork_stream, _worker_count
 from .config import RealDataConfig, parse_config
 from .datasets import load_csv
 from .errors import (
@@ -81,14 +86,15 @@ from .twostage import pilot_probabilities
 __all__ = ["main", "write_metrics_csv", "read_metrics_csv", "atomic_write"]
 
 OUT_DIR_ENV = "GLMSUB_OUT_DIR"
-# Probability files of at least this many rows are formatted by two forked
-# workers; on a 2-vCPU VM the break-even lies near 2^17 rows.  Medians of 21
-# interleaved in-process writes after a load_csv of the data, one process ->
-# two workers (pairs where two were lower): 25.9 -> 28.2 ms at 2^15 (6 of
-# 21), 21.6 -> 24.0 ms at 2^16 (7), 26.5 -> 27.7 ms at 98,304 (5), 32.1 ->
-# 31.5 ms at 2^17 (14), 48.9 -> 45.1 ms at 196,608 (15) and 71.6 -> 56.7 ms
-# at 2^18 (20).  A second sweep of 31 pairs had two lower in 20 of 31 at
-# 2^17 and in all 31 from 196,608 on.
+# Probability files of at least this many rows are formatted in two halves,
+# the second by a forked worker; on a 2-vCPU VM the break-even lies between
+# 2^16 and 98,304 rows, and near 2^17 when two forked workers wrote both
+# halves.  Medians of 21 interleaved in-process writes after a load_csv of
+# the data, under the CLI's malloc settings, one process -> this process and
+# one worker (pairs where two were lower): 12.1 -> 15.5 ms at 2^15 (0 of 21),
+# 22.8 -> 23.2 ms at 2^16 (9), 34.9 -> 29.1 ms at 98,304 (15), 43.9 -> 35.0
+# ms at 2^17 (21), 83.6 -> 63.4 ms at 196,608 (21) and 112.2 -> 71.0 ms at
+# 2^18 (20).
 _SPLIT_ROWS = 1 << 17
 # Probability rows formatted per write, so the text of all N rows never
 # exists at once.  Writing 1e6 rows in one process grows the resident set by
@@ -136,12 +142,12 @@ def _write_rows(name: str, head: bytes, start: int, probs: np.ndarray) -> None:
 
 
 def _write_probabilities(path: "str | Path", probs: np.ndarray) -> None:
-    """Write the probability file through :func:`glmsub._workers._fork_map`.
-    From ``_SPLIT_ROWS`` rows on it passes two tasks, which may run in two
-    forked workers: the header and rows ``[0, N/2)`` straight into the
-    output's temp file, and the other rows into a part file beside it,
-    which is then appended.  Below, one task writes the header and every
-    row, and the part file stays empty."""
+    """Write the probability file through :func:`glmsub._workers._fork_stream`.
+    From ``_SPLIT_ROWS`` rows on it passes two tasks: this process writes
+    the header and rows ``[0, N/2)`` straight into the output's temp file,
+    and a forked worker, if a second CPU is usable, the other rows into a
+    part file beside it, which is then appended.  Below, this process
+    writes the header and every row, and the part file stays empty."""
     path = Path(path)
     probs = np.asarray(probs, dtype=np.float64)
     n = probs.shape[0]
@@ -152,7 +158,8 @@ def _write_probabilities(path: "str | Path", probs: np.ndarray) -> None:
         try:
             lower = partial(_write_rows, tmp, b"row,probability\r\n", 0, probs[:m])
             upper = partial(_write_rows, part, b"", m, probs[m:])
-            _fork_map([lower, upper] if m < n else [lower])
+            tasks = [lower, upper] if m < n else [lower]
+            list(_fork_stream(tasks, _worker_count(len(tasks))))
             with open(tmp, "ab") as out, open(part, "rb") as rest:
                 shutil.copyfileobj(rest, out)
         finally:

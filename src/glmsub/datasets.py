@@ -5,13 +5,14 @@ does not decode is a validation error naming the file) with a header row
 (RFC-4180-style quoting, ``.`` decimal) that names each requested column
 once.  The body is parsed in ranges of about ``_RANGE_BYTES``, split at
 newlines, each in one vectorised pass; from ``_SPLIT_BYTES`` the ranges
-are shared out among forked workers, one per usable CPU on Linux, and the
-arrays are the same bits either way.  A body that the ranges do not parse
-is parsed again row by row, the one source of error messages, so each
-message and row number is the same whatever the body's size and the CPU
-count.  Two scaling rules are supported besides none: standardize to mean
-zero and population variance one, and map the observed range onto [0, 1].
-Scaling is applied once, globally, before any subsampling.
+are shared out among this process, which parses every W-th range, and
+one forked worker per other usable CPU on Linux, and the arrays are the
+same bits either way.  A body that the ranges do not parse is parsed
+again row by row, the one source of error messages, so each message and
+row number is the same whatever the body's size and the CPU count.  Two
+scaling rules are supported besides none: standardize to mean zero and
+population variance one, and map the observed range onto [0, 1].  Scaling
+is applied once, globally, before any subsampling.
 """
 
 from __future__ import annotations
@@ -42,12 +43,14 @@ __all__ = ["Scaling", "CovariateColumn", "DatasetDescriptor", "load_csv", "apply
 # long at 256 KiB as at 1 MiB, 6-13% longer at 4 MiB, and for the 30 MB body
 # 7-11% longer at 64 KiB.
 _RANGE_BYTES = 1 << 20
-# Bodies of at least this many bytes are parsed by forked workers; on a
-# 2-vCPU VM the break-even lies near 2 MiB.  Medians of 21 interleaved
-# in-process loads of a y,x1,x2,x3 file (%d, %.6f), one process -> two
-# workers (pairs where two were lower): 19.9 -> 23.0 ms at 1 MiB (2 of 21),
-# 34.5 -> 35.9 ms at 2 MiB (12), 86.0 -> 74.1 ms at 4 MiB (15), 155.6 ->
-# 132.0 ms at 8 MiB (16) and 326.3 -> 258.7 ms at 16 MiB (20).
+# Bodies of at least this many bytes are shared out between this process
+# and forked workers; on a 2-vCPU VM the break-even lies between 1 and 2 MiB,
+# and near 2 MiB when two forked workers parsed every range.  Medians of 21
+# interleaved in-process loads of a y,x1,x2,x3 file (%d, %.6f) under the
+# CLI's malloc settings, one process -> this process and one worker (pairs
+# where two were lower): 19.2 -> 21.2 ms at 1 MiB (3 of 21), 35.8 -> 33.3 ms
+# at 2 MiB (17), 93.6 -> 57.5 ms at 4 MiB (21), 193.4 -> 111.8 ms at 8 MiB
+# (21) and 337.7 -> 207.3 ms at 16 MiB (21).
 _SPLIT_BYTES = 4 << 20
 
 
@@ -205,11 +208,13 @@ def _parse_ranges(
     and the rest of the line they end in.  Each task writes into a shared
     region sized for the most rows its bytes can hold, at
     ``2 * len(header)`` bytes a row, and the regions are copied out in file
-    order, each unmapped once copied.  From ``_SPLIT_BYTES`` the tasks run
-    in forked workers (:func:`glmsub._workers._fork_map`), below it in this
-    process.  ``None`` when the first line is not the whole header, when a
-    range does not parse, or when the body holds no row: the caller then
-    parses the file row by row."""
+    order, each unmapped once copied.  From ``_SPLIT_BYTES`` the tasks go
+    through :func:`glmsub._workers._fork_stream`: range k is parsed in share
+    k mod W, share 0 in this process and each other share in one forked
+    worker.  Below it this process parses every range.  ``None`` when the
+    first line is not the whole header, when a range does not parse, or
+    when the body holds no row: the caller then parses the file row by
+    row."""
     with open(path, "rb") as fh:
         first = fh.readline().decode("utf-8-sig", "replace")
         bounds, stop = [fh.tell()], os.fstat(fh.fileno()).st_size
@@ -220,12 +225,12 @@ def _parse_ranges(
     if list(csv.reader(io.StringIO(first, newline=""))) != [header]:
         return None  # the header runs past the first line
     n_fields, ranges = len(header), list(zip(bounds, bounds[1:]))
+    # Every range gets a shared region, the ranges this process parses too:
+    # heap regions for those raised the load's peak (VmHWM) by 2-80 MB.
     outs = [_workers._shared_array((b - a) // (2 * n_fields) + 1, len(positions)) for a, b in ranges]
     tasks = [partial(_parse_range, path, *ab, n_fields, positions, out) for ab, out in zip(ranges, outs)]
-    if stop - bounds[0] >= _SPLIT_BYTES:
-        rows = _workers._fork_map(tasks)
-    else:
-        rows = [task() for task in tasks]
+    shares = _workers._worker_count(len(tasks)) if stop - bounds[0] >= _SPLIT_BYTES else 1
+    rows = list(_workers._fork_stream(tasks, shares))
     del tasks  # which hold every region
     if None in rows or sum(rows) == 0:
         return None

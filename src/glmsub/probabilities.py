@@ -28,9 +28,11 @@ For mMSE a first pass, ``fitting._information``, stores each row's mean
 and accumulates J_X, a second scores the rows; mVc needs one pass.
 Memory therefore grows with N only through N-vectors, never through an
 N x d array: a :class:`LazyDesign` builds each block straight from the
-raw covariates.  :func:`phi_model_robust` scores two models at a time,
-from ``_SPLIT_ROWS`` rows in two forked workers
-(:func:`glmsub._workers._fork_map`), for one more N-vector held.
+raw covariates.  :func:`phi_model_robust` scores one model at a time
+into an N-vector per share: from ``_SPLIT_ROWS`` rows the models are
+shared out by :func:`glmsub._workers._fork_stream`, this process scoring
+every W-th model and one forked worker per other usable CPU the rest,
+for one more N-vector held per worker.
 
 :func:`draw_with_replacement` draws the row indices of a subsample from
 such a vector.
@@ -38,6 +40,7 @@ such a vector.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -45,7 +48,7 @@ from functools import partial
 import numpy as np
 
 from . import _workers
-from .errors import DegenerateResponseError, GlmsubError, ValidationError
+from .errors import DegenerateResponseError, ValidationError
 from .families import Family, Logistic
 from .fitting import (
     _block_mean,
@@ -72,14 +75,16 @@ __all__ = [
 
 DEFAULT_EPS = 1e-6
 PROB_SUM_TOL = 1e-10
-# From this many rows the model-robust models are scored two at a time by
-# two forked workers.  A round of two forks costs about 5 ms on a 2-vCPU VM,
-# so the break-even lies near 2^19 rows, above cli._SPLIT_ROWS.  Medians of
-# 21 interleaved in-process mMSE calls with the 8 quadratic models of three
-# covariates, one process -> two workers (pairs where two were lower): 110.8
-# -> 126.0 ms at 2^18 (2 of 21), 206.1 -> 214.2 ms at 2^19 (8), 298.6 ->
-# 269.9 ms at 741,455 (15) and 409.0 -> 348.6 ms at 2^20 (19).
-_SPLIT_ROWS = 3 << 18
+# From this many rows the model-robust models are shared out between this
+# process and forked workers; on a 2-vCPU VM the break-even lies near 2^16
+# rows.  Medians of 21 interleaved in-process mMSE calls with the 8 quadratic
+# models of three covariates under the CLI's malloc settings, one process ->
+# this process and one worker (pairs where two were lower): 10.8 -> 15.5 ms
+# at 2^14 (5 of 21), 23.0 -> 21.5 ms at 2^16 (16), 38.4 -> 31.1 ms at 98,304
+# (18), 43.6 -> 35.1 ms at 2^17 (17), 86.2 -> 58.5 ms at 2^18 (21) and 441.4
+# -> 258.2 ms at 2^20 (21).  A second sweep of 31 pairs had two lower in 19
+# of 31 at 2^16, 26 at 98,304 and 31 at 2^17.
+_SPLIT_ROWS = 1 << 17
 
 
 class Criterion(str, Enum):
@@ -255,16 +260,10 @@ def phi_single(
     return ProbabilityVector(_scores(criterion, family, theta, design, y, eps, out), criterion)
 
 
-def _weighted_scores(slot: np.ndarray, alpha_q: float, *args) -> "GlmsubError | None":
-    """Write ``alpha_q`` times one model's :func:`_scores` into ``slot``.
-    A library error is returned, not raised, so that the caller raises the
-    first in model order."""
-    try:
-        _scores(*args, slot)
-        slot *= alpha_q
-    except GlmsubError as exc:
-        return exc
-    return None
+def _weighted_scores(out: np.ndarray, alpha_q: float, *args) -> None:
+    """Write ``alpha_q`` times one model's :func:`_scores` into ``out``."""
+    _scores(*args, out)
+    out *= alpha_q
 
 
 def phi_model_robust(
@@ -283,12 +282,14 @@ def phi_model_robust(
     convex combination of probability vectors, the result is itself a
     probability vector, bounded row-wise by the per-model extremes.
 
-    The models are scored two at a time, each straight into one of two
-    N-vectors, which are added to the sum in model order: three N-vectors
-    held, one more than scoring one model at a time would need (0.8 MB at
-    N = 1e5).  From ``_SPLIT_ROWS`` rows the two vectors are shared and the
-    two models run in forked workers when two or more CPUs are usable on
-    Linux, below it in this process; the bits are the same either way.
+    Each model is scored straight into an N-vector, which is added to the
+    sum in model order.  From ``_SPLIT_ROWS`` rows the models go through
+    :func:`glmsub._workers._fork_stream`: model q runs in share q mod W,
+    one share per usable CPU on Linux, this process scoring share 0 into a
+    heap vector and each forked worker its share into one shared vector.
+    Below it, and on one CPU, this process scores every model into one
+    vector.  The bits are the same either way, and the first model error
+    in model order is raised.
     """
     criterion = Criterion.optimality(criterion)
     if len(thetas) != len(models):
@@ -296,24 +297,21 @@ def phi_model_robust(
     raw = np.atleast_2d(np.asarray(raw, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     n = raw.shape[0]
-    combined = np.zeros(n)
-    jobs = [
-        (alpha_q, (criterion, family, theta_q, LazyDesign(spec, raw), y, eps))
-        for alpha_q, spec, theta_q in zip(models.alpha, models.specs, thetas)
+    shares = _workers._worker_count(len(models)) if n >= _SPLIT_ROWS else 1
+    # Share 0 scores into the heap: a first touch of shared memory costs
+    # more, and one-process scoring at N = 1e4-1e5 took 10-20% longer into
+    # shared vectors.
+    outs = [np.empty(n)] + [_workers._shared_array(n) for _ in range(1, shares)]
+    tasks = [
+        partial(
+            _weighted_scores, outs[q % shares], alpha_q,
+            criterion, family, theta_q, LazyDesign(spec, raw), y, eps,
+        )
+        for q, (alpha_q, spec, theta_q) in enumerate(zip(models.alpha, models.specs, thetas))
     ]
-    fork = n >= _SPLIT_ROWS
-    # A first touch of shared memory costs more than of the heap: inline
-    # rounds at N = 1e4-1e5 took 10-20% longer in shared slots.
-    new = _workers._shared_array if fork else np.empty
-    slots = (new(n), new(n))
-    for k in range(0, len(jobs), 2):
-        tasks = [
-            partial(_weighted_scores, slot, alpha_q, *args)
-            for slot, (alpha_q, args) in zip(slots, jobs[k : k + 2])
-        ]
-        errors = _workers._fork_map(tasks) if fork else [task() for task in tasks]
-        for slot, error in zip(slots, errors):
-            if error is not None:
-                raise error
-            combined += slot
+    combined = np.zeros(n)
+    # Closed however the loop ends, so that no worker outlives the call.
+    with closing(_workers._fork_stream(tasks, shares)) as stream:
+        for q, _ in enumerate(stream):
+            combined += outs[q % shares]
     return ProbabilityVector(combined, _ROBUST_LABEL[criterion])

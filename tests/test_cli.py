@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -405,14 +406,22 @@ def split_probs(n):
     return probs
 
 
+_write_rows = glmsub.cli._write_rows
+
+
 def _part_write_fails(part, head, start, probs):
-    """A worker's row write, failing the way a full disk makes it."""
+    """A worker's row write, failing the way a full disk makes it; the
+    first half, which the CLI process writes itself, is written."""
+    if not start:
+        return _write_rows(part, head, start, probs)
     with open(part, "w", encoding="utf-8") as fh:
         fh.write(f"{start},")
     raise OSError("disk full")
 
 
 def _part_writer_dies(part, head, start, probs):
+    if not start:
+        return _write_rows(part, head, start, probs)
     os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -424,7 +433,7 @@ class TestSplitWriter:
         out = tmp_path / "p.csv"
         glmsub.cli._write_probabilities(out, probs)
         assert out.read_bytes() == csv_writer_bytes(probs)
-        assert len(forks) == 2 * (offset >= 0)
+        assert len(forks) == (offset >= 0)  # the CLI process writes the first half
         assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
         with pytest.raises(ChildProcessError):  # the workers were reaped
             os.waitpid(-1, os.WNOHANG)
@@ -448,10 +457,19 @@ class TestSplitWriter:
         assert out.read_bytes() == csv_writer_bytes(probs)
         assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
 
-    def test_refused_second_fork_after_the_first_worker_wrote(self, tmp_path, monkeypatch, two_cpus):
-        # The second fork is refused once the first worker has written part
-        # of its rows into the temp file; the worker is killed and the
-        # caller writes every row again, over what the worker left.
+    def test_refused_second_fork_after_the_first_worker_wrote(self, tmp_path, monkeypatch):
+        # Thirds of the rows in a three-share stream: the second fork is
+        # refused once the first worker has written part of its third; the
+        # worker is killed and the caller writes every third again, over
+        # what the worker left.
+        monkeypatch.setattr(glmsub._workers, "_cpu_budget", lambda: 3)
+        probs = split_probs(glmsub.cli._SPLIT_ROWS + 1)
+        cuts = [0, len(probs) // 3, 2 * len(probs) // 3, len(probs)]
+        parts = [tmp_path / f"part{k}" for k in range(3)]
+        tasks = [
+            partial(glmsub.cli._write_rows, part, b"" if k else b"row,probability\r\n", a, probs[a:b])
+            for k, (part, a, b) in enumerate(zip(parts, cuts, cuts[1:]))
+        ]
         fork = os.fork
         calls = []
 
@@ -459,20 +477,16 @@ class TestSplitWriter:
             calls.append(1)
             if len(calls) == 1:
                 return fork()
-            (tmp,) = tmp_path.glob(".p.csv.*.tmp")
             deadline = time.monotonic() + 60
-            while tmp.stat().st_size < 1 << 16 and time.monotonic() < deadline:
+            while not (parts[1].exists() and parts[1].stat().st_size >= 1 << 16):
+                assert time.monotonic() < deadline
                 time.sleep(0.001)
-            assert tmp.stat().st_size >= 1 << 16
             raise OSError("Resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", refuse_second)
-        probs = split_probs(glmsub.cli._SPLIT_ROWS + 1)
-        out = tmp_path / "p.csv"
-        glmsub.cli._write_probabilities(out, probs)
-        assert out.read_bytes() == csv_writer_bytes(probs)
+        assert list(glmsub._workers._fork_stream(tasks, glmsub._workers._worker_count(3))) == [None] * 3
+        assert b"".join(part.read_bytes() for part in parts) == csv_writer_bytes(probs)
         assert len(calls) == 2
-        assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

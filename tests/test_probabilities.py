@@ -247,9 +247,9 @@ class TestPhiModelRobust:
     def test_two_workers_give_the_same_bits(
         self, monkeypatch, forks, logistic, q, split_rows, criterion
     ):
-        # From _SPLIT_ROWS rows two workers score two models a round; Q = 3
-        # leaves a last round of one model, run in the caller.  Below it the
-        # caller scores every round itself, on two CPUs too.
+        # From _SPLIT_ROWS rows on two CPUs the caller scores models 0, 2, ...
+        # and one worker models 1, 3, ...; Q = 3 gives the caller two models.
+        # Below it the caller scores every model itself, on two CPUs too.
         from glmsub import ModelSet
 
         rng = np.random.default_rng(17)
@@ -263,17 +263,18 @@ class TestPhiModelRobust:
         for cpus in (1, 2):
             monkeypatch.setattr(glmsub._workers, "_cpu_budget", lambda: cpus)
             runs.append(phi_model_robust(criterion, logistic, models, thetas, x0, y).probs)
-        assert len(forks) == (2 * (q // 2) if split_rows <= 300 else 0)
+        assert len(forks) == (1 if split_rows <= 300 else 0)
         assert runs[0].tobytes() == runs[1].tobytes()
 
     def test_two_workers_raise_the_first_model_error(self, monkeypatch, forks, logistic):
-        # Both models of the round fail; the caller raises model 0's error,
-        # from two workers and, below _SPLIT_ROWS, from its own round.
+        # Both models fail; the caller raises model 0's error, scored in its
+        # own share while one worker scores model 1 and, below _SPLIT_ROWS,
+        # scored alone.
         models = enumerate_quadratic_models(2, (0,))
         x0 = np.random.default_rng(3).normal(size=(40, 2))
         y = np.tile([0.0, 1.0], 20)
         monkeypatch.setattr(glmsub._workers, "_cpu_budget", lambda: 2)
-        for split_rows, n_forks in ((40, 2), (41, 2)):
+        for split_rows, n_forks in ((40, 1), (41, 1)):
             monkeypatch.setattr(probabilities, "_SPLIT_ROWS", split_rows)
             with pytest.raises(ValidationError, match="theta has length 1"):
                 phi_model_robust("mVc", logistic, models, [np.zeros(1), np.zeros(2)], x0, y)

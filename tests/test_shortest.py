@@ -119,5 +119,5 @@ def test_mixed_values_in_a_split_file(tmp_path, two_cpus, forks):
     out = tmp_path / "p.csv"
     glmsub.cli._write_probabilities(out, values)
     assert out.read_bytes() == b"row,probability\r\n" + reference(values)
-    assert len(forks) == 2
+    assert len(forks) == 1  # the CLI process writes the first half
     assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
