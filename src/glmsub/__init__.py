@@ -28,7 +28,6 @@ from .fitting import (
     WeightedSample,
     fit_weighted_mle,
     fit_weighted_mles,
-    full_information,
     score_and_hessian,
 )
 from .models import (
@@ -44,7 +43,6 @@ from .probabilities import (
     Criterion,
     ProbabilityVector,
     draw_with_replacement,
-    floored_residuals,
     initial_probabilities,
     phi_model_robust,
     phi_single,
@@ -97,7 +95,6 @@ __all__ = [
     "score_and_hessian",
     "fit_weighted_mle",
     "fit_weighted_mles",
-    "full_information",
     # models
     "ModelSpec",
     "ModelSet",
@@ -109,7 +106,6 @@ __all__ = [
     "LazyDesign",
     "ProbabilityVector",
     "initial_probabilities",
-    "floored_residuals",
     "phi_single",
     "phi_model_robust",
     "DEFAULT_EPS",

@@ -35,7 +35,7 @@ class ConfigError(ValidationError):
 
 
 class NumericOverflowError(GlmsubError):
-    """A mean/cumulant evaluation produced a non-finite value."""
+    """A mean evaluation or a Poisson draw produced a non-finite value."""
 
     def __init__(self, message: str, index: int | None = None):
         self.index = index

@@ -3,18 +3,17 @@
 Two families are supported: logistic regression (Bernoulli response,
 logit link) and Poisson regression (log link).  Both have dispersion
 fixed at one and a canonical link, so the natural parameter equals the
-linear predictor eta and each family is fully described by three scalar
+linear predictor eta and each family is fully described by two scalar
 functions:
 
 * ``mean(eta)``     -- inverse link, the conditional mean mu of y,
-* ``cumulant(eta)`` -- the log-normalizer whose derivative is the mean,
 * ``variance(mu)``  -- the variance function var(y) at mean mu, which
   under a canonical link is also the information weight entering
   x x^T sums (``mu (1 - mu)`` for logistic, ``mu`` for Poisson).
 
 Callers evaluate ``mean`` once and derive the weight from its result.
-All three operate elementwise on arrays and are overflow-safe where the
-naive formula is not.
+Both operate elementwise on arrays, and ``mean`` is overflow-safe where
+the naive formula is not.
 """
 
 from __future__ import annotations
@@ -36,10 +35,6 @@ class Family(ABC):
     @abstractmethod
     def mean(self, eta: np.ndarray) -> np.ndarray:
         """Conditional mean of the response at linear predictor ``eta``."""
-
-    @abstractmethod
-    def cumulant(self, eta: np.ndarray) -> np.ndarray:
-        """Log-normalizer evaluated at ``eta`` (its gradient is ``mean``)."""
 
     @abstractmethod
     def variance(self, mu: np.ndarray) -> np.ndarray:
@@ -78,10 +73,6 @@ class Logistic(Family):
         e = np.exp(-np.abs(eta))
         return np.maximum(e, eta >= 0) / (1.0 + e)
 
-    def cumulant(self, eta: np.ndarray) -> np.ndarray:
-        # log(1 + exp(eta)), overflow-safe.
-        return np.logaddexp(0.0, np.asarray(eta, dtype=float))
-
     def variance(self, mu: np.ndarray) -> np.ndarray:
         return mu * (1.0 - mu)
 
@@ -114,10 +105,6 @@ class Poisson(Family):
                 index=idx,
             )
         return lam
-
-    def cumulant(self, eta: np.ndarray) -> np.ndarray:
-        # For the log link the cumulant equals the mean.
-        return self.mean(eta)
 
     def variance(self, mu: np.ndarray) -> np.ndarray:
         return mu

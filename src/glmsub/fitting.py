@@ -68,7 +68,6 @@ __all__ = [
     "score_and_hessian",
     "fit_weighted_mle",
     "fit_weighted_mles",
-    "full_information",
 ]
 
 DEFAULT_TOL = 1e-4
@@ -611,13 +610,3 @@ def _information(family: Family, theta: np.ndarray, design, means: np.ndarray) -
         means[rows] = mu = _block_mean(family, theta @ xt, rows.start)
         info += _gram(xt, family.variance(mu), design.shape[0])
     return info
-
-
-def full_information(family: Family, theta: np.ndarray, design: np.ndarray) -> np.ndarray:
-    """Observed information of the full data, ``(1/N) sum_i
-    variance(mean(eta_i)) x_i x_i^T``, at the given parameter value."""
-    design = np.atleast_2d(np.asarray(design, dtype=float))
-    theta = _checked_theta(theta, design.shape[1])
-    if design.shape[0] == 0:
-        raise ValidationError("the full-data information needs at least one row")
-    return _information(family, theta, design, np.empty(design.shape[0]))

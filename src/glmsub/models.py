@@ -127,9 +127,6 @@ class LazyDesign:
     def shape(self) -> tuple[int, int]:
         return (self.raw.shape[0], self.spec.n_params)
 
-    def __getitem__(self, rows) -> np.ndarray:
-        return build_design(self.spec, self.raw[rows])
-
 
 def validate_alpha(alpha) -> np.ndarray:
     """Check that prior model weights lie in [0, 1] and sum to one."""
@@ -182,9 +179,6 @@ class ModelSet:
 
     def __len__(self) -> int:
         return len(self.specs)
-
-    def __iter__(self):
-        return iter(self.specs)
 
     @property
     def max_params(self) -> int:

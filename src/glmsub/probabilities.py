@@ -56,7 +56,6 @@ from .fitting import (
     _checked_inverse,
     _checked_theta,
     _information,
-    _linear_predictor,
     _row_blocks,
 )
 from .models import LazyDesign, ModelSet
@@ -67,7 +66,6 @@ __all__ = [
     "ProbabilityVector",
     "draw_with_replacement",
     "initial_probabilities",
-    "floored_residuals",
     "phi_single",
     "phi_model_robust",
     "DEFAULT_EPS",
@@ -178,6 +176,8 @@ def initial_probabilities(family: Family, y: np.ndarray) -> ProbabilityVector:
     y = np.asarray(y, dtype=float).ravel()
     family.validate_response(y)
     n = y.shape[0]
+    if n == 0:
+        raise ValidationError("stage-1 probabilities need at least one response")
     if isinstance(family, Logistic):
         n1 = int(y.sum())
         n0 = n - n1
@@ -191,23 +191,10 @@ def initial_probabilities(family: Family, y: np.ndarray) -> ProbabilityVector:
 
 
 def _floor(y, mu: np.ndarray, eps: float) -> np.ndarray:
-    """``max(|y_i - mu_i|, eps)`` for a positive ``eps``."""
-    if eps <= 0:
-        raise ValidationError(f"eps must be positive, got {eps}")
+    """``max(|y_i - mu_i|, eps)`` for a positive, finite ``eps``."""
+    if not 0 < eps < np.inf:  # NaN too
+        raise ValidationError(f"eps must be positive and finite, got {eps}")
     return np.maximum(np.abs(np.asarray(y, dtype=float).ravel() - mu), eps)
-
-
-def floored_residuals(
-    family: Family,
-    theta: np.ndarray,
-    design: np.ndarray,
-    y: np.ndarray,
-    eps: float = DEFAULT_EPS,
-) -> np.ndarray:
-    """Absolute residuals ``|y_i - mean(eta_i)|`` floored at ``eps`` so that
-    perfectly fitted rows keep a positive selection probability."""
-    design = np.atleast_2d(np.asarray(design, dtype=float))
-    return _floor(y, family.mean(_linear_predictor(theta, design)), eps)
 
 
 def _scores(
@@ -218,6 +205,10 @@ def _scores(
     (d x B) into the N-vector ``out``, which is returned.  Each row's mean
     is evaluated once: mMSE keeps it in ``out`` between its two passes."""
     theta = _checked_theta(theta, design.shape[1])
+    if design.shape[0] == 0:
+        raise ValidationError("the probabilities need at least one row")
+    if y.shape[0] != design.shape[0]:
+        raise ValidationError(f"{y.shape[0]} responses for {design.shape[0]} design rows")
     if criterion is Criterion.MMSE:
         inv = _checked_inverse(
             _information(family, theta, design, out),

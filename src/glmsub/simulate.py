@@ -222,7 +222,7 @@ _LARGEST = " (largest model size + 1)"
 
 
 def _check_run(config, r: "int | None" = None) -> None:
-    """The rules every run config shares: criterion mMSE or mVc, eps > 0,
+    """The rules every run config shares: criterion mMSE or mVc, 0 < eps < inf,
     seed >= 0, replicates >= 1, a non-empty strictly ascending ``r_grid``,
     ``r0 >= d_max + 1`` and every stage-2 size (``r`` or each ``r_grid``
     entry) >= ``r0``.  ``criterion`` becomes a :class:`Criterion`."""
@@ -230,8 +230,8 @@ def _check_run(config, r: "int | None" = None) -> None:
         object.__setattr__(config, "criterion", Criterion.optimality(config.criterion))
     except ValidationError as exc:
         raise ConfigError("criterion", str(exc)) from None
-    if not config.eps > 0:
-        raise ConfigError("eps", f"must be positive, got {config.eps}")
+    if not 0 < config.eps < np.inf:  # NaN too
+        raise ConfigError("eps", f"must be positive and finite, got {config.eps}")
     if config.master_seed < 0:
         raise ConfigError("seed", f"must be non-negative, got {config.master_seed}")
     if config.n_replicates is not None:

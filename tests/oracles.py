@@ -53,18 +53,23 @@ def weight_function(eta, kind: str):
     return np.exp(np.asarray(eta, dtype=float))
 
 
+def cumulant_function(eta, kind: str):
+    """The log-normalizer b(eta), whose derivative is the mean:
+    log(1 + e^eta) (logistic) or e^eta (Poisson)."""
+    eta = np.asarray(eta, dtype=float)
+    if kind == "logistic":
+        return np.log1p(np.exp(eta))
+    if kind == "poisson":
+        return np.exp(eta)
+    raise ValueError(kind)
+
+
 def weighted_loglik(kind: str, theta, x, y, probs) -> float:
     """(1/n) sum_i (y_i eta_i - b(eta_i)) / pi_i with eta = x theta: the
     inverse-probability-weighted log-likelihood of n sample rows, additive
-    constants in y dropped, where b(eta) = log(1 + e^eta) (logistic) or
-    e^eta (Poisson)."""
+    constants in y dropped, where b is :func:`cumulant_function`."""
     eta = np.asarray(x, dtype=float) @ np.asarray(theta, dtype=float)
-    if kind == "logistic":
-        cumulant = np.log1p(np.exp(eta))
-    elif kind == "poisson":
-        cumulant = np.exp(eta)
-    else:
-        raise ValueError(kind)
+    cumulant = cumulant_function(eta, kind)
     y = np.asarray(y, dtype=float)
     return float(np.sum((y * eta - cumulant) / np.asarray(probs, dtype=float)) / len(y))
 

@@ -23,8 +23,6 @@ from glmsub import (
     draw_with_replacement,
     enumerate_quadratic_models,
     fit_weighted_mle,
-    floored_residuals,
-    full_information,
     phi_model_robust,
     phi_single,
     read_metrics_csv,
@@ -36,7 +34,14 @@ import glmsub._workers
 from glmsub.cli import main as cli_main
 
 from conftest import make_logistic_data, make_poisson_data
-from oracles import irls_glm, phi_model_robust_oracle, phi_oracle, weighted_loglik
+from oracles import (
+    info_matrix_loop,
+    irls_glm,
+    mean_function,
+    phi_model_robust_oracle,
+    phi_oracle,
+    weighted_loglik,
+)
 
 MASTER_SEED = 20260810  # declared up front for every Monte Carlo criterion
 
@@ -111,12 +116,14 @@ def test_02_optimality_of_model_averaged_probabilities():
         ]  # frozen pilot estimates
 
         def objective(phi, trace_of):
+            # Residuals and J_X from the oracles, not from glmsub's passes.
             total = 0.0
             for a, spec, th in zip(models.alpha, models.specs, thetas):
                 design = build_design(spec, raw)
-                res2 = floored_residuals(family, th, design, y) ** 2
+                res = np.abs(y - mean_function(design @ th, "logistic"))
+                res2 = np.maximum(res, 1e-6) ** 2  # the default eps, as in phi_oracle
                 if trace_of == "variance":
-                    info = full_information(family, th, design)
+                    info = info_matrix_loop(design, th, "logistic")
                     t = np.linalg.solve(info, design.T)
                     norms2 = np.einsum("ji,ji->i", t, t)
                 else:

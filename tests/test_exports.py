@@ -1,0 +1,23 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import glmsub
+
+SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(glmsub.__path__))
+
+
+@pytest.mark.parametrize("name", ["glmsub"] + [f"glmsub.{m}" for m in SUBMODULES])
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", ())
+    assert len(set(exported)) == len(exported), f"{name}.__all__ repeats a name"
+    missing = [attr for attr in exported if not hasattr(module, attr)]
+    assert not missing, f"{name}.__all__ names what the module lacks: {missing}"
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from glmsub import *", namespace)
+    assert set(glmsub.__all__) <= set(namespace)

@@ -20,7 +20,6 @@ from glmsub import (
     fit_weighted_mle,
     fit_weighted_mles,
     full_data_mles,
-    full_information,
     phi_single,
     score_and_hessian,
 )
@@ -655,16 +654,23 @@ class TestColumnLayoutCache:
 
 
 class TestFullInformation:
+    """``fitting._information`` is the one pass that sums the full-data J_X."""
+
+    @staticmethod
+    def information(family, theta, design):
+        theta = np.asarray(theta, dtype=float)
+        return glmsub.fitting._information(family, theta, design, np.empty(design.shape[0]))
+
     def test_logistic_unit_design(self, logistic):
         design = np.ones((7, 1))
         np.testing.assert_allclose(
-            full_information(logistic, np.zeros(1), design), [[0.25]], rtol=1e-15
+            self.information(logistic, np.zeros(1), design), [[0.25]], rtol=1e-15
         )
 
     def test_poisson_unit_design(self, poisson):
         design = np.ones((4, 1))
         np.testing.assert_allclose(
-            full_information(poisson, np.zeros(1), design), [[1.0]], rtol=1e-15
+            self.information(poisson, np.zeros(1), design), [[1.0]], rtol=1e-15
         )
 
     @pytest.mark.parametrize("kind", ["logistic", "poisson"])
@@ -673,18 +679,20 @@ class TestFullInformation:
         x = rng.normal(size=(5, 2))
         theta = rng.normal(0, 0.5, size=2)
         np.testing.assert_allclose(
-            full_information(family, theta, x),
+            self.information(family, theta, x),
             info_matrix_loop(x, theta, kind),
             atol=1e-12,
         )
 
     def test_dimension_mismatch(self, logistic):
-        with pytest.raises(ValidationError):
-            full_information(logistic, np.zeros(3), np.ones((5, 2)))
+        # mMSE checks theta against the design before its information pass.
+        with pytest.raises(ValidationError, match="theta has length 3 but design has 2"):
+            phi_single("mMSE", logistic, np.zeros(3), np.ones((5, 2)), np.ones(5))
 
     def test_zero_rows_are_rejected(self, logistic):
+        # No information pass runs over zero rows.
         with pytest.raises(ValidationError, match="at least one row"):
-            full_information(logistic, np.zeros(2), np.ones((0, 2)))
+            phi_single("mMSE", logistic, np.zeros(2), np.ones((0, 2)), np.ones(0))
 
 
 class TestMeanEvaluations:

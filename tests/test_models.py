@@ -119,7 +119,8 @@ class TestFeatureRows:
         assert build_design(spec, raw).flags.c_contiguous
         lazy = LazyDesign(spec, raw)
         assert lazy.shape == (30, 5)
-        assert lazy[3:9].tobytes() == design[3:9].tobytes()
+        block = _feature_rows(lazy.spec, lazy.raw, slice(3, 9))
+        assert block.tobytes() == np.ascontiguousarray(design[3:9].T).tobytes()
 
     def test_lazy_design_checks_covariates(self):
         with pytest.raises(ValidationError, match="covariate index 2"):
@@ -181,9 +182,9 @@ class TestEnumerateQuadraticModels:
     def test_two_continuous_gives_four(self):
         models = enumerate_quadratic_models(2, (0, 1))
         assert len(models) == 4
-        quads = [spec.quadratic_terms for spec in models]
+        quads = [spec.quadratic_terms for spec in models.specs]
         assert quads == [(), (0,), (1,), (0, 1)]
-        assert all(spec.main_effects == (0, 1) for spec in models)
+        assert all(spec.main_effects == (0, 1) for spec in models.specs)
         np.testing.assert_allclose(models.alpha, [0.25] * 4)
 
     def test_three_continuous_gives_eight(self):

@@ -9,6 +9,7 @@ import glmsub._workers
 import glmsub.fitting
 import glmsub.probabilities as probabilities
 from glmsub import (
+    DEFAULT_EPS,
     Criterion,
     DegenerateResponseError,
     LazyDesign,
@@ -18,7 +19,6 @@ from glmsub import (
     ValidationError,
     build_design,
     enumerate_quadratic_models,
-    floored_residuals,
     initial_probabilities,
     phi_model_robust,
     phi_single,
@@ -68,6 +68,11 @@ class TestInitialProbabilities:
         with pytest.raises(DegenerateResponseError):
             initial_probabilities(logistic, np.zeros(5))
 
+    def test_empty_response_is_refused(self, logistic, poisson):
+        for family in (logistic, poisson):
+            with pytest.raises(ValidationError, match="at least one response"):
+                initial_probabilities(family, np.array([]))
+
     def test_poisson_uniform(self, poisson):
         pv = initial_probabilities(poisson, np.array([0, 1, 2, 3, 4]))
         np.testing.assert_allclose(pv.probs, [0.2] * 5)
@@ -75,27 +80,49 @@ class TestInitialProbabilities:
 
 
 class TestFlooredResiduals:
+    """``probabilities._floor`` floors every residual the kernel scores."""
+
     def test_floor_engages_on_exact_fit(self, poisson):
         # y equals the conditional mean exactly, so the floor applies.
-        res = floored_residuals(
-            poisson, np.zeros(1), np.ones((3, 1)), np.ones(3), eps=1e-6
-        )
+        res = probabilities._floor(np.ones(3), poisson.mean(np.zeros(3)), 1e-6)
         np.testing.assert_array_equal(res, [1e-6] * 3)
 
     def test_logistic_half(self, logistic):
-        res = floored_residuals(logistic, np.zeros(1), np.ones((1, 1)), np.array([1.0]))
+        res = probabilities._floor(np.array([1.0]), logistic.mean(np.zeros(1)), DEFAULT_EPS)
         np.testing.assert_allclose(res, [0.5])
 
     def test_poisson_two(self, poisson):
-        res = floored_residuals(poisson, np.zeros(1), np.ones((1, 1)), np.array([3.0]))
+        res = probabilities._floor(np.array([3.0]), poisson.mean(np.zeros(1)), DEFAULT_EPS)
         np.testing.assert_allclose(res, [2.0])
 
     def test_eps_positive(self, poisson):
         with pytest.raises(ValidationError):
-            floored_residuals(poisson, np.zeros(1), np.ones((1, 1)), np.ones(1), eps=0.0)
+            probabilities._floor(np.ones(1), poisson.mean(np.zeros(1)), 0.0)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("criterion", ["mMSE", "mVc"])
+    def test_non_finite_eps_is_refused_by_name(self, logistic, criterion, eps):
+        x, y = make_logistic_data(20, [0.2, -0.4], np.random.default_rng(5))
+        with pytest.raises(ValidationError, match="^eps must be positive and finite, got"):
+            phi_single(criterion, logistic, np.zeros(2), x, y, eps=eps)
 
 
 class TestPhiSingle:
+    @pytest.mark.parametrize("criterion", ["mMSE", "mVc"])
+    def test_response_length_must_match_rows(self, logistic, criterion):
+        x = np.column_stack([np.ones(5), np.arange(5.0)])
+        for y in (np.ones(3), np.ones(7)):
+            with pytest.raises(ValidationError, match=f"^{len(y)} responses for 5 design rows$"):
+                phi_single(criterion, logistic, np.zeros(2), x, y)
+        models = enumerate_quadratic_models(1, ())
+        with pytest.raises(ValidationError, match="^3 responses for 5 design rows$"):
+            phi_model_robust(criterion, logistic, models, [np.zeros(2)], x[:, 1:], np.ones(3))
+
+    def test_zero_rows_are_refused(self, logistic):
+        # mMSE: test_fitting.TestFullInformation::test_zero_rows_are_rejected.
+        with pytest.raises(ValidationError, match="at least one row"):
+            phi_single("mVc", logistic, np.zeros(2), np.ones((0, 2)), np.ones(0))
+
     def test_uniform_when_scores_equal(self, logistic):
         # Equal residuals and equal row norms: proportionality gives 1/N.
         design = np.ones((8, 1))

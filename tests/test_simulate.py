@@ -394,6 +394,8 @@ class TestScenarioConfig:
             ("n_replicates", 0, "replicates"),
             ("master_seed", -1, "seed"),
             ("eps", 0.0, "eps"),
+            ("eps", np.nan, "eps"),
+            ("eps", np.inf, "eps"),
             ("r_grid", (), "r_grid"),
             ("r_grid", (60, 60), "r_grid"),
             ("r0", 5, "r0"),
@@ -403,7 +405,7 @@ class TestScenarioConfig:
             ("criterion", "uniform", "criterion"),
         ],
         ids=[
-            "replicates-zero", "seed-negative", "eps-zero", "r-grid-empty",
+            "replicates-zero", "seed-negative", "eps-zero", "eps-nan", "eps-inf", "r-grid-empty",
             "r-grid-repeated", "r0-below-model-size", "r-grid-below-r0", "population-small",
             "criterion-unknown", "criterion-not-optimality",
         ],
