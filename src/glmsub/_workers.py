@@ -7,10 +7,10 @@ Linux, share w holding tasks w, w + W, ...; both fork through
 * :func:`_fork_stream` yields the results in task order.  The caller runs
   share 0 itself, and each other share runs in one worker, forked once for
   the whole call.  Its tasks are the phases that read every row: the
-  ranges of a large CSV body (:func:`glmsub.datasets.load_csv`), the
-  model-robust models on many rows
-  (:func:`glmsub.probabilities.phi_model_robust`) and the two halves of a
-  large probability file.
+  ranges of a large CSV body (:func:`glmsub.datasets.load_csv`), and from
+  ``_SPLIT_ROWS`` rows the model-robust models
+  (:func:`glmsub.probabilities.phi_model_robust`) and the row blocks of a
+  probability file (:func:`glmsub.cli._write_probabilities`).
 * :func:`_fork_map` returns the results as a list, every share in a
   worker and the caller idle.  Its tasks are the Monte Carlo replicates
   and ssmse's full-data fit.  A caller that ran replicates too raised the
@@ -32,6 +32,22 @@ import sys
 import numpy as np
 
 _in_worker = False  # set in every forked worker, whose own maps run inline
+# From this many rows the model-robust scoring and the probability write are
+# shared out between this process and forked workers; on a 2-vCPU VM the
+# break-even of both lies near 2^16 rows.  Medians of 21 interleaved
+# in-process calls under the CLI's malloc settings, one process -> this
+# process and one worker (pairs where two were lower):
+# - mMSE with the 8 quadratic models of three covariates: 10.8 -> 15.5 ms at
+#   2^14 (5 of 21), 23.0 -> 21.5 ms at 2^16 (16), 38.4 -> 31.1 ms at 98,304
+#   (18), 43.6 -> 35.1 ms at 2^17 (17), 86.2 -> 58.5 ms at 2^18 (21) and
+#   441.4 -> 258.2 ms at 2^20 (21).  A second sweep of 31 pairs had two lower
+#   in 19 of 31 at 2^16, 26 at 98,304 and 31 at 2^17.
+# - writes of 8,192-row blocks after a load_csv of the data: 11.4 -> 13.2 ms
+#   at 2^15 (3 of 21), 19.9 -> 17.9 ms at 2^16 (20), 28.9 -> 24.2 ms at
+#   98,304 (18), 32.9 -> 28.6 ms at 2^17 (21), 55.1 -> 40.2 ms at 196,608
+#   (21) and 62.2 -> 49.9 ms at 2^18 (20).  A second sweep of 31 pairs had
+#   two lower in 2 of 31 at 2^15, 21 at 2^16, 28 at 98,304 and 28 at 2^17.
+_SPLIT_ROWS = 1 << 17
 
 
 def _cpu_budget() -> int:

@@ -18,7 +18,7 @@ without changing results, while the CLI process waits.  ``subsample`` and
 large probability write among the CLI process and one forked worker per
 other usable CPU (:mod:`glmsub.datasets`, :mod:`glmsub.probabilities`):
 the CLI process parses every W-th range, scores every W-th model and
-writes the first half of the file itself.  ``taskset -c 0`` keeps one
+formats every W-th block of the file itself.  ``taskset -c 0`` keeps one
 process.  While workers run, the CLI process holds OpenBLAS at one
 thread, which each worker inherits.
 Outputs are written atomically (temp file + rename) and every CSV gets a
@@ -33,13 +33,13 @@ any data is read.
 A probability file holds the rows ``i,repr(p)``.  :mod:`glmsub._shortest`
 computes the shortest round-trip digits of a block of values in [1e-10,
 1e-4) with NumPy integer arithmetic and takes ``repr`` for any other
-value, so the bytes are those of one ``repr`` per value.  A file of
-``_SPLIT_ROWS`` rows or more is formatted in two halves when two or more
-CPUs are usable on Linux: the CLI process writes the header and the first
-half, and one forked worker the second.  The bytes are the same either
-way, and ``taskset -c 0`` keeps the write to one process.  When the
-system refuses a fork, every command runs all of its work in the CLI
-process.
+value, so the bytes are those of one ``repr`` per value.  The rows are
+formatted in blocks of ``WRITE_ROWS``; from ``_workers._SPLIT_ROWS`` rows
+block k goes to share k mod W, one share per usable CPU on Linux, and the
+CLI process writes the header and then every block in order.  The bytes
+are the same either way, and ``taskset -c 0`` keeps the write to one
+process.  When the system refuses a fork, every command runs all of its
+work in the CLI process.
 
 On glibc, :func:`main` first fixes malloc's mmap threshold at 32 MiB and
 its trim threshold at 64 MiB, the ceiling glibc's own dynamic rule reaches,
@@ -56,10 +56,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import mmap
 import os
-import shutil
 import sys
-import tempfile
+from contextlib import closing
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -67,9 +67,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import __version__, _shortest
+from . import __version__, _shortest, _workers
 from ._artifacts import _atomic_path, _csv_text, atomic_write, read_metrics_csv, write_metrics_csv
-from ._workers import _fork_stream, _worker_count
 from .config import RealDataConfig, parse_config
 from .datasets import load_csv
 from .errors import (
@@ -86,20 +85,11 @@ from .twostage import pilot_probabilities
 __all__ = ["main", "write_metrics_csv", "read_metrics_csv", "atomic_write"]
 
 OUT_DIR_ENV = "GLMSUB_OUT_DIR"
-# Probability files of at least this many rows are formatted in two halves,
-# the second by a forked worker; on a 2-vCPU VM the break-even lies between
-# 2^16 and 98,304 rows, and near 2^17 when two forked workers wrote both
-# halves.  Medians of 21 interleaved in-process writes after a load_csv of
-# the data, under the CLI's malloc settings, one process -> this process and
-# one worker (pairs where two were lower): 12.1 -> 15.5 ms at 2^15 (0 of 21),
-# 22.8 -> 23.2 ms at 2^16 (9), 34.9 -> 29.1 ms at 98,304 (15), 43.9 -> 35.0
-# ms at 2^17 (21), 83.6 -> 63.4 ms at 196,608 (21) and 112.2 -> 71.0 ms at
-# 2^18 (20).
-_SPLIT_ROWS = 1 << 17
-# Probability rows formatted per write, so the text of all N rows never
-# exists at once.  Writing 1e6 rows in one process grows the resident set by
-# about 3.4 MB at 8,192 rows and 23 MB at 65,536; 4,096 to 16,384 rows per
-# write take the same time (0.27-0.30 s), 1,024 takes 0.47 s.
+# Probability rows per block: one task of the write, formatted into its
+# share's region, so the text of all N rows never exists at once.  Writing
+# 1e6 rows in one process grew the resident set by about 3.4 MB at 8,192 rows
+# a block and 23 MB at 65,536; 4,096 to 16,384 rows took the same time
+# (0.27-0.30 s), 1,024 took 0.47 s.
 WRITE_ROWS = 8192
 
 
@@ -129,41 +119,38 @@ def _write_meta(out_path: Path, config_path: Path, seed: int, mode: str, extra: 
     )
 
 
-def _write_rows(name: str, head: bytes, start: int, probs: np.ndarray) -> None:
-    """Write ``head``, then the rows ``i,repr(p)`` of ``probs`` numbered from
-    ``start`` (the bytes csv.writer gives, as no field needs quoting), to
-    the file ``name``, replacing what it held, so that a task that runs
-    again writes the same bytes.  :func:`glmsub._shortest.rows` formats
-    ``WRITE_ROWS`` rows at a time."""
-    with open(name, "wb") as fh:
-        fh.write(head)
-        for k in range(0, probs.shape[0], WRITE_ROWS):
-            fh.write(_shortest.rows(probs[k : k + WRITE_ROWS], start + k))
+def _format_rows(region: mmap.mmap, probs: np.ndarray, start: int) -> int:
+    """Format the rows ``i,repr(p)`` of ``probs``, numbered from ``start``,
+    into the head of ``region`` and return their byte count."""
+    text = _shortest.rows(probs, start)
+    region[: len(text)] = text
+    return len(text)
 
 
 def _write_probabilities(path: "str | Path", probs: np.ndarray) -> None:
-    """Write the probability file through :func:`glmsub._workers._fork_stream`.
-    From ``_SPLIT_ROWS`` rows on it passes two tasks: this process writes
-    the header and rows ``[0, N/2)`` straight into the output's temp file,
-    and a forked worker, if a second CPU is usable, the other rows into a
-    part file beside it, which is then appended.  Below, this process
-    writes the header and every row, and the part file stays empty."""
+    """Write the probability file: the header, then the rows ``i,repr(p)``
+    (the bytes csv.writer gives, as no field needs quoting).  Block k of
+    ``WRITE_ROWS`` rows is a :func:`glmsub._workers._fork_stream` task that
+    formats it into share k mod W's one shared region, and this process
+    writes each region's bytes in block order.  W is one share per usable
+    CPU from ``_workers._SPLIT_ROWS`` rows, and 1 below."""
     path = Path(path)
     probs = np.asarray(probs, dtype=np.float64)
     n = probs.shape[0]
-    m = n // 2 if n >= _SPLIT_ROWS else n
-    with _atomic_path(path) as tmp:
-        fd, part = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".part")
-        os.close(fd)
-        try:
-            lower = partial(_write_rows, tmp, b"row,probability\r\n", 0, probs[:m])
-            upper = partial(_write_rows, part, b"", m, probs[m:])
-            tasks = [lower, upper] if m < n else [lower]
-            list(_fork_stream(tasks, _worker_count(len(tasks))))
-            with open(tmp, "ab") as out, open(part, "rb") as rest:
-                shutil.copyfileobj(rest, out)
-        finally:
-            os.unlink(part)
+    starts = range(0, n, WRITE_ROWS)
+    shares = _workers._worker_count(len(starts)) if n >= _workers._SPLIT_ROWS else 1
+    # A row is at most the row number, a comma, a 24-character repr and CRLF.
+    regions = [mmap.mmap(-1, WRITE_ROWS * (len(str(n)) + 27)) for _ in range(shares)]
+    tasks = [
+        partial(_format_rows, regions[k % shares], probs[a : a + WRITE_ROWS], a)
+        for k, a in enumerate(starts)
+    ]
+    with _atomic_path(path) as tmp, open(tmp, "wb") as fh:
+        fh.write(b"row,probability\r\n")
+        # Closed however the loop ends, so that no worker outlives the write.
+        with closing(_workers._fork_stream(tasks, shares)) as stream:
+            for k, size in enumerate(stream):
+                fh.write(regions[k % shares][:size])
 
 
 def _load_config(args, mode: str, suffix: str) -> "tuple[ScenarioConfig | RealDataConfig, Path]":

@@ -391,6 +391,8 @@ def parse_config(path: "str | Path") -> "ScenarioConfig | RealDataConfig":
     path = Path(path)
     if not path.exists():
         raise ConfigError(str(path), "config file not found")
+    if path.is_dir():
+        raise ConfigError(str(path), "is a directory, not a config file")
     with open(path, encoding="utf-8") as fh:
         try:
             data = yaml.safe_load(fh)

@@ -259,6 +259,8 @@ def load_csv(
     path = Path(descriptor.path)
     if not path.exists():
         raise ValidationError(f"dataset file not found: {path}")
+    if path.is_dir():
+        raise ValidationError(f"dataset {path} is a directory, not a CSV file")
     columns = [descriptor.response, *descriptor.covariate_names]
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:

@@ -29,10 +29,10 @@ and accumulates J_X, a second scores the rows; mVc needs one pass.
 Memory therefore grows with N only through N-vectors, never through an
 N x d array: a :class:`LazyDesign` builds each block straight from the
 raw covariates.  :func:`phi_model_robust` scores one model at a time
-into an N-vector per share: from ``_SPLIT_ROWS`` rows the models are
-shared out by :func:`glmsub._workers._fork_stream`, this process scoring
-every W-th model and one forked worker per other usable CPU the rest,
-for one more N-vector held per worker.
+into an N-vector per share: from ``_workers._SPLIT_ROWS`` rows the
+models are shared out by :func:`glmsub._workers._fork_stream`, this
+process scoring every W-th model and one forked worker per other usable
+CPU the rest, for one more N-vector held per worker.
 
 :func:`draw_with_replacement` draws the row indices of a subsample from
 such a vector.
@@ -73,16 +73,6 @@ __all__ = [
 
 DEFAULT_EPS = 1e-6
 PROB_SUM_TOL = 1e-10
-# From this many rows the model-robust models are shared out between this
-# process and forked workers; on a 2-vCPU VM the break-even lies near 2^16
-# rows.  Medians of 21 interleaved in-process mMSE calls with the 8 quadratic
-# models of three covariates under the CLI's malloc settings, one process ->
-# this process and one worker (pairs where two were lower): 10.8 -> 15.5 ms
-# at 2^14 (5 of 21), 23.0 -> 21.5 ms at 2^16 (16), 38.4 -> 31.1 ms at 98,304
-# (18), 43.6 -> 35.1 ms at 2^17 (17), 86.2 -> 58.5 ms at 2^18 (21) and 441.4
-# -> 258.2 ms at 2^20 (21).  A second sweep of 31 pairs had two lower in 19
-# of 31 at 2^16, 26 at 98,304 and 31 at 2^17.
-_SPLIT_ROWS = 1 << 17
 
 
 class Criterion(str, Enum):
@@ -274,13 +264,13 @@ def phi_model_robust(
     probability vector, bounded row-wise by the per-model extremes.
 
     Each model is scored straight into an N-vector, which is added to the
-    sum in model order.  From ``_SPLIT_ROWS`` rows the models go through
-    :func:`glmsub._workers._fork_stream`: model q runs in share q mod W,
-    one share per usable CPU on Linux, this process scoring share 0 into a
-    heap vector and each forked worker its share into one shared vector.
-    Below it, and on one CPU, this process scores every model into one
-    vector.  The bits are the same either way, and the first model error
-    in model order is raised.
+    sum in model order.  From ``_workers._SPLIT_ROWS`` rows the models go
+    through :func:`glmsub._workers._fork_stream`: model q runs in share q
+    mod W, one share per usable CPU on Linux, this process scoring share 0
+    into a heap vector and each forked worker its share into one shared
+    vector.  Below it, and on one CPU, this process scores every model
+    into one vector.  The bits are the same either way, and the first
+    model error in model order is raised.
     """
     criterion = Criterion.optimality(criterion)
     if len(thetas) != len(models):
@@ -288,7 +278,7 @@ def phi_model_robust(
     raw = np.atleast_2d(np.asarray(raw, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     n = raw.shape[0]
-    shares = _workers._worker_count(len(models)) if n >= _SPLIT_ROWS else 1
+    shares = _workers._worker_count(len(models)) if n >= _workers._SPLIT_ROWS else 1
     # Share 0 scores into the heap: a first touch of shared memory costs
     # more, and one-process scoring at N = 1e4-1e5 took 10-20% longer into
     # shared vectors.

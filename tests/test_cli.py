@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import mmap
 import os
 import platform
 import re
@@ -9,7 +10,6 @@ import stat
 import subprocess
 import sys
 import time
-from functools import partial
 
 import numpy as np
 import pytest
@@ -399,48 +399,58 @@ class TestProbabilitiesCommand:
 
 def split_probs(n):
     """Random values with 5e-324, 1/3, 0.5 and 1e-7 on both sides of row
-    n // 2, where a split write hands the rows over to its helper."""
+    n // 2, which near _SPLIT_ROWS is a block edge where the rows pass from
+    one share of the write to the next."""
     probs = np.random.default_rng(n).random(n)
     m = n // 2
     probs[m - 4 : m + 4] = [5e-324, 1 / 3, 0.5, 1e-7] * 2
     return probs
 
 
-_write_rows = glmsub.cli._write_rows
+_format_rows = glmsub.cli._format_rows
 
 
-def _part_write_fails(part, head, start, probs):
-    """A worker's row write, failing the way a full disk makes it; the
-    first half, which the CLI process writes itself, is written."""
-    if not start:
-        return _write_rows(part, head, start, probs)
-    with open(part, "w", encoding="utf-8") as fh:
-        fh.write(f"{start},")
+def _worker_format_fails(region, probs, start):
+    """The block formatter, failing in a worker the way a full disk makes
+    it; the blocks of the CLI process's share are formatted."""
+    if not glmsub._workers._in_worker:
+        return _format_rows(region, probs, start)
     raise OSError("disk full")
 
 
-def _part_writer_dies(part, head, start, probs):
-    if not start:
-        return _write_rows(part, head, start, probs)
+def _worker_format_dies(region, probs, start):
+    if not glmsub._workers._in_worker:
+        return _format_rows(region, probs, start)
     os.kill(os.getpid(), signal.SIGKILL)
 
 
 class TestSplitWriter:
-    # T - 1 and T + 1 are odd, so the two processes get unequal shares.
+    # T - 1 and T + 1 are not multiples of WRITE_ROWS: the last block is short.
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_bytes_around_the_threshold(self, tmp_path, two_cpus, forks, offset):
-        probs = split_probs(glmsub.cli._SPLIT_ROWS + offset)
+        probs = split_probs(glmsub._workers._SPLIT_ROWS + offset)
         out = tmp_path / "p.csv"
         glmsub.cli._write_probabilities(out, probs)
         assert out.read_bytes() == csv_writer_bytes(probs)
-        assert len(forks) == (offset >= 0)  # the CLI process writes the first half
+        assert len(forks) == (offset >= 0)  # one worker formats every other block
         assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
         with pytest.raises(ChildProcessError):  # the workers were reaped
             os.waitpid(-1, os.WNOHANG)
 
+    def test_three_shares_give_the_same_bytes(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(glmsub._workers, "_cpu_budget", lambda: 3)
+        probs = split_probs(glmsub._workers._SPLIT_ROWS + 1)
+        out = tmp_path / "p.csv"
+        glmsub.cli._write_probabilities(out, probs)
+        assert out.read_bytes() == csv_writer_bytes(probs)
+        assert len(forks) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_one_process_on_one_cpu(self, tmp_path, monkeypatch, forks):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        probs = split_probs(glmsub.cli._SPLIT_ROWS + 1)
+        probs = split_probs(glmsub._workers._SPLIT_ROWS + 1)
         out = tmp_path / "p.csv"
         glmsub.cli._write_probabilities(out, probs)
         assert out.read_bytes() == csv_writer_bytes(probs)
@@ -451,25 +461,27 @@ class TestSplitWriter:
             raise OSError("Resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", refuse)
-        probs = split_probs(glmsub.cli._SPLIT_ROWS + 1)
+        probs = split_probs(glmsub._workers._SPLIT_ROWS + 1)
         out = tmp_path / "p.csv"
         glmsub.cli._write_probabilities(out, probs)
         assert out.read_bytes() == csv_writer_bytes(probs)
         assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
 
     def test_refused_second_fork_after_the_first_worker_wrote(self, tmp_path, monkeypatch):
-        # Thirds of the rows in a three-share stream: the second fork is
-        # refused once the first worker has written part of its third; the
-        # worker is killed and the caller writes every third again, over
-        # what the worker left.
+        # A three-share write: the second fork is refused once the first
+        # worker has formatted a block into its region; the worker is
+        # killed and the caller formats every block again, over what the
+        # worker left.
         monkeypatch.setattr(glmsub._workers, "_cpu_budget", lambda: 3)
-        probs = split_probs(glmsub.cli._SPLIT_ROWS + 1)
-        cuts = [0, len(probs) // 3, 2 * len(probs) // 3, len(probs)]
-        parts = [tmp_path / f"part{k}" for k in range(3)]
-        tasks = [
-            partial(glmsub.cli._write_rows, part, b"" if k else b"row,probability\r\n", a, probs[a:b])
-            for k, (part, a, b) in enumerate(zip(parts, cuts, cuts[1:]))
-        ]
+        formatted = mmap.mmap(-1, 1)  # set by a worker, seen by this process
+
+        def format_rows(region, probs, start):
+            size = _format_rows(region, probs, start)
+            if glmsub._workers._in_worker:
+                formatted[0] = 1
+            return size
+
+        monkeypatch.setattr(glmsub.cli, "_format_rows", format_rows)
         fork = os.fork
         calls = []
 
@@ -478,30 +490,35 @@ class TestSplitWriter:
             if len(calls) == 1:
                 return fork()
             deadline = time.monotonic() + 60
-            while not (parts[1].exists() and parts[1].stat().st_size >= 1 << 16):
+            while not formatted[0]:
                 assert time.monotonic() < deadline
                 time.sleep(0.001)
             raise OSError("Resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", refuse_second)
-        assert list(glmsub._workers._fork_stream(tasks, glmsub._workers._worker_count(3))) == [None] * 3
-        assert b"".join(part.read_bytes() for part in parts) == csv_writer_bytes(probs)
+        probs = split_probs(glmsub._workers._SPLIT_ROWS + 1)
+        out = tmp_path / "p.csv"
+        glmsub.cli._write_probabilities(out, probs)
+        assert out.read_bytes() == csv_writer_bytes(probs)
+        assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
         assert len(calls) == 2
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     def test_failing_helper_is_runtime(self, tmp_path, monkeypatch, capsys, two_cpus):
-        # The helper's error reaches main as itself; a helper that dies is
-        # a ChildProcessError.  Either way nothing is left behind.
-        monkeypatch.setattr(glmsub.cli, "_SPLIT_ROWS", 100)
+        # A worker's error reaches main as itself; a worker that dies is a
+        # ChildProcessError.  Either way nothing is left behind.  400 rows
+        # in blocks of 100 are four blocks, two in the worker's share.
+        monkeypatch.setattr(glmsub._workers, "_SPLIT_ROWS", 100)
+        monkeypatch.setattr(glmsub.cli, "WRITE_ROWS", 100)
         csv_path = make_dataset_csv(tmp_path / "d.csv")
         config = write(tmp_path, real_yaml(csv_path, mode="probabilities"))
         outdir = tmp_path / "out"
         for fail, message in (
-            (_part_write_fails, "disk full"),
-            (_part_writer_dies, "a worker process died: killed by signal 9"),
+            (_worker_format_fails, "disk full"),
+            (_worker_format_dies, "a worker process died: killed by signal 9"),
         ):
-            monkeypatch.setattr(glmsub.cli, "_write_rows", fail)
+            monkeypatch.setattr(glmsub.cli, "_format_rows", fail)
             assert main(["probabilities", str(config), "--out", str(outdir / "p.csv")]) == 2
             assert capsys.readouterr().err == f"glmsub: error: {message}\n"
             assert list(outdir.iterdir()) == []
@@ -565,6 +582,19 @@ class TestExitCodes:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", str(tmp_path / "none.yaml")]) == 1
+
+    def test_directory_as_config_names_it(self, tmp_path, capsys):
+        config = tmp_path / "cfgdir"
+        config.mkdir()
+        assert main(["subsample", str(config)]) == 1
+        assert capsys.readouterr().err == f"glmsub: error: {config}: is a directory, not a config file\n"
+
+    def test_directory_as_dataset_names_it(self, tmp_path, capsys):
+        data = tmp_path / "dirdata"
+        data.mkdir()
+        config = write(tmp_path, real_yaml(data, extra="r: 100\n"))
+        assert main(["subsample", str(config), "--out", str(tmp_path / "e.csv")]) == 1
+        assert capsys.readouterr().err == f"glmsub: error: dataset {data} is a directory, not a CSV file\n"
 
     def test_numeric_overflow_is_runtime(self, tmp_path, monkeypatch, capsys):
         def overflow(config):
@@ -763,10 +793,10 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
 
     def test_probability_bytes_do_not_depend_on_the_setting(self, tmp_path):
-        data = make_dataset_csv(tmp_path / "d.csv", n=glmsub.cli._SPLIT_ROWS + 3)
+        data = make_dataset_csv(tmp_path / "d.csv", n=glmsub._workers._SPLIT_ROWS + 3)
         config = write(tmp_path, real_yaml(data, "probabilities"))
         run_python(_CLI, "probabilities", config, "--out", tmp_path / "cli.csv")
         run_python(_LIBRARY_PROBABILITIES, config, tmp_path / "library.csv")
         cli_bytes = (tmp_path / "cli.csv").read_bytes()
-        assert cli_bytes.count(b"\n") == glmsub.cli._SPLIT_ROWS + 4
+        assert cli_bytes.count(b"\n") == glmsub._workers._SPLIT_ROWS + 4
         assert cli_bytes == (tmp_path / "library.csv").read_bytes()

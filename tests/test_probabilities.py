@@ -285,7 +285,7 @@ class TestPhiModelRobust:
         specs = enumerate_quadratic_models(2, (0, 1)).specs[:q]
         models = ModelSet(specs=specs, alpha=rng.dirichlet(np.ones(q)))
         thetas = [rng.normal(0, 0.3, size=spec.n_params) for spec in specs]
-        monkeypatch.setattr(probabilities, "_SPLIT_ROWS", split_rows)
+        monkeypatch.setattr(glmsub._workers, "_SPLIT_ROWS", split_rows)
         runs = []
         for cpus in (1, 2):
             monkeypatch.setattr(glmsub._workers, "_cpu_budget", lambda: cpus)
@@ -302,7 +302,7 @@ class TestPhiModelRobust:
         y = np.tile([0.0, 1.0], 20)
         monkeypatch.setattr(glmsub._workers, "_cpu_budget", lambda: 2)
         for split_rows, n_forks in ((40, 1), (41, 1)):
-            monkeypatch.setattr(probabilities, "_SPLIT_ROWS", split_rows)
+            monkeypatch.setattr(glmsub._workers, "_SPLIT_ROWS", split_rows)
             with pytest.raises(ValidationError, match="theta has length 1"):
                 phi_model_robust("mVc", logistic, models, [np.zeros(1), np.zeros(2)], x0, y)
             assert len(forks) == n_forks

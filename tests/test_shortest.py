@@ -6,6 +6,7 @@ out here so that no code under test builds it.
 
 import numpy as np
 
+import glmsub._workers
 import glmsub.cli
 from glmsub._shortest import rows
 
@@ -97,8 +98,8 @@ def test_log10_one_ulp_off(monkeypatch):
 
 def mixed(n):
     """In-domain values with out-of-domain ones at the first and last rows,
-    around every block edge and around row n // 2, where a split write
-    hands the rows to its second worker."""
+    around every block edge, where the rows pass from one share of a split
+    write to the next, and around row n // 2."""
     values = np.random.default_rng(n).uniform(1e-7, 1e-5, size=n)
     odd = [1.0, 0.5, 1e-4, 1e-12, 5e-324]
     edges = list(range(0, n, glmsub.cli.WRITE_ROWS)) + [n // 2, n]
@@ -115,9 +116,9 @@ def test_mixed_blocks():
 
 
 def test_mixed_values_in_a_split_file(tmp_path, two_cpus, forks):
-    values = mixed(glmsub.cli._SPLIT_ROWS + 1)
+    values = mixed(glmsub._workers._SPLIT_ROWS + 1)
     out = tmp_path / "p.csv"
     glmsub.cli._write_probabilities(out, values)
     assert out.read_bytes() == b"row,probability\r\n" + reference(values)
-    assert len(forks) == 1  # the CLI process writes the first half
+    assert len(forks) == 1  # one worker formats every other block
     assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
