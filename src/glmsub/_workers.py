@@ -103,14 +103,21 @@ def _forked(shares: list, acked: bool):
         # dlsym on the handle of NumPy's linalg extension also searches the
         # OpenBLAS it links, so no file is read: a traced load counts the
         # same bytes every run, which a read of /proc/self/maps would not.
+        # The names are those of the scipy-openblas, 64-bit-integer and plain
+        # OpenBLAS builds; another BLAS is left as it is.
         lib = ctypes.CDLL(umath_linalg.__file__)
-        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-        if get is not None and put is not None:  # another BLAS is left as it is
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            saved.append((put, get()))
-            put(1)
+        for names in (
+            ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+            ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+            ("openblas_get_num_threads", "openblas_set_num_threads"),
+        ):
+            get, put = (getattr(lib, name, None) for name in names)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                saved.append((put, get()))
+                put(1)
+                break
         for share in shares:
             read_end, write_end = os.pipe()
             ack_read, ack_write = os.pipe() if acked else (None, None)

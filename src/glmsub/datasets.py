@@ -4,10 +4,10 @@ Files must be UTF-8 (a leading byte-order mark is skipped; a byte that
 does not decode is a validation error naming the file) with a header row
 (RFC-4180-style quoting, ``.`` decimal) that names each requested column
 once.  The body is parsed in ranges of about ``_RANGE_BYTES``, split at
-newlines, each in one vectorised pass; from ``_SPLIT_BYTES`` the ranges
-are shared out among this process, which parses every W-th range, and
-one forked worker per other usable CPU on Linux, and the arrays are the
-same bits either way.  A body that the ranges do not parse is parsed
+newlines, each in one vectorised pass; a body of at least two whole
+ranges is shared out among this process, which parses every W-th range,
+and one forked worker per other usable CPU on Linux, and the arrays are
+the same bits either way.  A body that the ranges do not parse is parsed
 again row by row, the one source of error messages, so each message and
 row number is the same whatever the body's size and the CPU count.  Two
 scaling rules are supported besides none: standardize to mean zero and
@@ -41,17 +41,10 @@ __all__ = ["Scaling", "CovariateColumn", "DatasetDescriptor", "load_csv", "apply
 # in one process, and 61.1, 61.6 and 64.2 MB for a 30 MB y,x1,x2,x3 body
 # parsed by two workers.  Medians of 9 interleaved in-process loads took as
 # long at 256 KiB as at 1 MiB, 6-13% longer at 4 MiB, and for the 30 MB body
-# 7-11% longer at 64 KiB.
+# 7-11% longer at 64 KiB.  A body of two whole ranges or more is shared out:
+# fresh-process loads, one share -> two, took 15.3 -> 17.0 ms at 1.1 MiB (two
+# lower in 0 of 11), 20.4 -> 16.9 at 1.5 MiB (11) and 26.2 -> 19.1 at 2 MiB (11).
 _RANGE_BYTES = 1 << 20
-# Bodies of at least this many bytes are shared out between this process
-# and forked workers; on a 2-vCPU VM the break-even lies between 1 and 2 MiB,
-# and near 2 MiB when two forked workers parsed every range.  Medians of 21
-# interleaved in-process loads of a y,x1,x2,x3 file (%d, %.6f) under the
-# CLI's malloc settings, one process -> this process and one worker (pairs
-# where two were lower): 19.2 -> 21.2 ms at 1 MiB (3 of 21), 35.8 -> 33.3 ms
-# at 2 MiB (17), 93.6 -> 57.5 ms at 4 MiB (21), 193.4 -> 111.8 ms at 8 MiB
-# (21) and 337.7 -> 207.3 ms at 16 MiB (21).
-_SPLIT_BYTES = 4 << 20
 
 
 class Scaling(str, Enum):
@@ -208,13 +201,13 @@ def _parse_ranges(
     and the rest of the line they end in.  Each task writes into a shared
     region sized for the most rows its bytes can hold, at
     ``2 * len(header)`` bytes a row, and the regions are copied out in file
-    order, each unmapped once copied.  From ``_SPLIT_BYTES`` the tasks go
-    through :func:`glmsub._workers._fork_stream`: range k is parsed in share
-    k mod W, share 0 in this process and each other share in one forked
-    worker.  Below it this process parses every range.  ``None`` when the
-    first line is not the whole header, when a range does not parse, or
-    when the body holds no row: the caller then parses the file row by
-    row."""
+    order, each unmapped once copied.  The tasks go through
+    :func:`glmsub._workers._fork_stream`: from two whole ranges of body,
+    range k is parsed in share k mod W, share 0 in this process and each
+    other share in one forked worker; a shorter body's ranges are all
+    parsed by this process.  ``None`` when the first line is not the whole
+    header, when a range does not parse, or when the body holds no row:
+    the caller then parses the file row by row."""
     with open(path, "rb") as fh:
         first = fh.readline().decode("utf-8-sig", "replace")
         bounds, stop = [fh.tell()], os.fstat(fh.fileno()).st_size
@@ -229,7 +222,7 @@ def _parse_ranges(
     # heap regions for those raised the load's peak (VmHWM) by 2-80 MB.
     outs = [_workers._shared_array((b - a) // (2 * n_fields) + 1, len(positions)) for a, b in ranges]
     tasks = [partial(_parse_range, path, *ab, n_fields, positions, out) for ab, out in zip(ranges, outs)]
-    shares = _workers._worker_count(len(tasks)) if stop - bounds[0] >= _SPLIT_BYTES else 1
+    shares = _workers._worker_count(len(tasks)) if stop - bounds[0] >= 2 * _RANGE_BYTES else 1
     rows = list(_workers._fork_stream(tasks, shares))
     del tasks  # which hold every region
     if None in rows or sum(rows) == 0:

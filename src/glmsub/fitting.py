@@ -344,17 +344,21 @@ def _pad_absent(stack: np.ndarray, absent: np.ndarray) -> None:
 
 def _block_terms(family: Family, block, y, p, theta, start: int, at_optimum):
     """One row block's share of :func:`_block_sums`; ``block`` is its
-    :func:`_pair_block`."""
+    :func:`_pair_block`, and ``p`` is None for unit probabilities, which
+    skips divisions that would leave every bit as it is."""
     xt, pairs = block
     mu = _block_mean(family, theta @ xt, start)
-    w = family.variance(mu) / p
+    w = family.variance(mu)
     resid = y - mu
+    if p is not None:
+        w = w / p
     if at_optimum:
-        return None, np.concatenate([w, resid**2 / p**2]) @ pairs.T
+        squares = resid**2 if p is None else resid**2 / p**2
+        return None, np.concatenate([w, squares]) @ pairs.T
     # A score that overflows makes the Newton step non-finite, which the
     # loop reports as the fit's error; NumPy's warning would only precede it.
     with np.errstate(over="ignore"):
-        scores = (resid / p) @ xt.T
+        scores = (resid if p is None else resid / p) @ xt.T
     return scores, w @ pairs.T
 
 
@@ -365,13 +369,15 @@ def _block_sums(family: Family, walk, y, probs, theta, at_optimum):
     In a Newton pass, returns the scores ``(y - mu) / phi @ X`` (A x D) and
     the packed Grams of ``variance(mu) / phi`` (A x P).  At the optimum the
     first value is None and the Grams also hold those of
-    ``(y - mu)^2 / phi^2`` (2A x P).  An overflowing mean raises the
-    :class:`NumericOverflowError` of :func:`_block_mean`.
+    ``(y - mu)^2 / phi^2`` (2A x P).  ``probs`` None stands for all ones.
+    An overflowing mean raises the :class:`NumericOverflowError` of
+    :func:`_block_mean`.
     """
     scores = grams = None
     for rows, block in walk():
+        p = None if probs is None else probs[rows]
         block_scores, block_grams = _block_terms(
-            family, block, y[rows], probs[rows], theta, rows.start, at_optimum
+            family, block, y[rows], p, theta, rows.start, at_optimum
         )
         if grams is None:  # a fresh array of the first block's terms
             scores, grams = block_scores, block_grams
@@ -520,6 +526,8 @@ def fit_weighted_mles(
         )
 
     y, probs = sample.response, sample.probs
+    if (probs == 1.0).all():  # a full-data fit: x / 1.0 is x
+        probs = None
     walk = _pair_walk(sample)
     theta = np.zeros((n_models, dim))
     iterations = np.zeros(n_models, dtype=int)

@@ -109,15 +109,16 @@ def _combine_and_fit(
     models: ModelSet,
     raw: np.ndarray,
     y: np.ndarray,
-    stage1: ProbabilityVector,
+    probs1: np.ndarray,
     idx1: np.ndarray,
     stage2: ProbabilityVector,
     idx2: np.ndarray,
 ) -> TwoStageResult:
     """Combine both stages' rows, each keeping the probability of the stage
-    that drew it, and fit every candidate model on the combined sample."""
+    that drew it (``probs1`` for the ``idx1`` rows), and fit every
+    candidate model on the combined sample."""
     combined_idx = np.concatenate([idx1, idx2])
-    combined_probs = np.concatenate([stage1.probs[idx1], stage2.probs[idx2]])
+    combined_probs = np.concatenate([probs1, stage2.probs[idx2]])
     design = LazyDesign(models.full_spec, raw[combined_idx])
     sample = WeightedSample(design, y[combined_idx], combined_probs)
     fits = fit_weighted_mles(family, sample, models.columns, population_size=raw.shape[0])
@@ -140,13 +141,13 @@ def _stage1_and_probabilities(
     criterion: Criterion,
     sampling_model: int | None,
     eps: float,
-) -> tuple[ProbabilityVector, np.ndarray, ProbabilityVector]:
+) -> tuple[np.ndarray, np.ndarray, ProbabilityVector]:
     """Stage 1 plus the stage-2 probability computation.
 
     Draws stage-1 rows and fits pilot estimates for the models that shape
     the stage-2 probabilities, redrawing on estimation failure (up to
-    ``DEFAULT_STAGE1_ATTEMPTS`` fresh draws).  Returns (initial
-    probabilities, stage-1 row indices, stage-2 probabilities)."""
+    ``DEFAULT_STAGE1_ATTEMPTS`` fresh draws).  Returns (the stage-1 rows'
+    initial probabilities, stage-1 row indices, stage-2 probabilities)."""
     init_probs = initial_probabilities(family, y)
     pilot_spec, pilot_columns = models.full_spec, models.columns
     if sampling_model is not None:
@@ -163,12 +164,13 @@ def _stage1_and_probabilities(
             last_error = exc
     else:
         raise StageOneError(DEFAULT_STAGE1_ATTEMPTS, last_error)
+    del init_probs  # an N-vector, not held through the N-row scoring
 
     if sampling_model is None:
         stage2 = phi_model_robust(criterion, family, models, pilots, raw, y, eps)
     else:
         stage2 = phi_single(criterion, family, pilots[0], LazyDesign(pilot_spec, raw), y, eps)
-    return init_probs, idx1, stage2
+    return sample.probs, idx1, stage2
 
 
 def pilot_probabilities(
@@ -232,12 +234,12 @@ def two_stage(
     """
     raw, y = _checked_inputs(models, raw, y, r0, r, sampling_model)
     criterion = Criterion.optimality(criterion)
-    init_probs, idx1, stage2 = _stage1_and_probabilities(
+    probs1, idx1, stage2 = _stage1_and_probabilities(
         family, models, raw, y, r0, rng, criterion, sampling_model, eps
     )
 
     idx2 = draw_with_replacement(stage2, r, rng)
-    return _combine_and_fit(family, models, raw, y, init_probs, idx1, stage2, idx2)
+    return _combine_and_fit(family, models, raw, y, probs1, idx1, stage2, idx2)
 
 
 def random_sampling_baseline(
@@ -258,4 +260,4 @@ def random_sampling_baseline(
     uniform = ProbabilityVector(np.full(n, 1.0 / n), Criterion.UNIFORM)
     idx1 = draw_with_replacement(uniform, r0, rng)
     idx2 = draw_with_replacement(uniform, r, rng)
-    return _combine_and_fit(family, models, raw, y, uniform, idx1, uniform, idx2)
+    return _combine_and_fit(family, models, raw, y, uniform.probs[idx1], idx1, uniform, idx2)

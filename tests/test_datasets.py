@@ -306,16 +306,15 @@ def _reference(path):
 
 
 class TestSplitParse:
-    """A body is parsed in ranges of about ``_RANGE_BYTES``, by forked
-    workers from ``_SPLIT_BYTES``; the arrays must be those of a row-by-row
-    parse bit for bit, and anything the ranges do not parse is parsed again
-    row by row."""
+    """A body is parsed in ranges of about ``_RANGE_BYTES``, shared with
+    forked workers from two whole ranges; the arrays must be those of a
+    row-by-row parse bit for bit, and anything the ranges do not parse is
+    parsed again row by row."""
 
     @pytest.fixture
     def row_parses(self, monkeypatch):
         """Every body spans ranges of a row or two and is parsed by forked
         workers on two usable CPUs; the row-by-row parses are counted."""
-        monkeypatch.setattr(glmsub.datasets, "_SPLIT_BYTES", 0)
         monkeypatch.setattr(glmsub.datasets, "_RANGE_BYTES", 40)
         monkeypatch.setattr(glmsub._workers, "_cpu_budget", lambda: 2)
         calls = []
@@ -384,6 +383,8 @@ class TestSplitParse:
         with pytest.raises(ValidationError) as want:
             self.one_cpu(monkeypatch, path)
         assert str(info.value) == str(want.value) == "non-numeric value 'oops' at row 32, column 'a'"
+        with pytest.raises(ChildProcessError):  # no worker is left
+            os.waitpid(-1, os.WNOHANG)
 
     def test_refused_fork_gives_the_same_arrays(self, tmp_path, monkeypatch, row_parses):
         def refuse():
@@ -393,6 +394,8 @@ class TestSplitParse:
         monkeypatch.setattr(os, "fork", refuse)
         got = load_csv(descriptor(path))
         assert row_parses == []  # every task ran here, into its shared region
+        with pytest.raises(ChildProcessError):  # no worker is left
+            os.waitpid(-1, os.WNOHANG)
         want = _reference(path)
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
@@ -404,10 +407,23 @@ class TestSplitParse:
 
     def test_small_bodies_stay_in_one_process(self, tmp_path, monkeypatch, row_parses, forks):
         path = write_csv(tmp_path / "d.csv", "y,a,b\n" + "\n".join(_rows(41, 12)) + "\n")
-        monkeypatch.setattr(glmsub.datasets, "_SPLIT_BYTES", path.stat().st_size)
+        # Two ranges, the second shorter than the first.
+        monkeypatch.setattr(glmsub.datasets, "_RANGE_BYTES", path.stat().st_size // 2)
         got = load_csv(descriptor(path))
         assert forks == [] and row_parses == []
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, _reference(path)))
+
+    def test_two_whole_ranges_fork_once(self, tmp_path, monkeypatch, row_parses, forks):
+        body = "\n".join(_rows(41, 14)) + "\n"
+        body += "\n" * (len(body) % 2)  # a blank last line makes it even
+        monkeypatch.setattr(glmsub.datasets, "_RANGE_BYTES", len(body) // 2)
+        # The body at exactly two ranges, then one byte shorter.
+        for text, n_forks in ((body, 1), (body[:-1], 0)):
+            forks.clear()
+            path = write_csv(tmp_path / "d.csv", "y,a,b\n" + text)
+            got = load_csv(descriptor(path))
+            assert len(forks) == n_forks and row_parses == []
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, _reference(path)))
 
     @pytest.mark.parametrize("split", ["above", "below"])
     def test_quoted_header_stays_on_the_ranged_parse(
@@ -418,7 +434,7 @@ class TestSplitParse:
         plain = write_csv(tmp_path / "plain.csv", "y,a,b\n" + body)
         quoted = write_csv(tmp_path / "quoted.csv", '"y","a","b"\n' + body)
         if split == "below":
-            monkeypatch.setattr(glmsub.datasets, "_SPLIT_BYTES", quoted.stat().st_size)
+            monkeypatch.setattr(glmsub.datasets, "_RANGE_BYTES", quoted.stat().st_size)
         got = load_csv(descriptor(quoted))
         assert len(forks) == (1 if split == "above" else 0)
         assert row_parses == []

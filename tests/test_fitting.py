@@ -328,6 +328,29 @@ class TestBatchedFits:
             )
             assert np.max(np.abs(fine.theta - oracle)) < 1e-6
 
+    @pytest.mark.parametrize("kind", ["logistic", "poisson"])
+    def test_unit_probabilities_skip_the_divisions_bit_for_bit(
+        self, kind, logistic, poisson, rng, monkeypatch
+    ):
+        # A full-data fit (every probability 1) divides by nothing, and its
+        # sums are the bits of dividing by ones.
+        family = logistic if kind == "logistic" else poisson
+        models, weighted, _ = self.weighted_sample(kind, rng)
+        sample = WeightedSample(weighted.design, weighted.response, np.ones(weighted.n_rows))
+        fitting = glmsub.fitting
+        walk, theta = fitting._pair_walk(sample), rng.normal(0, 0.1, size=(2, sample.n_params))
+        for at_optimum in (False, True):
+            plain, ones = (
+                fitting._block_sums(family, walk, sample.response, p, theta, at_optimum)
+                for p in (None, sample.probs)
+            )
+            for a, b in zip(plain, ones):
+                assert (a is None and b is None) or a.tobytes() == b.tobytes()
+        seen, terms = [], fitting._block_terms
+        monkeypatch.setattr(fitting, "_block_terms", lambda *a: seen.append(a[3]) or terms(*a))
+        fit_weighted_mles(family, sample, models.columns)
+        assert seen and all(p is None for p in seen)
+
     def test_row_blocks_sum_to_the_one_block_fit(self, poisson, rng, monkeypatch):
         models, sample, _ = self.weighted_sample("poisson", rng, n=100)
         whole = fit_weighted_mles(poisson, sample, models.columns)

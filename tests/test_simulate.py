@@ -54,16 +54,24 @@ def _usable_cpus(monkeypatch, n):
 
 
 def _openblas_thread_getter():
-    """The scipy-openblas thread-count getter of a loaded OpenBLAS, or None."""
+    """The thread-count getter of a loaded OpenBLAS, or None: the first of
+    the scipy-openblas, 64-bit-integer and plain names that it exports,
+    the order in which glmsub._workers looks them up."""
     import ctypes
 
     with open("/proc/self/maps", encoding="utf-8") as fh:
         paths = {line.split()[-1] for line in fh if "openblas" in line}
     for path in sorted(paths):
-        getter = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
-        if getter is not None:
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            return getter
+        lib = ctypes.CDLL(path)
+        for name in (
+            "scipy_openblas_get_num_threads64_",
+            "openblas_get_num_threads64_",
+            "openblas_get_num_threads",
+        ):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return getter
     return None
 
 
@@ -545,7 +553,7 @@ class TestRunStudy:
         # a dead worker and a refused fork, whose rerun in the caller runs
         # at the caller's count.
         if not sys.platform.startswith("linux") or (getter := _openblas_thread_getter()) is None:
-            pytest.skip("no scipy-openblas thread getter is loaded")
+            pytest.skip("no OpenBLAS thread getter is loaded")
         _usable_cpus(monkeypatch, 2)
         fork_map = glmsub._workers._fork_map
         before = getter()

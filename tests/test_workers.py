@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+import types
 from contextlib import closing
 from functools import partial
 
@@ -80,6 +81,27 @@ def test_consumer_error_stops_the_workers(cpus):
             for _ in stream:
                 raise RuntimeError("consumer")
     assert time.monotonic() - started < 10
+    _no_child_left()
+
+
+def test_plain_openblas_names_hold_one_thread(cpus, monkeypatch):
+    # A BLAS that exports only the plain OpenBLAS names: the caller's count
+    # is 1 while the workers live, so share 0 and each worker run at one
+    # thread, and it is put back afterwards.
+    import ctypes
+
+    count = [4]
+
+    def get():
+        return count[0]
+
+    def put(n):
+        count[0] = n
+
+    fake = types.SimpleNamespace(openblas_get_num_threads=get, openblas_set_num_threads=put)
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: fake)
+    assert list(_fork_stream([get] * 4, cpus(2))) == [1, 1, 1, 1]
+    assert count == [4]
     _no_child_left()
 
 
