@@ -16,6 +16,8 @@ from pathlib import Path
 from .errors import ValidationError
 from .simulate import MetricsRecord
 
+__all__ = ["atomic_write", "read_metrics_csv", "write_metrics_csv"]
+
 METRICS_HEADER = ["scenario", "estimating_model", "r", "smse", "mean_model_info", "failures"]
 
 

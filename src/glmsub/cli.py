@@ -22,13 +22,13 @@ formats every W-th block of the file itself.  ``taskset -c 0`` keeps one
 process.  While workers run, the CLI process holds OpenBLAS at one
 thread, which each worker inherits.
 Outputs are written atomically (temp file + rename) and every CSV gets a
-``<name>.meta.json`` sidecar echoing the config, the master seed and the
-tool version; ``subsample`` adds ``newton_iterations``, one count per
-model in model order, and a probability file's sidecar adds
-``criterion``.  The ``GLMSUB_OUT_DIR`` environment variable redirects
-default output locations.  An output path that resolves to the config
-file, the dataset or another output, sidecars included, is refused before
-any data is read.
+``<name>.meta.json`` sidecar echoing the config as it was read, once (so
+a config on a pipe is echoed too), the master seed and the tool version;
+``subsample`` adds ``newton_iterations``, one count per model in model
+order, and a probability file's sidecar adds ``criterion``.  The
+``GLMSUB_OUT_DIR`` environment variable redirects default output
+locations.  An output path that resolves to the config file, the dataset
+or another output, sidecars included, is refused before any data is read.
 
 A probability file holds the rows ``i,repr(p)``.  :mod:`glmsub._shortest`
 computes the shortest round-trip digits of a block of values in [1e-10,
@@ -65,11 +65,10 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__, _shortest, _workers
 from ._artifacts import _atomic_path, _csv_text, atomic_write, read_metrics_csv, write_metrics_csv
-from .config import RealDataConfig, parse_config
+from .config import RealDataConfig, _parse_mapping, _read_config
 from .datasets import load_csv
 from .errors import (
     FitError,
@@ -100,23 +99,9 @@ def _default_out(config_path: Path, suffix: str, explicit: "str | None") -> Path
     return base / f"{config_path.stem}-{suffix}.csv"
 
 
-def _write_meta(out_path: Path, config_path: Path, seed: int, mode: str, extra: dict | None = None) -> None:
-    with open(config_path, encoding="utf-8") as fh:
-        config_echo = yaml.safe_load(fh)
-    meta = {
-        "tool": "glmsub",
-        "version": __version__,
-        "mode": mode,
-        "master_seed": seed,
-        "config_file": str(config_path),
-        "config": config_echo,
-    }
-    if extra:
-        meta.update(extra)
-    atomic_write(
-        Path(str(out_path) + ".meta.json"),
-        json.dumps(meta, indent=2, sort_keys=True) + "\n",
-    )
+def _write_meta(out_path: "str | Path", meta: dict, extra: dict | None = None) -> None:
+    text = json.dumps({**meta, **(extra or {})}, indent=2, sort_keys=True)
+    atomic_write(f"{out_path}.meta.json", text + "\n")
 
 
 def _format_rows(region: mmap.mmap, probs: np.ndarray, start: int) -> int:
@@ -153,12 +138,14 @@ def _write_probabilities(path: "str | Path", probs: np.ndarray) -> None:
                 fh.write(regions[k % shares][:size])
 
 
-def _load_config(args, mode: str, suffix: str) -> "tuple[ScenarioConfig | RealDataConfig, Path]":
+def _load_config(args, mode: str, suffix: str) -> "tuple[ScenarioConfig | RealDataConfig, Path, dict]":
     """Parse the config file, check that it is for ``mode`` and apply
-    ``--seed``; return the config and the output path.  An output path (or
-    its ``.meta.json`` sidecar) that resolves to the config file, the
-    dataset or another output is refused before anything is read."""
-    config = parse_config(args.config)
+    ``--seed``; return the config, the output path and the sidecar fields,
+    which echo the YAML document as read, once.  An output path (or its
+    ``.meta.json`` sidecar) that resolves to the config file, the dataset
+    or another output is refused before anything is read."""
+    document = _read_config(args.config)
+    config = _parse_mapping(document)
     got = config.mode if isinstance(config, RealDataConfig) else "simulate"
     if got != mode:
         raise ValidationError(
@@ -176,20 +163,28 @@ def _load_config(args, mode: str, suffix: str) -> "tuple[ScenarioConfig | RealDa
             if key in taken:
                 raise ValidationError(f"output {path} would overwrite {taken[key]}")
             taken[key] = f"the output {path}"
-    return config, out
+    meta = {
+        "tool": "glmsub",
+        "version": __version__,
+        "mode": mode,
+        "master_seed": config.master_seed,
+        "config_file": str(Path(args.config)),
+        "config": document,
+    }
+    return config, out, meta
 
 
 def _cmd_simulate(args) -> int:
-    config, out = _load_config(args, "simulate", "metrics")
+    config, out, meta = _load_config(args, "simulate", "metrics")
     records = run_study(config)
     write_metrics_csv(records, out)
-    _write_meta(out, Path(args.config), config.master_seed, "simulate")
+    _write_meta(out, meta)
     print(f"wrote {len(records)} records to {out}")
     return 0
 
 
 def _cmd_subsample(args) -> int:
-    config, out = _load_config(args, "subsample", "estimates")
+    config, out, meta = _load_config(args, "subsample", "estimates")
     raw, y = load_csv(config.dataset, family=config.family)
     rng = np.random.default_rng(np.random.SeedSequence([config.master_seed]))
     result = run_subsample(config, raw, y, rng)
@@ -201,23 +196,17 @@ def _cmd_subsample(args) -> int:
         for label, est, se in zip(spec.term_labels(names), fit.theta, fit.std_errors):
             rows.append([k, label, repr(float(est)), repr(float(se)), repr(info)])
     atomic_write(out, _csv_text(["model", "term", "estimate", "std_error", "model_info"], rows))
-    _write_meta(
-        out, Path(args.config), config.master_seed, "subsample",
-        extra={"newton_iterations": [fit.iterations for fit in result.fits]},
-    )
+    _write_meta(out, meta, {"newton_iterations": [fit.iterations for fit in result.fits]})
     if args.write_probs is not None:
         probs = result.stage2_probs
         _write_probabilities(args.write_probs, probs.probs)
-        _write_meta(
-            Path(args.write_probs), Path(args.config), config.master_seed, "subsample",
-            extra={"criterion": probs.criterion.value},
-        )
+        _write_meta(args.write_probs, meta, {"criterion": probs.criterion.value})
     print(f"wrote estimates for {len(config.model_set)} models to {out}")
     return 0
 
 
 def _cmd_probabilities(args) -> int:
-    config, out = _load_config(args, "probabilities", "probabilities")
+    config, out, meta = _load_config(args, "probabilities", "probabilities")
     raw, y = load_csv(config.dataset, family=config.family)
     rng = np.random.default_rng(np.random.SeedSequence([config.master_seed]))
     pv = pilot_probabilities(
@@ -232,16 +221,13 @@ def _cmd_probabilities(args) -> int:
         eps=config.eps,
     )
     _write_probabilities(out, pv.probs)
-    _write_meta(
-        out, Path(args.config), config.master_seed, "probabilities",
-        extra={"criterion": pv.criterion.value},
-    )
+    _write_meta(out, meta, {"criterion": pv.criterion.value})
     print(f"wrote {len(pv)} probabilities to {out}")
     return 0
 
 
 def _cmd_ssmse(args) -> int:
-    config, out = _load_config(args, "ssmse", "ssmse")
+    config, out, meta = _load_config(args, "ssmse", "ssmse")
     raw, y = load_csv(config.dataset, family=config.family)
     records = run_ssmse_study(config, raw, y)
     rows = [
@@ -249,7 +235,7 @@ def _cmd_ssmse(args) -> int:
         for rec in records
     ]
     atomic_write(out, _csv_text(["scenario", "r", "ssmse", "failures"], rows))
-    _write_meta(out, Path(args.config), config.master_seed, "ssmse")
+    _write_meta(out, meta)
     print(f"wrote {len(records)} records to {out}")
     return 0
 

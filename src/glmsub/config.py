@@ -54,6 +54,9 @@ Q = 2^k models for k covariates, with k at most ``MAX_QUADRATIC_TERMS``.
 Every stage-2 size (``r`` or each ``r_grid`` entry) must be at least
 ``r0``, and ``r0`` at least the largest model's parameter count + 1.
 
+The dataset must be a regular file (a pipe or FIFO exits 1); the config
+may be a pipe, which the CLI reads once and echoes into its sidecars.
+
 ``parse_config`` only parses: types, required and unknown keys (each
 reported with its key path), names and 1-based positions mapped to
 indices, the cap on quadratic terms and the ``alpha`` length.  The
@@ -85,7 +88,7 @@ from .simulate import (
     _check_run,
 )
 
-__all__ = ["RealDataConfig", "parse_config", "MODES"]
+__all__ = ["RealDataConfig", "parse_config"]
 
 MODES = ("simulate", "subsample", "probabilities", "ssmse")
 
@@ -388,6 +391,12 @@ def _parse_real_data(mode: str, root: _Block, common: dict) -> RealDataConfig:
 def parse_config(path: "str | Path") -> "ScenarioConfig | RealDataConfig":
     """Parse a run configuration file into the config it describes; the
     config's constructor checks the values."""
+    return _parse_mapping(_read_config(path))
+
+
+def _read_config(path: "str | Path"):
+    """The YAML document in the file.  The CLI reads it once, to parse it
+    and to echo it, so that a config read from a pipe is echoed too."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(str(path), "config file not found")
@@ -401,6 +410,11 @@ def parse_config(path: "str | Path") -> "ScenarioConfig | RealDataConfig":
         except UnicodeDecodeError as exc:
             bad = exc.object[exc.start]
             raise ConfigError(str(path), f"not UTF-8: byte 0x{bad:02x} ({exc.reason})") from None
+    return data
+
+
+def _parse_mapping(data) -> "ScenarioConfig | RealDataConfig":
+    """The config described by a YAML document, which this leaves as it is."""
     root = _Block(data if data is not None else {})
 
     mode = root.get("mode", str, required=True)

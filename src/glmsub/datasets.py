@@ -130,26 +130,35 @@ def _parse_cell(text: str, row: int, column: str) -> float:
     return value
 
 
+def _unreadable(path: Path, row: int, exc: csv.Error) -> ValidationError:
+    return ValidationError(
+        f"{path}: row {row} cannot be read as CSV ({exc}); is a quote left open?"
+    )
+
+
 def _parse_rows(
     path: Path, n_fields: int, positions: "list[int]", columns: "list[str]"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Parse the file row by row with :func:`_parse_cell`; the only source
     of ingestion error messages.  Returns the response and the covariate
     columns, those at ``positions``."""
-    rows = []
+    rows, row_number = [], 1
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader)
-        for row_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != n_fields:
-                raise ValidationError(
-                    f"row {row_number} has {len(row)} fields, header has {n_fields}"
+        try:
+            for row_number, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != n_fields:
+                    raise ValidationError(
+                        f"row {row_number} has {len(row)} fields, header has {n_fields}"
+                    )
+                rows.append(
+                    [_parse_cell(row[p], row_number, col) for p, col in zip(positions, columns)]
                 )
-            rows.append(
-                [_parse_cell(row[p], row_number, col) for p, col in zip(positions, columns)]
-            )
+        except csv.Error as exc:  # raised by the reader, for the row after the last it gave
+            raise _unreadable(path, row_number + 1, exc) from None
     if not rows:
         raise ValidationError(f"{path} contains a header but no data rows")
     table = np.asarray(rows, dtype=float)
@@ -254,6 +263,10 @@ def load_csv(
         raise ValidationError(f"dataset file not found: {path}")
     if path.is_dir():
         raise ValidationError(f"dataset {path} is a directory, not a CSV file")
+    if not path.is_file():  # the ranged parse seeks, and a FIFO with no writer blocks open()
+        raise ValidationError(
+            f"dataset {path} is not a regular file; a pipe cannot be parsed in ranges, write it to a file"
+        )
     columns = [descriptor.response, *descriptor.covariate_names]
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -261,6 +274,8 @@ def load_csv(
                 header = next(csv.reader(fh))
             except StopIteration:
                 raise ValidationError(f"{path} is empty (missing header)") from None
+            except csv.Error as exc:
+                raise _unreadable(path, 1, exc) from None
         for col in columns:
             if col not in header:
                 raise ValidationError(f"column {col!r} not found in {path} header")

@@ -10,6 +10,18 @@ from __future__ import annotations
 
 import copyreg
 
+__all__ = [
+    "GlmsubError",
+    "ValidationError",
+    "ConfigError",
+    "NumericOverflowError",
+    "DegenerateResponseError",
+    "FitError",
+    "SingularInformationError",
+    "NonConvergenceError",
+    "StageOneError",
+]
+
 
 class GlmsubError(Exception):
     """Base class for all glmsub errors."""

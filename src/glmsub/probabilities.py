@@ -62,7 +62,6 @@ from .models import LazyDesign, ModelSet
 
 __all__ = [
     "Criterion",
-    "LazyDesign",
     "ProbabilityVector",
     "draw_with_replacement",
     "initial_probabilities",

@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+import yaml
 
 import glmsub._workers
 import glmsub.cli
@@ -595,6 +596,33 @@ class TestExitCodes:
         config = write(tmp_path, real_yaml(data, extra="r: 100\n"))
         assert main(["subsample", str(config), "--out", str(tmp_path / "e.csv")]) == 1
         assert capsys.readouterr().err == f"glmsub: error: dataset {data} is a directory, not a CSV file\n"
+
+    def test_stray_quote_in_the_dataset_names_the_file(self, tmp_path, capsys):
+        csv_path = make_dataset_csv(tmp_path / "d.csv", n=20_000)
+        lines = csv_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[5] = '1,"0.5,0.5\n'  # data row 5
+        csv_path.write_text("".join(lines), encoding="utf-8")
+        config = write(tmp_path, real_yaml(csv_path, extra="r: 100\n"))
+        assert main(["subsample", str(config), "--out", str(tmp_path / "e.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"glmsub: error: {csv_path}: row 6 cannot be read as CSV")
+        assert "Traceback" not in err
+
+    def test_piped_config_is_echoed(self, tmp_path):
+        csv_path = make_dataset_csv(tmp_path / "d.csv")
+        text = real_yaml(csv_path, extra="r: 100\n")
+        out, probs_out = tmp_path / "e.csv", tmp_path / "p.csv"
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            argv = ["subsample", f"/dev/fd/{read_end}", "--out", str(out), "--write-probs", str(probs_out)]
+            assert main(argv) == 0
+        finally:
+            os.close(read_end)
+        for path in (out, probs_out):
+            meta = json.loads(path.with_name(path.name + ".meta.json").read_text(encoding="utf-8"))
+            assert meta["config"] == yaml.safe_load(text)
 
     def test_numeric_overflow_is_runtime(self, tmp_path, monkeypatch, capsys):
         def overflow(config):

@@ -233,6 +233,33 @@ class TestLoadCsv:
         with pytest.raises(ValidationError, match=r"d\.csv is not UTF-8: byte 0xff"):
             load_csv(descriptor(path))
 
+    @pytest.mark.parametrize("where", ["body", "header"])
+    def test_stray_quote_names_the_file_and_row(self, tmp_path, where):
+        # Past csv's 128 KiB field limit, a quote that is never closed
+        # makes the reader raise csv.Error; the row is where the field starts.
+        body = [f"{i % 2},{i}.5,{i}.25\n" for i in range(20_000)]
+        header = "y,a,b\n"
+        if where == "body":
+            body[4] = '1,"2.5,3.0\n'  # data row 5, row 6 of the file
+        else:
+            header = 'y,"a,b\n'
+        path = write_csv(tmp_path / "d.csv", header + "".join(body))
+        row = 6 if where == "body" else 1
+        with pytest.raises(ValidationError, match=rf"d\.csv: row {row} cannot be read as CSV"):
+            load_csv(descriptor(path))
+
+    def test_pipe_is_refused_before_it_is_read(self):
+        # The write end is closed first, so a read of the pipe cannot block.
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "wb") as fh:
+            fh.write(b"y,a,b\n1,2.0,3.0\n")
+        try:
+            with pytest.raises(ValidationError, match=f"dataset /dev/fd/{read_end} is not a regular file"):
+                load_csv(descriptor(f"/dev/fd/{read_end}"))
+            assert os.read(read_end, 6) == b"y,a,b\n"  # nothing was read
+        finally:
+            os.close(read_end)
+
     def test_matches_row_by_row_parse(self, tmp_path):
         rng = np.random.default_rng(5)
         table = rng.normal(size=(200, 3)) * 10.0 ** rng.integers(-300, 300, size=(200, 3))

@@ -21,3 +21,15 @@ def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from glmsub import *", namespace)
     assert set(glmsub.__all__) <= set(namespace)
+
+
+def test_package_republishes_each_module_list():
+    # Each public name is declared once, in the __all__ of its module.
+    lists = [
+        name
+        for module in SUBMODULES
+        if module != "cli"
+        for name in getattr(importlib.import_module(f"glmsub.{module}"), "__all__", ())
+    ]
+    assert len(set(lists)) == len(lists), "two modules publish one name"
+    assert sorted(glmsub.__all__) == sorted(["__version__", *lists])
