@@ -11,9 +11,11 @@ Subcommands (each takes a YAML config, see :mod:`glmsub.config`):
   dataset, write summed-SMSE records
 
 Common flags: ``--seed`` overrides the config seed, ``--out`` sets the
-output path.  ``simulate`` and ``ssmse`` run their replicates in one
-forked worker process per usable CPU on Linux, as the library does,
-without changing results, while the CLI process waits.  ``subsample`` and
+output path.  Without ``--out`` the output is named after the config
+file, so a config read from a pipe needs ``--out``.  ``simulate`` and
+``ssmse`` run their replicates in one forked worker process per usable
+CPU on Linux, as the library does, without changing results, while the
+CLI process waits.  ``subsample`` and
 ``probabilities`` share a large CSV parse, model-robust scoring and a
 large probability write among the CLI process and one forked worker per
 other usable CPU (:mod:`glmsub.datasets`, :mod:`glmsub.probabilities`):
@@ -67,7 +69,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _shortest, _workers
-from ._artifacts import _atomic_path, _csv_text, atomic_write, read_metrics_csv, write_metrics_csv
+from ._artifacts import _atomic_path, _csv_text, atomic_write, write_metrics_csv
 from .config import RealDataConfig, _parse_mapping, _read_config
 from .datasets import load_csv
 from .errors import (
@@ -81,7 +83,7 @@ from .realdata import run_ssmse_study, run_subsample
 from .simulate import ScenarioConfig, model_information, run_study
 from .twostage import pilot_probabilities
 
-__all__ = ["main", "write_metrics_csv", "read_metrics_csv", "atomic_write"]
+__all__ = ["main"]
 
 OUT_DIR_ENV = "GLMSUB_OUT_DIR"
 # Probability rows per block: one task of the write, formatted into its
@@ -95,6 +97,10 @@ WRITE_ROWS = 8192
 def _default_out(config_path: Path, suffix: str, explicit: "str | None") -> Path:
     if explicit is not None:
         return Path(explicit)
+    if not config_path.is_file():  # a pipe's name, such as /dev/fd/63, names no run
+        raise ValidationError(
+            f"config {config_path} is not a regular file; name the output with --out"
+        )
     base = Path(os.environ.get(OUT_DIR_ENV, "."))
     return base / f"{config_path.stem}-{suffix}.csv"
 

@@ -55,11 +55,14 @@ Every stage-2 size (``r`` or each ``r_grid`` entry) must be at least
 ``r0``, and ``r0`` at least the largest model's parameter count + 1.
 
 The dataset must be a regular file (a pipe or FIFO exits 1); the config
-may be a pipe, which the CLI reads once and echoes into its sidecars.
+may be a pipe, which the CLI reads once and echoes into its sidecars, when
+``--out`` names the output.
 
-``parse_config`` only parses: types, required and unknown keys (each
-reported with its key path), names and 1-based positions mapped to
-indices, the cap on quadratic terms and the ``alpha`` length.  The
+``parse_config`` only parses.  It checks types and required and unknown
+keys (each reported with its key path), maps names and 1-based positions
+to indices, checks ``covariates.dimension`` before it sizes the lists and
+the length of each covariance row, caps the quadratic terms, and checks
+that the covariance is positive definite before the run starts.  The
 dataclasses it builds check the values and raise :class:`ConfigError` on
 the YAML key, for library callers and the CLI's ``--seed`` too.
 """
@@ -73,10 +76,10 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .datasets import CovariateColumn, DatasetDescriptor, Scaling
+from .datasets import CovariateColumn, DatasetDescriptor
 from .errors import ConfigError, ValidationError
 from .families import Family, get_family
-from .models import ModelSet, ModelSpec, enumerate_quadratic_models, validate_alpha
+from .models import ModelSet, ModelSpec, enumerate_quadratic_models
 from .probabilities import DEFAULT_EPS, Criterion
 from .simulate import (
     CovariateDistribution,
@@ -209,8 +212,6 @@ def _parse_covariates(block: _Block) -> CovariateDistribution:
             if not isinstance(row, list) or len(row) != dimension:
                 raise ConfigError(key, f"expected a row of {dimension} numbers")
             cov.append([_checked(v, float, f"{key}[{j}]") for j, v in enumerate(row)])
-        if len(cov) != dimension:
-            raise ConfigError("covariates.covariance", f"expected {dimension} rows, got {len(cov)}")
         dist = MultivariateNormalCovariates(mean=np.array(mean), cov=np.array(cov))
         dist.cholesky()
         return dist
@@ -266,19 +267,11 @@ def _parse_model_set(
             f"{k} quadratic terms give Q = 2^{k} = {2**k} candidate models; "
             f"at most {MAX_QUADRATIC_TERMS} terms (Q = {2**MAX_QUADRATIC_TERMS}) are supported",
         )
-    model_set = enumerate_quadratic_models(n_main, continuous)
-    if alpha is not None:
-        if len(alpha) != len(model_set):
-            raise ConfigError(
-                f"{block.path}.alpha",
-                f"expected {len(model_set)} weights, got {len(alpha)}",
-            )
-        try:
-            alpha = validate_alpha(alpha)
-        except ValidationError as exc:
-            raise ConfigError(f"{block.path}.alpha", str(exc)) from None
-        model_set = ModelSet(specs=model_set.specs, alpha=alpha)
-    return model_set
+    specs = enumerate_quadratic_models(n_main, continuous).specs
+    try:
+        return ModelSet(specs, alpha)
+    except ValidationError as exc:
+        raise ConfigError(f"{block.path}.alpha", str(exc)) from None
 
 
 def _parse_simulate(root: _Block, common: dict) -> ScenarioConfig:
@@ -321,32 +314,23 @@ def _parse_dataset(block: _Block) -> DatasetDescriptor:
     scaling_block = block.block("scaling")
     block.reject_unknown()
 
-    scaling = {}
+    rules = {}
     if scaling_block is not None:
         for name in list(scaling_block.data):
-            rule = scaling_block.get(name, str)
+            rules[name] = scaling_block.get(name, str)
             if name not in names:
                 raise ConfigError(f"dataset.scaling.{name}", "not a covariate")
-            try:
-                scaling[name] = Scaling(rule)
-            except ValueError:
-                raise ConfigError(
-                    f"dataset.scaling.{name}",
-                    f"expected none, standardize or range-to-unit, got {rule!r}",
-                ) from None
     if continuous is not None:
         for name in continuous:
             if name not in names:
                 raise ConfigError("dataset.continuous", f"unknown covariate {name!r}")
     continuous_set = set(names if continuous is None else continuous)
-    columns = tuple(
-        CovariateColumn(
-            name=name,
-            continuous=name in continuous_set,
-            scaling=scaling.get(name, Scaling.NONE),
-        )
-        for name in names
-    )
+    columns = []
+    try:
+        for name in names:
+            columns.append(CovariateColumn(name, name in continuous_set, rules.get(name, "none")))
+    except ValidationError as exc:
+        raise ConfigError(f"dataset.scaling.{name}", str(exc)) from None
     return DatasetDescriptor(path=path, response=response, covariates=columns)
 
 

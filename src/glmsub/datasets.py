@@ -116,16 +116,16 @@ def apply_scaling(column: np.ndarray, rule: Scaling, name: str = "") -> np.ndarr
     return (column - lo) / (hi - lo)
 
 
-def _parse_cell(text: str, row: int, column: str) -> float:
+def _parse_cell(path: Path, text: str, row: int, column: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise ValidationError(
-            f"non-numeric value {text!r} at row {row}, column {column!r}"
+            f"{path}: non-numeric value {text!r} at row {row}, column {column!r}"
         ) from None
     if not np.isfinite(value):
         raise ValidationError(
-            f"non-finite value {text!r} at row {row}, column {column!r}"
+            f"{path}: non-finite value {text!r} at row {row}, column {column!r}"
         )
     return value
 
@@ -152,10 +152,10 @@ def _parse_rows(
                     continue
                 if len(row) != n_fields:
                     raise ValidationError(
-                        f"row {row_number} has {len(row)} fields, header has {n_fields}"
+                        f"{path}: row {row_number} has {len(row)} fields, header has {n_fields}"
                     )
                 rows.append(
-                    [_parse_cell(row[p], row_number, col) for p, col in zip(positions, columns)]
+                    [_parse_cell(path, row[p], row_number, col) for p, col in zip(positions, columns)]
                 )
         except csv.Error as exc:  # raised by the reader, for the row after the last it gave
             raise _unreadable(path, row_number + 1, exc) from None

@@ -19,32 +19,6 @@ class _FixedUniform:
         return np.full(size, self.value)
 
 
-class TestConstruction:
-    def test_rejects_empty(self, rng):
-        with pytest.raises(ValidationError):
-            draw_with_replacement([], 1, rng)
-
-    def test_rejects_negative(self, rng):
-        with pytest.raises(ValidationError):
-            draw_with_replacement([0.5, -0.1], 1, rng)
-
-    def test_rejects_zero_sum(self, rng):
-        with pytest.raises(ValidationError):
-            draw_with_replacement([0.0, 0.0], 1, rng)
-
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_rejects_overflowing_sum(self, rng):
-        with pytest.raises(ValidationError, match="finite sum"):
-            draw_with_replacement([1e308, 1e308, 1.0], 1, rng)
-
-    def test_accepts_unnormalized(self):
-        # The cumulative sum is divided by its last entry, so these weights
-        # give the draws of their normalized form bit for bit.
-        a = draw_with_replacement([2.0, 6.0], 100, np.random.default_rng(3))
-        b = draw_with_replacement([0.25, 0.75], 100, np.random.default_rng(3))
-        np.testing.assert_array_equal(a, b)
-
-
 class TestDraws:
     def test_degenerate_mass(self, rng):
         # Pre-floor test vector: all mass on index 0.

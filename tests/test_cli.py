@@ -18,9 +18,16 @@ import yaml
 import glmsub._workers
 import glmsub.cli
 import glmsub.simulate
-from glmsub import MetricsRecord, NumericOverflowError, ValidationError, read_metrics_csv
+from glmsub import (
+    MetricsRecord,
+    NumericOverflowError,
+    ValidationError,
+    atomic_write,
+    read_metrics_csv,
+    write_metrics_csv,
+)
 from glmsub._artifacts import METRICS_HEADER
-from glmsub.cli import atomic_write, main, write_metrics_csv
+from glmsub.cli import main
 from glmsub.config import parse_config
 from glmsub.datasets import load_csv
 from glmsub.realdata import run_subsample
@@ -623,6 +630,22 @@ class TestExitCodes:
         for path in (out, probs_out):
             meta = json.loads(path.with_name(path.name + ".meta.json").read_text(encoding="utf-8"))
             assert meta["config"] == yaml.safe_load(text)
+
+    def test_piped_config_needs_out(self, tmp_path, monkeypatch, capsys):
+        # The default output is named after the config, and a pipe's name is
+        # its fd number, so without --out the command writes nothing.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(glmsub.cli.OUT_DIR_ENV, raising=False)
+        csv_path = make_dataset_csv(tmp_path / "d.csv")
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "w", encoding="utf-8") as fh:
+            fh.write(real_yaml(csv_path, extra="r: 100\n"))
+        try:
+            assert main(["subsample", f"/dev/fd/{read_end}"]) == 1
+        finally:
+            os.close(read_end)
+        assert "--out" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*-estimates.csv"))
 
     def test_numeric_overflow_is_runtime(self, tmp_path, monkeypatch, capsys):
         def overflow(config):

@@ -3,13 +3,17 @@ import pytest
 
 from glmsub import (
     ConfigError,
+    CovariateColumn,
     Criterion,
     Logistic,
+    ModelSet,
     Poisson,
     RealDataConfig,
     Scaling,
     ScenarioConfig,
     UniformCovariates,
+    ValidationError,
+    enumerate_quadratic_models,
     parse_config,
 )
 
@@ -229,6 +233,20 @@ class TestSimulateConfig:
             parse_config(write(tmp_path, SIMULATE_YAML.replace(old, new)))
         assert excinfo.value.key == key
 
+    @pytest.mark.parametrize(
+        "alpha",
+        [[0.5, 0.5], [0.5, 0.5, 0.5, 0.5], [1.2, -0.2, 0.0, 0.0]],
+        ids=["length", "sum", "range"],
+    )
+    def test_alpha_message_is_the_model_sets(self, tmp_path, alpha):
+        # ModelSet owns the alpha rule; the parser puts the key before its message.
+        with pytest.raises(ValidationError) as expected:
+            ModelSet(enumerate_quadratic_models(2, (0, 1)).specs, alpha)
+        text = SIMULATE_YAML.replace("quadratic_over: [1, 2]", WITH_ALPHA + str(alpha))
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(write(tmp_path, text))
+        assert str(excinfo.value) == f"model_set.alpha: {expected.value}"
+
     def test_smallest_population_accepted(self, tmp_path):
         # The largest of the four candidates has 5 parameters.
         text = SIMULATE_YAML.replace("population: 10000", "population: 6")
@@ -374,6 +392,16 @@ class TestRealDataConfig:
         bad = REAL_YAML.replace("red: standardize", "red: normalize")
         with pytest.raises(ConfigError, match="scaling.red"):
             parse_config(write(tmp_path, bad))
+
+    @pytest.mark.parametrize("name", ["red", "blue"])
+    def test_scaling_message_is_the_columns(self, tmp_path, name):
+        # CovariateColumn owns the scaling rule; the parser puts the key before its message.
+        with pytest.raises(ValidationError) as expected:
+            CovariateColumn(name, scaling="normalize")
+        bad = REAL_YAML.replace(f"{name}: standardize", f"{name}: normalize")
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(write(tmp_path, bad))
+        assert str(excinfo.value) == f"dataset.scaling.{name}: {expected.value}"
 
     @pytest.mark.parametrize(
         "old, new, key",

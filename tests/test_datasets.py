@@ -159,6 +159,15 @@ class TestLoadCsv:
         with pytest.raises(ValidationError, match="row 2"):
             load_csv(descriptor(path))
 
+    @pytest.mark.parametrize(
+        "row", ["1,2", "0,oops,5.0", "1,2.0,inf"], ids=["ragged", "non-numeric", "inf"]
+    )
+    def test_row_message_starts_with_the_path(self, tmp_path, row):
+        path = write_csv(tmp_path / "d.csv", f"y,a,b\n{row}\n")
+        with pytest.raises(ValidationError) as info:
+            load_csv(descriptor(path))
+        assert str(info.value).startswith(f"{path}: ")
+
     def test_family_response_validation(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "y,a,b\n2,1.0,1.0\n0,2.0,2.0\n")
         with pytest.raises(ValidationError, match="0/1"):
@@ -409,7 +418,7 @@ class TestSplitParse:
         assert len(forks) == 1
         with pytest.raises(ValidationError) as want:
             self.one_cpu(monkeypatch, path)
-        assert str(info.value) == str(want.value) == "non-numeric value 'oops' at row 32, column 'a'"
+        assert str(info.value) == str(want.value) == f"{path}: non-numeric value 'oops' at row 32, column 'a'"
         with pytest.raises(ChildProcessError):  # no worker is left
             os.waitpid(-1, os.WNOHANG)
 

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -33,3 +35,26 @@ def test_package_republishes_each_module_list():
     ]
     assert len(set(lists)) == len(lists), "two modules publish one name"
     assert sorted(glmsub.__all__) == sorted(["__version__", *lists])
+
+
+def _defined_names(path):
+    """The names bound at the top level of a module's source, other than by
+    an import: a name's ``__module__`` does not do, as a ``typing.Union``
+    alias reports ``typing``."""
+    names = set()
+    for node in ast.parse(Path(path).read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_each_module_exports_only_its_own_names(module):
+    module = importlib.import_module(f"glmsub.{module}")
+    defined = _defined_names(module.__file__)
+    foreign = [name for name in getattr(module, "__all__", ()) if name not in defined]
+    assert not foreign, f"{module.__name__}.__all__ names what it does not define: {foreign}"
