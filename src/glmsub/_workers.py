@@ -1,8 +1,8 @@
 """Forked worker processes: the one place that forks.
 
 Two mappings run a list of tasks in up to one share per usable CPU on
-Linux, share w holding tasks w, w + W, ...; both fork through
-:func:`_forked`:
+Linux, W shares in all, share w holding tasks w, w + W, ...; both fork
+through :func:`_forked`, and no other module counts shares:
 
 * :func:`_fork_stream` yields the results in task order.  The caller runs
   share 0 itself, and each other share runs in one worker, forked once for
@@ -10,7 +10,10 @@ Linux, share w holding tasks w, w + W, ...; both fork through
   ranges of a large CSV body (:func:`glmsub.datasets.load_csv`), and from
   ``_SPLIT_ROWS`` rows the model-robust models
   (:func:`glmsub.probabilities.phi_model_robust`) and the row blocks of a
-  probability file (:func:`glmsub.cli._write_probabilities`).
+  probability file (:func:`glmsub.cli._write_probabilities`).  Asked for
+  a shape, it gives each share one float64 buffer, which every task of
+  the share writes in turn and which holds a task's output until the
+  consumer asks for the next result.
 * :func:`_fork_map` returns the results as a list, every share in a
   worker and the caller idle.  Its tasks are the Monte Carlo replicates
   and ssmse's full-data fit.  A caller that ran replicates too raised the
@@ -28,6 +31,7 @@ import math
 import mmap
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -183,16 +187,23 @@ def _died(code: int) -> ChildProcessError:
     return ChildProcessError(f"a worker process died: {how}")
 
 
-def _fork_stream(tasks: list, workers: int):
-    """Yield ``task()`` for each task, in task order.  Task k runs in share
-    k mod ``workers``: share 0 in the caller when its turn comes, and each
-    other share in one worker forked for the whole call (:func:`_forked`).
-    The caller takes ``workers`` from :func:`_worker_count` of the tasks,
-    or 1 for a plain loop, as inside a worker, on one CPU and off Linux.
+def _fork_stream(tasks: list, split: bool, shape: int | tuple | None = None):
+    """Yield ``task()`` for each task, in task order.  With ``split`` the
+    tasks go to :func:`_worker_count` shares: share 0 runs in the caller
+    when its turn comes, and each other share in one worker forked for the
+    whole call (:func:`_forked`).  Without it, or inside a worker, on one
+    CPU and off Linux, the caller runs every task.
+
+    With ``shape``, each task gets its share's float64 buffer of that
+    shape as its last argument, and the stream yields ``(buffer,
+    task(buffer))``.  Share 0's buffer is on the heap: a first touch of
+    shared memory costs more, and one-process scoring at N = 1e4-1e5 took
+    10-20% longer into shared vectors.  Every other share's is a
+    :func:`_shared_array`.
 
     A worker sends each result as soon as it is done, and starts its next
-    task only once the consumer asks for the result after that one, so
-    each share can reuse one buffer.  A worker's exception is raised at
+    task only once the consumer asks for the result after that one, which
+    keeps a buffer's output until then.  A worker's exception is raised at
     its turn, and a worker that died raises :class:`ChildProcessError`
     when its result is next.  A consumer that may stop early closes the
     stream in a ``finally`` (``contextlib.closing``), which stops the
@@ -201,27 +212,32 @@ def _fork_stream(tasks: list, workers: int):
     """
     import pickle
 
-    if workers > 1:
-        with _forked([tasks[w::workers] for w in range(1, workers)], acked=True) as forked:
-            if forked is not None:
-                for k, task in enumerate(tasks):
-                    if not k % workers:
-                        yield task()
-                        continue
-                    worker = forked[k % workers - 1]
-                    try:
-                        kind, value = pickle.load(worker[1])
-                    except (EOFError, pickle.UnpicklingError):
-                        raise _died(_reap(worker)) from None
-                    if kind == "err":
-                        raise value
-                    yield value
-                    if k + workers < len(tasks):
-                        with contextlib.suppress(BrokenPipeError):  # reported at its next turn
-                            os.write(worker[2], b"\0")
-                return
-    for task in tasks:
-        yield task()
+    shares = _worker_count(len(tasks)) if split else 1
+    if shape is not None:
+        buffers = [np.empty(shape)]
+        buffers += [_shared_array(*buffers[0].shape) for _ in range(1, shares)]
+        tasks = [partial(task, buffers[k % shares]) for k, task in enumerate(tasks)]
+    forking = (
+        _forked([tasks[w::shares] for w in range(1, shares)], acked=True)
+        if shares > 1
+        else contextlib.nullcontext()
+    )
+    with forking as forked:
+        for k, task in enumerate(tasks):
+            w = k % shares
+            if forked is None or not w:
+                value = task()
+            else:
+                try:
+                    kind, value = pickle.load(forked[w - 1][1])
+                except (EOFError, pickle.UnpicklingError):
+                    raise _died(_reap(forked[w - 1])) from None
+                if kind == "err":
+                    raise value
+            yield value if shape is None else (buffers[w], value)
+            if forked is not None and w and k + shares < len(tasks):
+                with contextlib.suppress(BrokenPipeError):  # reported at its next turn
+                    os.write(forked[w - 1][2], b"\0")
 
 
 def _fork_map(tasks: list) -> list:

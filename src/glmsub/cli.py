@@ -15,33 +15,31 @@ output path.  Without ``--out`` the output is named after the config
 file, so a config read from a pipe needs ``--out``.  ``simulate`` and
 ``ssmse`` run their replicates in one forked worker process per usable
 CPU on Linux, as the library does, without changing results, while the
-CLI process waits.  ``subsample`` and
-``probabilities`` share a large CSV parse, model-robust scoring and a
-large probability write among the CLI process and one forked worker per
-other usable CPU (:mod:`glmsub.datasets`, :mod:`glmsub.probabilities`):
-the CLI process parses every W-th range, scores every W-th model and
-formats every W-th block of the file itself.  ``taskset -c 0`` keeps one
-process.  While workers run, the CLI process holds OpenBLAS at one
-thread, which each worker inherits.
+CLI process waits.  ``subsample`` and ``probabilities`` share a large
+CSV parse, model-robust scoring and a large probability write among the
+CLI process and one forked worker per other usable CPU
+(:mod:`glmsub._workers`).  ``taskset -c 0`` keeps one process.  While
+workers run, the CLI process holds OpenBLAS at one thread, which each
+worker inherits.
 Outputs are written atomically (temp file + rename) and every CSV gets a
 ``<name>.meta.json`` sidecar echoing the config as it was read, once (so
 a config on a pipe is echoed too), the master seed and the tool version;
 ``subsample`` adds ``newton_iterations``, one count per model in model
 order, and a probability file's sidecar adds ``criterion``.  The
 ``GLMSUB_OUT_DIR`` environment variable redirects default output
-locations.  An output path that resolves to the config file, the dataset
-or another output, sidecars included, is refused before any data is read.
+locations.  An output path that is a directory or resolves to the config
+file, the dataset or another output, sidecars included, is refused before
+any data is read.
 
 A probability file holds the rows ``i,repr(p)``.  :mod:`glmsub._shortest`
 computes the shortest round-trip digits of a block of values in [1e-10,
 1e-4) with NumPy integer arithmetic and takes ``repr`` for any other
 value, so the bytes are those of one ``repr`` per value.  The rows are
-formatted in blocks of ``WRITE_ROWS``; from ``_workers._SPLIT_ROWS`` rows
-block k goes to share k mod W, one share per usable CPU on Linux, and the
-CLI process writes the header and then every block in order.  The bytes
-are the same either way, and ``taskset -c 0`` keeps the write to one
-process.  When the system refuses a fork, every command runs all of its
-work in the CLI process.
+formatted in blocks of ``WRITE_ROWS``, shared out from
+``_workers._SPLIT_ROWS`` rows, and the CLI process writes the header and
+then every block in order.  The bytes are the same either way, and
+``taskset -c 0`` keeps the write to one process.  When the system refuses
+a fork, every command runs all of its work in the CLI process.
 
 On glibc, :func:`main` first fixes malloc's mmap threshold at 32 MiB and
 its trim threshold at 64 MiB, the ceiling glibc's own dynamic rule reaches,
@@ -58,7 +56,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import mmap
 import os
 import sys
 from contextlib import closing
@@ -110,46 +107,43 @@ def _write_meta(out_path: "str | Path", meta: dict, extra: dict | None = None) -
     atomic_write(f"{out_path}.meta.json", text + "\n")
 
 
-def _format_rows(region: mmap.mmap, probs: np.ndarray, start: int) -> int:
+def _format_rows(probs: np.ndarray, start: int, region: np.ndarray) -> int:
     """Format the rows ``i,repr(p)`` of ``probs``, numbered from ``start``,
-    into the head of ``region`` and return their byte count."""
+    into the head of ``region``'s bytes and return their byte count."""
     text = _shortest.rows(probs, start)
-    region[: len(text)] = text
+    region.view(np.uint8)[: len(text)] = np.frombuffer(text, np.uint8)
     return len(text)
 
 
 def _write_probabilities(path: "str | Path", probs: np.ndarray) -> None:
     """Write the probability file: the header, then the rows ``i,repr(p)``
-    (the bytes csv.writer gives, as no field needs quoting).  Block k of
-    ``WRITE_ROWS`` rows is a :func:`glmsub._workers._fork_stream` task that
-    formats it into share k mod W's one shared region, and this process
-    writes each region's bytes in block order.  W is one share per usable
-    CPU from ``_workers._SPLIT_ROWS`` rows, and 1 below."""
+    (the bytes csv.writer gives, as no field needs quoting).  Each block
+    of ``WRITE_ROWS`` rows is a :func:`glmsub._workers._fork_stream` task,
+    shared out from ``_workers._SPLIT_ROWS`` rows, that formats it into
+    its share's buffer, and this process writes the buffers' bytes in
+    block order."""
     path = Path(path)
     probs = np.asarray(probs, dtype=np.float64)
     n = probs.shape[0]
-    starts = range(0, n, WRITE_ROWS)
-    shares = _workers._worker_count(len(starts)) if n >= _workers._SPLIT_ROWS else 1
-    # A row is at most the row number, a comma, a 24-character repr and CRLF.
-    regions = [mmap.mmap(-1, WRITE_ROWS * (len(str(n)) + 27)) for _ in range(shares)]
-    tasks = [
-        partial(_format_rows, regions[k % shares], probs[a : a + WRITE_ROWS], a)
-        for k, a in enumerate(starts)
-    ]
+    tasks = [partial(_format_rows, probs[a : a + WRITE_ROWS], a) for a in range(0, n, WRITE_ROWS)]
+    # A row is at most the row number, a comma, a 24-character repr and CRLF;
+    # a share's buffer holds that many bytes for each row of a block.
+    floats = -(-WRITE_ROWS * (len(str(n)) + 27) // 8)
     with _atomic_path(path) as tmp, open(tmp, "wb") as fh:
         fh.write(b"row,probability\r\n")
         # Closed however the loop ends, so that no worker outlives the write.
-        with closing(_workers._fork_stream(tasks, shares)) as stream:
-            for k, size in enumerate(stream):
-                fh.write(regions[k % shares][:size])
+        with closing(_workers._fork_stream(tasks, n >= _workers._SPLIT_ROWS, floats)) as stream:
+            for region, size in stream:
+                fh.write(region.view(np.uint8)[:size])
 
 
 def _load_config(args, mode: str, suffix: str) -> "tuple[ScenarioConfig | RealDataConfig, Path, dict]":
     """Parse the config file, check that it is for ``mode`` and apply
     ``--seed``; return the config, the output path and the sidecar fields,
     which echo the YAML document as read, once.  An output path (or its
-    ``.meta.json`` sidecar) that resolves to the config file, the dataset
-    or another output is refused before anything is read."""
+    ``.meta.json`` sidecar) that is a directory or resolves to the config
+    file, the dataset or another output is refused before anything is
+    read."""
     document = _read_config(args.config)
     config = _parse_mapping(document)
     got = config.mode if isinstance(config, RealDataConfig) else "simulate"
@@ -165,6 +159,8 @@ def _load_config(args, mode: str, suffix: str) -> "tuple[ScenarioConfig | RealDa
         taken.setdefault(Path(config.dataset.path).resolve(), f"the dataset {config.dataset.path}")
     for output in filter(None, (out, getattr(args, "write_probs", None))):
         for path in (Path(output), Path(f"{output}.meta.json")):
+            if path.is_dir():
+                raise ValidationError(f"output {path} is a directory")
             key = path.resolve()
             if key in taken:
                 raise ValidationError(f"output {path} would overwrite {taken[key]}")

@@ -5,11 +5,11 @@ does not decode is a validation error naming the file) with a header row
 (RFC-4180-style quoting, ``.`` decimal) that names each requested column
 once.  The body is parsed in ranges of about ``_RANGE_BYTES``, split at
 newlines, each in one vectorised pass; a body of at least two whole
-ranges is shared out among this process, which parses every W-th range,
-and one forked worker per other usable CPU on Linux, and the arrays are
-the same bits either way.  A body that the ranges do not parse is parsed
-again row by row, the one source of error messages, so each message and
-row number is the same whatever the body's size and the CPU count.  Two
+ranges is shared out between this process and one forked worker per
+other usable CPU on Linux, and the arrays are the same bits either way.
+A body that the ranges do not parse is parsed again row by row, the one
+source of error messages, so each message and row number is the same
+whatever the body's size and the CPU count.  Two
 scaling rules are supported besides none: standardize to mean zero and
 population variance one, and map the observed range onto [0, 1].  Scaling
 is applied once, globally, before any subsampling.
@@ -211,12 +211,11 @@ def _parse_ranges(
     region sized for the most rows its bytes can hold, at
     ``2 * len(header)`` bytes a row, and the regions are copied out in file
     order, each unmapped once copied.  The tasks go through
-    :func:`glmsub._workers._fork_stream`: from two whole ranges of body,
-    range k is parsed in share k mod W, share 0 in this process and each
-    other share in one forked worker; a shorter body's ranges are all
-    parsed by this process.  ``None`` when the first line is not the whole
-    header, when a range does not parse, or when the body holds no row:
-    the caller then parses the file row by row."""
+    :func:`glmsub._workers._fork_stream`, which shares them out from two
+    whole ranges of body; a shorter body's ranges are all parsed by this
+    process.  ``None`` when the first line is not the whole header, when a
+    range does not parse, or when the body holds no row: the caller then
+    parses the file row by row."""
     with open(path, "rb") as fh:
         first = fh.readline().decode("utf-8-sig", "replace")
         bounds, stop = [fh.tell()], os.fstat(fh.fileno()).st_size
@@ -231,8 +230,7 @@ def _parse_ranges(
     # heap regions for those raised the load's peak (VmHWM) by 2-80 MB.
     outs = [_workers._shared_array((b - a) // (2 * n_fields) + 1, len(positions)) for a, b in ranges]
     tasks = [partial(_parse_range, path, *ab, n_fields, positions, out) for ab, out in zip(ranges, outs)]
-    shares = _workers._worker_count(len(tasks)) if stop - bounds[0] >= 2 * _RANGE_BYTES else 1
-    rows = list(_workers._fork_stream(tasks, shares))
+    rows = list(_workers._fork_stream(tasks, stop - bounds[0] >= 2 * _RANGE_BYTES))
     del tasks  # which hold every region
     if None in rows or sum(rows) == 0:
         return None

@@ -118,13 +118,6 @@ def _checked_inverse(matrix: np.ndarray, message: str) -> np.ndarray:
     return np.linalg.inv(matrix)
 
 
-def _gram(xt: np.ndarray, v: np.ndarray, scale) -> np.ndarray:
-    """Symmetrized weighted Gram matrix ``sum_i v_i x_i x_i^T / scale`` of
-    the feature-major columns ``xt`` (d x B)."""
-    g = (xt * v) @ xt.T / scale
-    return 0.5 * (g + g.T)
-
-
 def _checked_theta(theta, n_params: int) -> np.ndarray:
     """``theta`` as floats, after checking that it has ``n_params`` entries."""
     theta = np.asarray(theta, dtype=float)
@@ -611,10 +604,11 @@ def fit_weighted_mles(
 
 def _information(family: Family, theta: np.ndarray, design, means: np.ndarray) -> np.ndarray:
     """``(1/N) sum_i variance(mean(eta_i)) x_i x_i^T`` over the row blocks
-    of ``design`` at ``theta`` (floats, one per column); each row's mean is
-    written into the N-vector ``means``."""
+    of ``design`` at ``theta`` (floats, one per column), each block's term
+    symmetrized; each row's mean is written into the N-vector ``means``."""
     info = 0.0
     for rows, xt in _row_blocks(design):
         means[rows] = mu = _block_mean(family, theta @ xt, rows.start)
-        info += _gram(xt, family.variance(mu), design.shape[0])
+        g = (xt * family.variance(mu)) @ xt.T / design.shape[0]
+        info += 0.5 * (g + g.T)
     return info

@@ -30,9 +30,8 @@ Memory therefore grows with N only through N-vectors, never through an
 N x d array: a :class:`LazyDesign` builds each block straight from the
 raw covariates.  :func:`phi_model_robust` scores one model at a time
 into an N-vector per share: from ``_workers._SPLIT_ROWS`` rows the
-models are shared out by :func:`glmsub._workers._fork_stream`, this
-process scoring every W-th model and one forked worker per other usable
-CPU the rest, for one more N-vector held per worker.
+models are shared out by :func:`glmsub._workers._fork_stream` between
+this process and forked workers, for one more N-vector held per worker.
 
 :func:`draw_with_replacement` draws the row indices of a subsample from
 such a vector.
@@ -240,9 +239,9 @@ def phi_single(
     return ProbabilityVector(_scores(criterion, family, theta, design, y, eps, out), criterion)
 
 
-def _weighted_scores(out: np.ndarray, alpha_q: float, *args) -> None:
-    """Write ``alpha_q`` times one model's :func:`_scores` into ``out``."""
-    _scores(*args, out)
+def _weighted_scores(alpha_q: float, *args) -> None:
+    """Write ``alpha_q`` times one model's :func:`_scores` into ``args[-1]``."""
+    out = _scores(*args)
     out *= alpha_q
 
 
@@ -262,14 +261,12 @@ def phi_model_robust(
     convex combination of probability vectors, the result is itself a
     probability vector, bounded row-wise by the per-model extremes.
 
-    Each model is scored straight into an N-vector, which is added to the
-    sum in model order.  From ``_workers._SPLIT_ROWS`` rows the models go
-    through :func:`glmsub._workers._fork_stream`: model q runs in share q
-    mod W, one share per usable CPU on Linux, this process scoring share 0
-    into a heap vector and each forked worker its share into one shared
-    vector.  Below it, and on one CPU, this process scores every model
-    into one vector.  The bits are the same either way, and the first
-    model error in model order is raised.
+    Each model is scored straight into its share's N-vector, which is
+    added to the sum in model order.  From ``_workers._SPLIT_ROWS`` rows
+    the models are shared out by :func:`glmsub._workers._fork_stream`;
+    below it this process scores every model into one vector.  The bits
+    are the same either way, and the first model error in model order is
+    raised.
     """
     criterion = Criterion.optimality(criterion)
     if len(thetas) != len(models):
@@ -277,21 +274,13 @@ def phi_model_robust(
     raw = np.atleast_2d(np.asarray(raw, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     n = raw.shape[0]
-    shares = _workers._worker_count(len(models)) if n >= _workers._SPLIT_ROWS else 1
-    # Share 0 scores into the heap: a first touch of shared memory costs
-    # more, and one-process scoring at N = 1e4-1e5 took 10-20% longer into
-    # shared vectors.
-    outs = [np.empty(n)] + [_workers._shared_array(n) for _ in range(1, shares)]
     tasks = [
-        partial(
-            _weighted_scores, outs[q % shares], alpha_q,
-            criterion, family, theta_q, LazyDesign(spec, raw), y, eps,
-        )
-        for q, (alpha_q, spec, theta_q) in enumerate(zip(models.alpha, models.specs, thetas))
+        partial(_weighted_scores, alpha_q, criterion, family, theta_q, LazyDesign(spec, raw), y, eps)
+        for alpha_q, spec, theta_q in zip(models.alpha, models.specs, thetas)
     ]
     combined = np.zeros(n)
     # Closed however the loop ends, so that no worker outlives the call.
-    with closing(_workers._fork_stream(tasks, shares)) as stream:
-        for q, _ in enumerate(stream):
-            combined += outs[q % shares]
+    with closing(_workers._fork_stream(tasks, n >= _workers._SPLIT_ROWS, n)) as stream:
+        for out, _ in stream:
+            combined += out
     return ProbabilityVector(combined, _ROBUST_LABEL[criterion])

@@ -418,17 +418,17 @@ def split_probs(n):
 _format_rows = glmsub.cli._format_rows
 
 
-def _worker_format_fails(region, probs, start):
+def _worker_format_fails(probs, start, region):
     """The block formatter, failing in a worker the way a full disk makes
     it; the blocks of the CLI process's share are formatted."""
     if not glmsub._workers._in_worker:
-        return _format_rows(region, probs, start)
+        return _format_rows(probs, start, region)
     raise OSError("disk full")
 
 
-def _worker_format_dies(region, probs, start):
+def _worker_format_dies(probs, start, region):
     if not glmsub._workers._in_worker:
-        return _format_rows(region, probs, start)
+        return _format_rows(probs, start, region)
     os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -483,8 +483,8 @@ class TestSplitWriter:
         monkeypatch.setattr(glmsub._workers, "_cpu_budget", lambda: 3)
         formatted = mmap.mmap(-1, 1)  # set by a worker, seen by this process
 
-        def format_rows(region, probs, start):
-            size = _format_rows(region, probs, start)
+        def format_rows(probs, start, region):
+            size = _format_rows(probs, start, region)
             if glmsub._workers._in_worker:
                 formatted[0] = 1
             return size
@@ -603,6 +603,29 @@ class TestExitCodes:
         config = write(tmp_path, real_yaml(data, extra="r: 100\n"))
         assert main(["subsample", str(config), "--out", str(tmp_path / "e.csv")]) == 1
         assert capsys.readouterr().err == f"glmsub: error: dataset {data} is a directory, not a CSV file\n"
+
+    def test_directory_as_output_is_refused_before_the_dataset_is_read(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def unread(*args, **kwargs):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(glmsub.cli, "load_csv", unread)
+        csv_path = make_dataset_csv(tmp_path / "d.csv")
+        config = write(tmp_path, real_yaml(csv_path, extra="r: 100\n"))
+        outdir, taken = tmp_path / "out", tmp_path / "taken"
+        outdir.mkdir()
+        taken.mkdir()
+        (taken / "e.csv.meta.json").mkdir()
+        for flags, bad in (
+            (["--out", str(taken)], taken),
+            (["--out", str(taken / "e.csv")], taken / "e.csv.meta.json"),
+            (["--out", str(outdir / "e.csv"), "--write-probs", str(taken)], taken),
+        ):
+            assert main(["subsample", str(config), *flags]) == 1
+            assert capsys.readouterr().err == f"glmsub: error: output {bad} is a directory\n"
+            assert list(outdir.iterdir()) == []
+            assert [p.name for p in taken.iterdir()] == ["e.csv.meta.json"]
 
     def test_stray_quote_in_the_dataset_names_the_file(self, tmp_path, capsys):
         csv_path = make_dataset_csv(tmp_path / "d.csv", n=20_000)

@@ -1,5 +1,6 @@
 """The ordered task stream of glmsub._workers: share 0 in the caller, each
-other share in one worker forked for the whole stream."""
+other share in one worker forked for the whole stream, and one buffer per
+share when the stream is given a shape."""
 
 import os
 import signal
@@ -31,9 +32,9 @@ def _square(k):
     return k * k
 
 
-def _stamp(buffers, k):
+def _stamp(k, buffer):
     """Write task k's index into its share's buffer."""
-    buffers[k % len(buffers)][0] = k
+    buffer[:] = k
     return k
 
 
@@ -44,18 +45,17 @@ def _no_child_left():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_results_in_task_order(cpus, forks, n):
-    workers = cpus(n)
-    assert workers == n
+    assert cpus(n) == n
     tasks = [partial(_square, k) for k in range(9)]
-    assert list(_fork_stream(tasks, workers)) == [task() for task in tasks]
+    assert list(_fork_stream(tasks, True)) == [task() for task in tasks]
     assert len(forks) == n - 1  # share 0 runs here
     _no_child_left()
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_caller_runs_share_zero(cpus, n):
-    workers = cpus(n)
-    pids = list(_fork_stream([os.getpid] * 7, workers))
+    cpus(n)
+    pids = list(_fork_stream([os.getpid] * 7, True))
     assert [pid == os.getpid() for pid in pids] == [k % n == 0 for k in range(7)]
     assert len(set(pids)) == n  # one worker per other share, for the whole stream
 
@@ -65,19 +65,56 @@ def test_a_share_waits_until_its_result_is_taken(cpus, n):
     # A worker that ran ahead would overwrite its buffer with a later
     # task's index while the consumer still reads the earlier one.
     workers = cpus(n)
-    buffers = [_shared_array(1) for _ in range(workers)]
-    tasks = [partial(_stamp, buffers, k) for k in range(4 * workers + 1)]
-    for k, got in enumerate(_fork_stream(tasks, workers)):
+    tasks = [partial(_stamp, k) for k in range(4 * workers + 1)]
+    for k, (buffer, got) in enumerate(_fork_stream(tasks, True, 1)):
         assert got == k
         time.sleep(0.02)
-        assert buffers[k % workers][0] == k
+        assert buffer[0] == k
+
+
+def _stamp_and_flag(k, flags, buffer):
+    """Write task k's index into its share's buffer, then set flag k."""
+    buffer[:] = k
+    flags[k] = 1
+    return k
+
+
+def test_each_worker_share_has_its_own_buffer(cpus):
+    # Tasks 1 and 2 start at once in the two workers.  Once task 2 has
+    # written its buffer, task 1's must still hold 1, which it would not if
+    # the worker shares wrote one buffer.
+    cpus(3)
+    flags = _shared_array(3)
+    tasks = [partial(_stamp_and_flag, k, flags) for k in range(3)]
+    with closing(_fork_stream(tasks, True, 4)) as stream:
+        assert next(stream)[1] == 0
+        buffer, got = next(stream)
+        deadline = time.monotonic() + 60
+        while not flags[2]:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        assert got == 1
+        assert (buffer == 1).all()
+        buffer, got = next(stream)
+        assert got == 2
+        assert (buffer == 2).all()
+    _no_child_left()
+
+
+def test_no_split_forks_no_worker(cpus, forks):
+    assert cpus(3) == 3
+    tasks = [partial(_square, k) for k in range(9)]
+    assert list(_fork_stream(tasks, False)) == [task() for task in tasks]
+    stamps = [partial(_stamp, k) for k in range(9)]
+    assert [got for _, got in _fork_stream(stamps, False, 1)] == list(range(9))
+    assert forks == []
 
 
 def test_consumer_error_stops_the_workers(cpus):
-    workers = cpus(2)
+    cpus(2)
     started = time.monotonic()
     with pytest.raises(RuntimeError, match="consumer"):
-        with closing(_fork_stream([int, partial(time.sleep, 30)] * 2, workers)) as stream:
+        with closing(_fork_stream([int, partial(time.sleep, 30)] * 2, True)) as stream:
             for _ in stream:
                 raise RuntimeError("consumer")
     assert time.monotonic() - started < 10
@@ -100,7 +137,8 @@ def test_plain_openblas_names_hold_one_thread(cpus, monkeypatch):
 
     fake = types.SimpleNamespace(openblas_get_num_threads=get, openblas_set_num_threads=put)
     monkeypatch.setattr(ctypes, "CDLL", lambda path: fake)
-    assert list(_fork_stream([get] * 4, cpus(2))) == [1, 1, 1, 1]
+    cpus(2)
+    assert list(_fork_stream([get] * 4, True)) == [1, 1, 1, 1]
     assert count == [4]
     _no_child_left()
 
@@ -112,10 +150,10 @@ def _fail_at(k, bad):
 
 
 def test_worker_error_is_raised_at_its_turn(cpus):
-    workers = cpus(2)
+    cpus(2)
     got = []
     with pytest.raises(ValueError, match="task 3"):
-        for value in _fork_stream([partial(_fail_at, k, 3) for k in range(6)], workers):
+        for value in _fork_stream([partial(_fail_at, k, 3) for k in range(6)], True):
             got.append(value)
     assert got == [0, 1, 2]
     _no_child_left()
@@ -128,10 +166,10 @@ def _die_at(k, bad):
 
 
 def test_dead_worker_is_reported_when_its_result_is_next(cpus):
-    workers = cpus(2)
+    cpus(2)
     got = []
     with pytest.raises(ChildProcessError, match="killed by signal 9"):
-        for value in _fork_stream([partial(_die_at, k, 3) for k in range(6)], workers):
+        for value in _fork_stream([partial(_die_at, k, 3) for k in range(6)], True):
             got.append(value)
     assert got == [0, 1, 2]
     _no_child_left()
@@ -139,7 +177,7 @@ def test_dead_worker_is_reported_when_its_result_is_next(cpus):
 
 @pytest.mark.parametrize("allowed", [0, 1])
 def test_refused_fork_gives_the_plain_loop(cpus, monkeypatch, allowed):
-    workers = cpus(3)
+    cpus(3)
     fork, calls = os.fork, []
 
     def refuse_after_allowed():
@@ -150,7 +188,7 @@ def test_refused_fork_gives_the_plain_loop(cpus, monkeypatch, allowed):
 
     monkeypatch.setattr(os, "fork", refuse_after_allowed)
     tasks = [partial(_square, k) for k in range(7)]
-    assert list(_fork_stream(tasks, workers)) == [task() for task in tasks]
+    assert list(_fork_stream(tasks, True)) == [task() for task in tasks]
     assert len(calls) == allowed + 1
     _no_child_left()
 
@@ -179,7 +217,7 @@ def task(k):
     return k
 
 w._cpu_budget = lambda: 2
-for k in w._fork_stream([lambda k=k: task(k) for k in range(6)], w._worker_count(6)):
+for k in w._fork_stream([lambda k=k: task(k) for k in range(6)], True):
     if k == 1:
         os.kill(os.getpid(), signal.SIGKILL)
 """
