@@ -12,11 +12,12 @@ import tempfile
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .errors import ValidationError
-from .simulate import MetricsRecord
+if TYPE_CHECKING:
+    from .simulate import MetricsRecord
 
-__all__ = ["atomic_write", "read_metrics_csv", "write_metrics_csv"]
+__all__ = ["atomic_write", "write_metrics_csv"]
 
 METRICS_HEADER = ["scenario", "estimating_model", "r", "smse", "mean_model_info", "failures"]
 
@@ -72,27 +73,3 @@ def write_metrics_csv(records: "list[MetricsRecord]", path: "str | Path") -> Non
         for rec in records
     ]
     atomic_write(path, _csv_text(METRICS_HEADER, rows))
-
-
-def read_metrics_csv(path: "str | Path") -> "list[MetricsRecord]":
-    """Parse a metrics CSV back into the records that produced it."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != METRICS_HEADER:
-            raise ValidationError(
-                f"unexpected metrics header {header!r}; expected {METRICS_HEADER!r}"
-            )
-        records = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                scenario, model, r, value, info, failed = row
-                record = MetricsRecord(scenario, int(model), int(r), float(value), float(info), int(failed))
-            except ValueError:
-                raise ValidationError(
-                    f"{path} line {reader.line_num}: malformed metrics row {row!r}"
-                ) from None
-            records.append(record)
-    return records

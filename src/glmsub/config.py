@@ -160,8 +160,8 @@ class _Block:
         self.path = path
         self.seen: set[str] = set()
 
-    def _key(self, name: str) -> str:
-        return f"{self.path}.{name}" if self.path else name
+    def _key(self, name) -> str:
+        return f"{self.path}.{name}" if self.path else str(name)
 
     def get(self, name: str, kind, required: bool = False, default=None):
         self.seen.add(name)
@@ -182,7 +182,7 @@ class _Block:
     def reject_unknown(self):
         unknown = set(self.data) - self.seen
         if unknown:
-            raise ConfigError(self._key(sorted(unknown)[0]), "unknown key")
+            raise ConfigError(self._key(sorted(unknown, key=str)[0]), "unknown key")
 
     def list_of(self, name: str, kind, required: bool = False, default=None):
         """The list at ``name``, each entry checked as a ``kind``."""
@@ -331,7 +331,10 @@ def _parse_dataset(block: _Block) -> DatasetDescriptor:
             columns.append(CovariateColumn(name, name in continuous_set, rules.get(name, "none")))
     except ValidationError as exc:
         raise ConfigError(f"dataset.scaling.{name}", str(exc)) from None
-    return DatasetDescriptor(path=path, response=response, covariates=columns)
+    try:
+        return DatasetDescriptor(path=path, response=response, covariates=columns)
+    except ValidationError as exc:
+        raise ConfigError("dataset.covariates", str(exc)) from None
 
 
 def _parse_real_data(mode: str, root: _Block, common: dict) -> RealDataConfig:

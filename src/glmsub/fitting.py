@@ -65,7 +65,6 @@ from .models import LazyDesign, _feature_rows
 __all__ = [
     "WeightedSample",
     "FitResult",
-    "score_and_hessian",
     "fit_weighted_mle",
     "fit_weighted_mles",
 ]
@@ -219,22 +218,6 @@ class FitResult:
     @property
     def std_errors(self) -> np.ndarray:
         return np.sqrt(np.diag(self.variance))
-
-
-def score_and_hessian(
-    family: Family, theta: np.ndarray, sample: WeightedSample
-) -> tuple[np.ndarray, np.ndarray]:
-    """Score vector and (positive) Hessian of the weighted log-likelihood,
-    both unnormalized sums over the sample: one Newton pass of
-    :func:`fit_weighted_mles` at a one-model parameter block."""
-    dim = sample.n_params
-    theta = _checked_theta(theta, dim)
-    if sample.n_rows == 0:  # no block to sum over
-        return np.zeros(dim), np.zeros((dim, dim))
-    scores, grams = _block_sums(
-        family, _pair_walk(sample), sample.response, sample.probs, theta[None], at_optimum=False
-    )
-    return scores[0], grams.take(_layout_of(dim, [np.arange(dim)]).picks[0])
 
 
 def fit_weighted_mle(

@@ -4,7 +4,6 @@ import json
 import mmap
 import os
 import platform
-import re
 import signal
 import stat
 import subprocess
@@ -21,9 +20,7 @@ import glmsub.simulate
 from glmsub import (
     MetricsRecord,
     NumericOverflowError,
-    ValidationError,
     atomic_write,
-    read_metrics_csv,
     write_metrics_csv,
 )
 from glmsub._artifacts import METRICS_HEADER
@@ -121,28 +118,13 @@ class TestMetricsRoundTrip:
         ]
         path = tmp_path / "metrics.csv"
         write_metrics_csv(records, path)
-        assert read_metrics_csv(path) == records
-
-    def test_blank_rows_skipped_and_header_checked(self, tmp_path):
-        path = tmp_path / "metrics.csv"
-        record = MetricsRecord("random", 1, 100, 0.5, 2.0, 0)
-        write_metrics_csv([record], path)
-        path.write_text(path.read_text(encoding="utf-8") + "\n", encoding="utf-8")
-        assert read_metrics_csv(path) == [record]
-        path.write_text("scenario,r\nrandom,100\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="unexpected metrics header"):
-            read_metrics_csv(path)
-
-    @pytest.mark.parametrize(
-        "row", ["random,1,100,0.5,2.0", "random,1,100,0.5,2.0,0,7", "random,1,100,half,2.0,0"]
-    )
-    def test_malformed_row_names_file_and_line(self, tmp_path, row):
-        # Too few fields, too many, and a non-numeric one.
-        path = tmp_path / "metrics.csv"
-        write_metrics_csv([MetricsRecord("random", 1, 100, 0.5, 2.0, 0)], path)
-        path.write_text(path.read_text(encoding="utf-8") + row + "\r\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match=re.escape(f"{path} line 3: malformed")):
-            read_metrics_csv(path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == METRICS_HEADER
+        assert [
+            MetricsRecord(s, int(q), int(r), float(v), float(i), int(f))
+            for s, q, r, v, i, f in rows
+        ] == records
 
     def test_header_contract(self, tmp_path):
         path = tmp_path / "metrics.csv"
@@ -214,8 +196,10 @@ class TestSimulateCommand:
         config = write(tmp_path, SIM_YAML)
         out = tmp_path / "m.csv"
         assert main(["simulate", str(config), "--out", str(out)]) == 0
-        records = read_metrics_csv(out)
-        assert len(records) == 6
+        with open(out, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == METRICS_HEADER
+        assert len(rows) == 6
         meta = json.loads((tmp_path / "m.csv.meta.json").read_text(encoding="utf-8"))
         assert meta["tool"] == "glmsub"
         assert meta["master_seed"] == 11

@@ -410,9 +410,17 @@ class TestRealDataConfig:
             ("  scaling:", "  continuous: [red, purple]\n  scaling:", "dataset.continuous"),
             ("r: 500", "r: 500\nsampling_model: 1.5", "sampling_model"),
             ("r: 500", "r: 500\nsampling_model: robust", "sampling_model"),
+            ("[red, green, blue]", "[red, green, blue, red]", "dataset.covariates"),
+            ("[red, green, blue]", "[red, green, blue, is_skin]", "dataset.covariates"),
+            (REAL_YAML[REAL_YAML.index("[red"):], "[]\n", "dataset.covariates"),
+            # YAML keys need not be strings: the first unknown key by its text is named.
+            ("r: 500", "r: 500\n1: x\nfoo: y", "1"),
+            ("dataset:\n", "dataset:\n  2: x\n  foo: y\n", "dataset.2"),
         ],
         ids=["scaling-unknown-name", "continuous-unknown-name", "sampling-model-float",
-             "sampling-model-string"],
+             "sampling-model-string", "covariates-duplicate", "covariates-response",
+             "covariates-empty", "unknown-keys-of-mixed-types",
+             "nested-unknown-keys-of-mixed-types"],
     )
     def test_bad_values_name_their_key(self, tmp_path, old, new, key):
         with pytest.raises(ConfigError) as excinfo:

@@ -81,6 +81,65 @@ class TestConstruction:
         np.testing.assert_array_equal(a, b)
 
 
+class _FixedUniform:
+    """Generator stub whose ``random`` returns one value for every draw."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size):
+        return np.full(size, self.value)
+
+
+class TestDraws:
+    def test_degenerate_mass(self, rng):
+        # Pre-floor test vector: all mass on index 0.
+        probs = np.zeros(6)
+        probs[0] = 1.0
+        idx = draw_with_replacement(probs, 500, rng)
+        assert np.all(idx == 0)
+
+    def test_empirical_frequencies_three_outcomes(self):
+        rng = np.random.default_rng(1234)
+        probs = np.array([0.2, 0.3, 0.5])
+        r = 300_000
+        idx = draw_with_replacement(probs, r, rng)
+        counts = np.bincount(idx, minlength=3)
+        sigma = np.sqrt(r * probs * (1 - probs))
+        assert np.all(np.abs(counts - r * probs) < 3 * sigma)
+
+    def test_determinism(self):
+        probs = np.array([0.1, 0.2, 0.3, 0.4])
+        a = draw_with_replacement(probs, 1000, np.random.default_rng(7))
+        b = draw_with_replacement(probs, 1000, np.random.default_rng(7))
+        np.testing.assert_array_equal(a, b)
+
+    def test_zero_weight_never_drawn(self, rng):
+        probs = np.array([0.5, 0.0, 0.5])
+        idx = draw_with_replacement(probs, 20_000, rng)
+        assert not np.any(idx == 1)
+
+    def test_trailing_zero_weights_unreachable_at_top_of_unit_interval(self):
+        # The largest double below 1.0 must still land on the last
+        # positive-weight row, never on the zero-weight rows after it.
+        idx = draw_with_replacement([0.5, 0.5, 0.0, 0.0], 8, _FixedUniform(np.nextafter(1.0, 0.0)))
+        np.testing.assert_array_equal(idx, np.full(8, 1))
+
+    def test_leading_zero_weights_unreachable_at_zero(self):
+        idx = draw_with_replacement([0.0, 0.0, 0.5, 0.5], 8, _FixedUniform(0.0))
+        np.testing.assert_array_equal(idx, np.full(8, 2))
+
+    def test_accepts_probability_vector_wrapper(self, rng):
+        pv = ProbabilityVector(np.full(4, 0.25), Criterion.UNIFORM)
+        idx = draw_with_replacement(pv, 50, rng)
+        assert idx.shape == (50,)
+        assert set(np.unique(idx)) <= {0, 1, 2, 3}
+
+    def test_size_validation(self, rng):
+        with pytest.raises(ValidationError):
+            draw_with_replacement(np.array([1.0]), 0, rng)
+
+
 class TestInitialProbabilities:
     def test_logistic_balanced(self, logistic):
         pv = initial_probabilities(logistic, np.array([0, 0, 1, 1]))
