@@ -572,6 +572,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"glmsub: error: {config}: not UTF-8: byte 0xff (invalid start byte)\n"
 
+    def test_non_utf8_data_row_names_the_file(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"y,a\n0,0.5\n1,\xff.5\n")
+        text = "mode: subsample\nfamily: logistic\nr0: 10\nr: 20\n"
+        config = write(tmp_path, text + f"dataset:\n  path: {data}\n  response: y\n  covariates: [a]\n")
+        assert main(["subsample", str(config), "--out", str(tmp_path / "e.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"glmsub: error: {data} is not UTF-8: byte 0xff (invalid start byte)\n"
+
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", str(tmp_path / "none.yaml")]) == 1
 
@@ -761,7 +770,7 @@ class TestExitCodes:
         # ``python -m glmsub.cli`` reaches main through the __main__ guard.
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run(
-            [sys.executable, "-m", "glmsub.cli", "--version"],
+            [sys.executable, "-W", "error", "-m", "glmsub.cli", "--version"],
             env=env,
             capture_output=True,
             text=True,

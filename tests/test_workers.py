@@ -1,6 +1,7 @@
 """The ordered task stream of glmsub._workers: share 0 in the caller, each
 other share in one worker forked for the whole stream, and one buffer per
-share when the stream is given a shape."""
+share when the stream is given a shape; and the rule that no other module
+forks."""
 
 import os
 import signal
@@ -10,6 +11,7 @@ import time
 import types
 from contextlib import closing
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -229,3 +231,10 @@ for k in w._fork_stream([lambda k=k: task(k) for k in range(6)], True):
     while not _gone(worker):
         assert time.monotonic() < deadline
         time.sleep(0.01)
+
+
+def test_no_other_module_forks_or_counts_shares():
+    package = Path(glmsub._workers.__file__).parent
+    for name in ("os.fork", "_worker_count"):
+        found = [path.name for path in sorted(package.glob("*.py")) if name in path.read_text(encoding="utf-8")]
+        assert found == ["_workers.py"], name
