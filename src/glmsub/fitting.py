@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     NonConvergenceError,
@@ -96,17 +97,21 @@ def _row_blocks(design: "np.ndarray | LazyDesign"):
             yield rows, np.ascontiguousarray(design[rows].T)
 
 
+# The Newton loop calls the LAPACK gufuncs that ``np.linalg.eigvalsh`` and
+# ``np.linalg.solve`` wrap, without the wrappers' argument checks, which on
+# the loop's small float64 stacks take about a third of the call (a (4, 5,
+# 5) stack: eigvalsh 13.8 against 9.8 us, solve 6.7 against 4.0 us with the
+# errstate; one CPU of a 2-vCPU VM, NumPy 2.4.6).  Where LAPACK fails on a
+# matrix, a gufunc returns NaN for it alone and sets the invalid flag; each
+# call ignores that flag and those the wrappers ignore, and gives the
+# wrappers' bits.
 def _singular(stack: np.ndarray) -> np.ndarray:
     """Which matrices of an ``(A, d, d)`` symmetric stack are singular: a
     smallest eigenvalue not above ``_RCOND`` times the largest (so also
-    every matrix whose largest eigenvalue is not positive), or no
-    eigenvalues at all (NaN entries)."""
-    try:
-        evals = np.linalg.eigvalsh(stack)
-    except np.linalg.LinAlgError:
-        if len(stack) == 1:
-            return np.ones(1, dtype=bool)
-        return np.concatenate([_singular(matrix[None]) for matrix in stack])
+    every matrix whose largest eigenvalue is not positive), or NaN
+    eigenvalues (NaN entries, or LAPACK failing on the matrix)."""
+    with np.errstate(all="ignore"):
+        evals = _umath_linalg.eigvalsh_lo(stack)
     return ~(evals[:, 0] > evals[:, -1] * _RCOND)
 
 
@@ -529,7 +534,8 @@ def fit_weighted_mles(
         singular = _singular(hess)
         if singular.any():
             hess[singular] = np.eye(dim)  # keep the stacked solve clear of them
-        step = np.linalg.solve(hess, rhs[..., None])[..., 0]
+        with np.errstate(all="ignore"):
+            step = _umath_linalg.solve(hess, rhs[..., None])[..., 0]
         bad = singular | ~np.isfinite(step).all(axis=1)
         if bad.any():
             a = np.flatnonzero(bad)[0]

@@ -43,7 +43,7 @@ from .families import Family
 from .fitting import FitResult, _linear_predictor
 from .models import ModelSet, ModelSpec, build_design
 from .probabilities import DEFAULT_EPS, Criterion
-from .twostage import random_sampling_baseline, two_stage
+from .twostage import _stage1_sampler, _two_stage, random_sampling_baseline
 
 __all__ = [
     "ExponentialCovariates",
@@ -316,7 +316,10 @@ def _run_replicate(config, data, summarize, m: int) -> dict:
     """All strategies at all subsample sizes for replicate ``m``.
 
     Returns ``{(scenario, r): summary | None}`` where None marks a failed
-    run (non-convergent pilot after retries, etc.).
+    run (non-convergent pilot after retries, etc.).  The stage-1
+    probabilities and their CDF depend on the responses alone, so the
+    first two-stage strategy builds them and the others reuse them; a
+    degenerate response fails each two-stage strategy in turn.
     """
     if data is None:
         data_rng = _replicate_rng(config.master_seed, m, 0)
@@ -325,8 +328,10 @@ def _run_replicate(config, data, summarize, m: int) -> dict:
         y = gen_response(config.family, config.true_theta, design_true, data_rng)
     else:
         raw, y = data
+    y = np.asarray(y, dtype=float)  # as two_stage has it, once for every strategy
 
     out: dict = {}
+    stage1 = None
     for j, r in enumerate(config.r_grid):
         for s, label in enumerate(scenario_labels(config.model_set)):
             rng = _replicate_rng(config.master_seed, m, 1 + s, j)
@@ -336,7 +341,9 @@ def _run_replicate(config, data, summarize, m: int) -> dict:
                         config.family, config.model_set, raw, y, config.r0, r, rng
                     )
                 else:
-                    result = two_stage(
+                    if stage1 is None:
+                        stage1 = _stage1_sampler(config.family, y)
+                    result = _two_stage(
                         config.family,
                         config.model_set,
                         raw,
@@ -344,9 +351,10 @@ def _run_replicate(config, data, summarize, m: int) -> dict:
                         config.r0,
                         r,
                         rng,
-                        criterion=config.criterion,
-                        sampling_model=None if label == "model-robust" else s - 1,
-                        eps=config.eps,
+                        config.criterion,
+                        None if label == "model-robust" else s - 1,
+                        config.eps,
+                        stage1,
                     )
                 out[(label, r)] = summarize(config, result)
             except (FitError, StageOneError, NumericOverflowError, DegenerateResponseError):

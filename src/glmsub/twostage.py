@@ -23,6 +23,10 @@ shape the stage-2 probabilities (the union design, or under
 fixed at that function's defaults, and a stage-1 draw whose pilot fit
 fails (any model's) is redrawn up to ``DEFAULT_STAGE1_ATTEMPTS`` times
 before :class:`StageOneError`.
+
+The stage-1 probabilities depend on the response alone.  Every stage-1
+draw and redraw searches one CDF of them, and a study builds the pair
+once per dataset for all its two-stage strategies (``_two_stage``).
 """
 
 from __future__ import annotations
@@ -33,12 +37,14 @@ import numpy as np
 
 from .errors import FitError, NumericOverflowError, StageOneError, ValidationError
 from .families import Family
-from .fitting import FitResult, WeightedSample, fit_weighted_mles
+from .fitting import FitResult, WeightedSample, _checked_count, fit_weighted_mles
 from .models import LazyDesign, ModelSet
 from .probabilities import (
     DEFAULT_EPS,
     Criterion,
     ProbabilityVector,
+    _cdf,
+    _search,
     draw_with_replacement,
     initial_probabilities,
     phi_model_robust,
@@ -131,6 +137,14 @@ def _combine_and_fit(
     )
 
 
+def _stage1_sampler(family: Family, y: np.ndarray) -> tuple[ProbabilityVector, np.ndarray]:
+    """The stage-1 probabilities of the responses ``y`` and the CDF that
+    every stage-1 draw searches.  They depend on ``y`` alone, so a study
+    builds them once for all the two-stage strategies run on one dataset."""
+    init_probs = initial_probabilities(family, y)
+    return init_probs, _cdf(init_probs)
+
+
 def _stage1_and_probabilities(
     family: Family,
     models: ModelSet,
@@ -141,21 +155,24 @@ def _stage1_and_probabilities(
     criterion: Criterion,
     sampling_model: int | None,
     eps: float,
+    stage1: "tuple[ProbabilityVector, np.ndarray] | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, ProbabilityVector]:
     """Stage 1 plus the stage-2 probability computation.
 
-    Draws stage-1 rows and fits pilot estimates for the models that shape
-    the stage-2 probabilities, redrawing on estimation failure (up to
+    Draws stage-1 rows from ``stage1``, a :func:`_stage1_sampler` of ``y``
+    (built here when None), and fits pilot estimates for the models that
+    shape the stage-2 probabilities, redrawing on estimation failure (up to
     ``DEFAULT_STAGE1_ATTEMPTS`` fresh draws).  Returns (the stage-1 rows'
     initial probabilities, stage-1 row indices, stage-2 probabilities)."""
-    init_probs = initial_probabilities(family, y)
+    init_probs, cdf = _stage1_sampler(family, y) if stage1 is None else stage1
+    r0 = _checked_count(r0, "subsample size")
     pilot_spec, pilot_columns = models.full_spec, models.columns
     if sampling_model is not None:
         pilot_spec = models.specs[sampling_model]
         pilot_columns = [np.arange(pilot_spec.n_params)]
     last_error: Exception | None = None
     for _ in range(DEFAULT_STAGE1_ATTEMPTS):
-        idx1 = draw_with_replacement(init_probs, r0, rng)
+        idx1 = _search(cdf, r0, rng)
         sample = WeightedSample(LazyDesign(pilot_spec, raw[idx1]), y[idx1], init_probs.probs[idx1])
         try:
             pilots = [fit.theta for fit in fit_weighted_mles(family, sample, pilot_columns)]
@@ -164,7 +181,7 @@ def _stage1_and_probabilities(
             last_error = exc
     else:
         raise StageOneError(DEFAULT_STAGE1_ATTEMPTS, last_error)
-    del init_probs  # an N-vector, not held through the N-row scoring
+    del init_probs, cdf, stage1  # N-vectors, not held here through the N-row scoring
 
     if sampling_model is None:
         stage2 = phi_model_robust(criterion, family, models, pilots, raw, y, eps)
@@ -234,10 +251,27 @@ def two_stage(
     """
     raw, y = _checked_inputs(models, raw, y, r0, r, sampling_model)
     criterion = Criterion.optimality(criterion)
-    probs1, idx1, stage2 = _stage1_and_probabilities(
-        family, models, raw, y, r0, rng, criterion, sampling_model, eps
-    )
+    return _two_stage(family, models, raw, y, r0, r, rng, criterion, sampling_model, eps)
 
+
+def _two_stage(
+    family: Family,
+    models: ModelSet,
+    raw: np.ndarray,
+    y: np.ndarray,
+    r0: int,
+    r: int,
+    rng: np.random.Generator,
+    criterion: Criterion,
+    sampling_model: int | None,
+    eps: float,
+    stage1: "tuple[ProbabilityVector, np.ndarray] | None" = None,
+) -> TwoStageResult:
+    """:func:`two_stage` on checked inputs, drawing stage 1 from
+    ``stage1`` (see :func:`_stage1_and_probabilities`)."""
+    probs1, idx1, stage2 = _stage1_and_probabilities(
+        family, models, raw, y, r0, rng, criterion, sampling_model, eps, stage1
+    )
     idx2 = draw_with_replacement(stage2, r, rng)
     return _combine_and_fit(family, models, raw, y, probs1, idx1, stage2, idx2)
 
@@ -258,6 +292,7 @@ def random_sampling_baseline(
     family.validate_response(y)
     n = raw.shape[0]
     uniform = ProbabilityVector(np.full(n, 1.0 / n), Criterion.UNIFORM)
-    idx1 = draw_with_replacement(uniform, r0, rng)
-    idx2 = draw_with_replacement(uniform, r, rng)
+    cdf = _cdf(uniform)
+    idx1 = _search(cdf, _checked_count(r0, "subsample size"), rng)
+    idx2 = _search(cdf, _checked_count(r, "subsample size"), rng)
     return _combine_and_fit(family, models, raw, y, uniform.probs[idx1], idx1, uniform, idx2)

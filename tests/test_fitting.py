@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from glmsub import (
     fit_weighted_mles,
     full_data_mles,
     phi_single,
+    random_sampling_baseline,
+    two_stage,
 )
 
 from conftest import make_logistic_data, make_poisson_data
@@ -426,17 +429,20 @@ class TestBatchedFits:
             np.testing.assert_allclose(fit.variance, alone.variance, rtol=1e-10)
 
     def test_singular_classifies_each_matrix_when_the_stack_fails(self, monkeypatch):
-        # LAPACK may fail to converge on a matrix with NaN entries; the stack
-        # is then classified one matrix at a time and the failing one counts
-        # as singular.
-        eigvalsh = np.linalg.eigvalsh
+        # Where LAPACK fails on one matrix of a stack (it may not converge on
+        # NaN entries), the gufunc sets the invalid flag and returns NaN
+        # eigenvalues for that matrix alone: it counts as singular, and the
+        # others are classified as usual.  LAPACK here returns NaN for NaN
+        # entries without failing, so the failure is played by a stand-in.
+        real = glmsub.fitting._umath_linalg
 
-        def failing_on_nan(a):
-            if np.isnan(a).any():
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return eigvalsh(a)
+        def failing_on_nan(stack):
+            evals = real.eigvalsh_lo(np.nan_to_num(stack))
+            evals[np.isnan(stack).any(axis=(1, 2))] = np.float64(0.0) / np.float64(0.0)
+            return evals
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", failing_on_nan)
+        stand_in = SimpleNamespace(eigvalsh_lo=failing_on_nan, solve=real.solve)
+        monkeypatch.setattr(glmsub.fitting, "_umath_linalg", stand_in)
         stack = np.array(
             [np.eye(2), [[1.0, np.nan], [np.nan, 1.0]], [[1.0, 1.0], [1.0, 1.0]], np.diag([2.0, 3.0])]
         )
@@ -721,3 +727,137 @@ class TestMeanEvaluations:
         x, y = make_logistic_data(200, [0.3, -0.5, 0.8], rng)
         phi_single("mMSE", family, np.array([0.3, -0.5, 0.8]), x, y)
         assert family.mean_calls == 1
+
+
+class _RecordingLinalg:
+    """Stands in for ``numpy.linalg._umath_linalg`` in ``glmsub.fitting``:
+    calls the real gufuncs and keeps copies of every argument and result."""
+
+    def __init__(self, real):
+        self.real, self.eigvalsh_calls, self.solve_calls = real, [], []
+
+    def eigvalsh_lo(self, stack):
+        evals = self.real.eigvalsh_lo(stack)
+        self.eigvalsh_calls.append((stack.copy(), evals.copy()))
+        return evals
+
+    def solve(self, a, b):
+        x = self.real.solve(a, b)
+        self.solve_calls.append((a.copy(), b.copy(), x.copy()))
+        return x
+
+
+def _public_singular(stack):
+    """The singular test through NumPy's public ``eigvalsh``, one matrix at
+    a time, a matrix on which it raises counting as singular."""
+    flags = []
+    for matrix in stack:
+        try:
+            evals = np.linalg.eigvalsh(matrix)
+        except np.linalg.LinAlgError:
+            flags.append(True)
+            continue
+        flags.append(not evals[0] > evals[-1] * glmsub.fitting._RCOND)
+    return np.array(flags)
+
+
+def _rotated(evals, seed):
+    """A symmetric matrix with eigenvalues ``evals``, in a random basis."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(evals), len(evals))))
+    return (q * evals) @ q.T
+
+
+def _workload_runs():
+    """Small runs of the three benchmark designs, each fitting through the
+    Newton loop: acceptance test 05's bivariate-normal logistic design with
+    Q = 4 (mMSE, every strategy), a 3-covariate logistic design with Q = 8
+    (model-robust mMSE), and a standardized 4-covariate Poisson design with
+    Q = 16 (model-robust mVc and the full-data fits)."""
+    rng = np.random.default_rng(61)
+    logistic, poisson = Logistic(), Poisson()
+
+    raw = rng.multivariate_normal(np.zeros(2), 1.5 * np.eye(2), size=2_000)
+    y = rng.binomial(1, 1 / (1 + np.exp(-(-1.0 + raw @ [0.5, 0.1])))).astype(float)
+    models = enumerate_quadratic_models(2, (0, 1))
+    random_sampling_baseline(logistic, models, raw, y, 100, 400, rng)
+    for q in (*range(len(models)), None):
+        two_stage(logistic, models, raw, y, 100, 400, rng, "mMSE", q)
+
+    raw = rng.standard_normal((5_000, 3))
+    y = rng.binomial(1, 1 / (1 + np.exp(-(-0.5 + raw @ [0.6, -0.4, 0.3])))).astype(float)
+    two_stage(logistic, enumerate_quadratic_models(3, (0, 1, 2)), raw, y, 200, 1_000, rng)
+
+    raw = rng.standard_normal((5_000, 4))
+    y = rng.poisson(np.exp(0.5 + raw @ [0.3, -0.2, 0.2, 0.1])).astype(float)
+    raw = (raw - raw.mean(axis=0)) / raw.std(axis=0)
+    models = enumerate_quadratic_models(4, (0, 1, 2, 3))
+    two_stage(poisson, models, raw, y, 200, 800, rng, "mVc")
+    full_data_mles(poisson, models, raw, y)
+
+
+class TestLapackGufuncs:
+    # The Newton loop's singular test and step call NumPy's LAPACK gufuncs
+    # directly; they must give the bits of the public wrappers.
+
+    def test_private_gufuncs_keep_their_signatures(self):
+        # A NumPy release that renames or reshapes them fails here first.
+        from numpy.linalg import _umath_linalg
+
+        assert _umath_linalg.eigvalsh_lo.signature == "(m,m)->(m)"
+        assert _umath_linalg.solve.signature == "(m,m),(m,n)->(m,n)"
+        assert "d->d" in _umath_linalg.eigvalsh_lo.types
+        assert "dd->d" in _umath_linalg.solve.types
+
+    def test_replayed_workload_fits_match_the_public_wrappers(self, monkeypatch):
+        recorder = _RecordingLinalg(glmsub.fitting._umath_linalg)
+        monkeypatch.setattr(glmsub.fitting, "_umath_linalg", recorder)
+        _workload_runs()
+        monkeypatch.undo()  # the checks below call the real gufuncs
+        # Every pass calls both; the pass at the optimum and the mMSE
+        # inverse call only the singular test.
+        assert len(recorder.solve_calls) > 50
+        assert len(recorder.eigvalsh_calls) > len(recorder.solve_calls)
+        for stack, evals in recorder.eigvalsh_calls:
+            assert evals.tobytes() == np.linalg.eigvalsh(stack).tobytes()
+            np.testing.assert_array_equal(
+                glmsub.fitting._singular(stack), _public_singular(stack)
+            )
+        for a, b, x in recorder.solve_calls:
+            assert x.tobytes() == np.linalg.solve(a, b).tobytes()
+
+    def test_non_finite_and_singular_stacks(self):
+        nan, inf = np.nan, np.inf
+        stack = np.array(
+            [
+                np.eye(3),
+                [[1.0, nan, 0.0], [nan, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                np.full((3, 3), nan),
+                np.diag([inf, 1.0, 1.0]),
+                [[inf, 1.0, 0.0], [1.0, inf, 0.0], [0.0, 0.0, 1.0]],
+                np.diag([-inf, 1.0, 1.0]),
+                np.ones((3, 3)),  # rank one
+                np.zeros((3, 3)),
+                np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) + np.outer([0.0, 1.0, -1.0], [0.0, 1.0, -1.0]),
+                -np.eye(3),
+                np.diag([2.0, 3.0, 5.0]),
+            ]
+        )
+        singular = glmsub.fitting._singular(stack)
+        np.testing.assert_array_equal(singular, _public_singular(stack))
+        assert not singular[0] and not singular[-1]
+        assert singular[1:-1].all()
+
+    def test_eigenvalue_ratios_either_side_of_the_cutoff(self):
+        rcond = glmsub.fitting._RCOND
+        ratios = [rcond * (1 - 1e-6), rcond, rcond * (1 + 1e-6), np.nextafter(rcond, 1.0)]
+        exact = np.array([np.diag([ratio, 0.5, 1.0]) for ratio in ratios])
+        singular = glmsub.fitting._singular(exact)
+        np.testing.assert_array_equal(singular, [True, True, False, False])
+        np.testing.assert_array_equal(singular, _public_singular(exact))
+        # In a random basis LAPACK's rounding decides the cases nearest the
+        # cutoff; the gufunc and the wrapper decide them alike.
+        rotated = np.array(
+            [_rotated([scale * ratio, 0.5 * scale, scale], seed)
+             for seed, ratio in enumerate(ratios) for scale in (1e-3, 1.0, 1e4)]
+        )
+        np.testing.assert_array_equal(glmsub.fitting._singular(rotated), _public_singular(rotated))

@@ -93,6 +93,14 @@ class _FixedUniform:
         return np.full(size, self.value)
 
 
+def _unsorted_search(weights, r, rng):
+    """The draw with its keys searched in the order drawn: the normalized
+    cumulative sum searched for ``rng.random(r)``."""
+    cdf = np.cumsum(np.asarray(weights, dtype=float))
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(r), side="right")
+
+
 class TestDraws:
     def test_degenerate_mass(self, rng):
         # Pre-floor test vector: all mass on index 0.
@@ -197,6 +205,35 @@ class TestDraws:
         idx2 = draw_with_replacement(weights, 200, np.random.default_rng(seed))
         np.testing.assert_array_equal(idx1, idx2)
         assert np.all(weights[idx1] > 0)
+        np.testing.assert_array_equal(idx1, _unsorted_search(weights, 200, np.random.default_rng(seed)))
+
+
+class TestSortedKeySearch:
+    # The draw sorts its uniforms before the search and puts the indices
+    # back in the order drawn: the same indices, in the same order, from the
+    # same one ``random`` call as the search of the unsorted keys.
+
+    @pytest.mark.parametrize(
+        "weights, r",
+        [
+            ([0.0, 0.1, 0.0, 0.3, 0.2, 0.0, 0.4, 0.0], 500),  # zero-weight rows
+            ([0.2, 0.3, 0.5], 1),
+            ([0.2, 0.3, 0.5], 10_000),  # r much larger than N
+            ([2.0, 7.0, 1e-3, 40.0, 0.5], 300),  # not normalized
+            ([0.0, 0.0, 3.5, 0.0], 50),  # a single positive row
+            (np.random.default_rng(5).uniform(0.0, 1.0, size=10_000), 1_400),
+        ],
+    )
+    def test_same_indices_and_generator_state(self, weights, r):
+        for seed in (0, 7, 2024):
+            rng = np.random.default_rng(seed)
+            clone = np.random.default_rng(seed)
+            idx = draw_with_replacement(weights, r, rng)
+            expected = _unsorted_search(weights, r, clone)
+            assert idx.dtype == expected.dtype
+            np.testing.assert_array_equal(idx, expected)
+            assert rng.bit_generator.state == clone.bit_generator.state
+
 
 
 class TestInitialProbabilities:

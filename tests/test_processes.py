@@ -190,8 +190,10 @@ class TestOneCpuWritesTheSameBytes:
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
 def test_demo_runs(tmp_path, demo):
-    # The demos call the public API; 04 writes to a temp directory, here in tmp_path.
+    # The demos call the public API; 04 writes to a temp directory, here in
+    # tmp_path, and removes it.
     env = {**ENV, "TMPDIR": str(tmp_path)}
     argv = [sys.executable, *WARNINGS_ARE_ERRORS, str(demo)]
     out = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
+    assert not list(tmp_path.glob("glmsub-demo-*"))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import glmsub._workers
 import glmsub.realdata
 import glmsub.simulate
+import glmsub.twostage
 from glmsub import (
     ConfigError,
     CovariateColumn,
@@ -41,6 +42,7 @@ from glmsub import (
     smse,
     ssmse,
 )
+from glmsub._artifacts import write_metrics_csv
 
 from oracles import cofactor_det
 
@@ -640,6 +642,60 @@ class TestRunStudy:
         records = run_study(config)
         optimal = next(rec for rec in records if rec.scenario == "optimal-1")
         assert 0 < optimal.n_failed <= 10
+
+    def test_stage1_probabilities_are_built_once_per_replicate(self, monkeypatch, tmp_path):
+        # The stage-1 vector and its CDF depend on the responses alone: one
+        # build per replicate serves its Q + 1 two-stage strategies, and the
+        # metrics bytes are those of each strategy building its own.
+        calls = []
+        initial = glmsub.twostage.initial_probabilities
+
+        def counted(family, y):
+            calls.append(1)
+            return initial(family, y)
+
+        monkeypatch.setattr(glmsub.twostage, "initial_probabilities", counted)
+        _usable_cpus(monkeypatch, 1)  # the replicates run, and count, here
+        config = tiny_config(seed=41, replicates=2)
+        write_metrics_csv(run_study(config), tmp_path / "shared.csv")
+        assert len(calls) == 2
+
+        # With no prebuilt pair, each strategy's _two_stage builds its own.
+        monkeypatch.setattr(glmsub.simulate, "_stage1_sampler", lambda family, y: None)
+        calls.clear()
+        write_metrics_csv(run_study(config), tmp_path / "rebuilt.csv")
+        assert len(calls) == 2 * (len(config.model_set) + 1)
+        assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "rebuilt.csv").read_bytes()
+
+    def test_degenerate_response_fails_each_two_stage_strategy(self, monkeypatch):
+        # The stage-1 build raises for an all-zero logistic response inside
+        # the failure guard: every two-stage strategy fails in turn, and
+        # the random strategy, which needs no stage-1 probabilities, runs.
+        builds, randoms = [], []
+        sampler = glmsub.simulate._stage1_sampler
+
+        def counted_sampler(family, y):
+            builds.append(1)
+            return sampler(family, y)
+
+        def random_baseline(*args):
+            randoms.append(1)
+            return "random result"
+
+        monkeypatch.setattr(glmsub.simulate, "_stage1_sampler", counted_sampler)
+        monkeypatch.setattr(glmsub.simulate, "random_sampling_baseline", random_baseline)
+        config = tiny_config(r_grid=(60, 80))
+        raw = np.random.default_rng(3).normal(size=(800, 2))
+        out = glmsub.simulate._run_replicate(
+            config, (raw, np.zeros(800)), lambda config, result: result, 0
+        )
+        labels = glmsub.simulate.scenario_labels(config.model_set)
+        assert out == {
+            (label, r): "random result" if label == "random" else None
+            for r in (60, 80) for label in labels
+        }
+        assert len(randoms) == 2
+        assert len(builds) == 2 * (len(labels) - 1)
 
     def test_exponential_design_study_runs(self):
         config = ScenarioConfig(
